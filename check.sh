@@ -22,6 +22,9 @@ fi
 echo "== engine differential (wide vs compiled vs reference) =="
 go test -run 'Differential|CompiledVsReference|Wide' -count=1 ./internal/logic/...
 
+echo "== RNG stream differential (bulk draws vs math/rand, fast path vs fallback) =="
+go test -run 'MatchesMathRand|Bulk|Parity' -count=1 ./internal/frand/ ./internal/trace/ ./internal/degrade/
+
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 

@@ -180,7 +180,8 @@ func (c Clip) Apply(s []float64, _ Env) {
 }
 
 // Dropout zeroes individual samples with probability Rate per sample
-// (missed ADC conversions).
+// (missed ADC conversions). A Rate that is not positive (NaN included)
+// disables the stage.
 type Dropout struct {
 	Rate float64
 }
@@ -188,19 +189,33 @@ type Dropout struct {
 func (d Dropout) Name() string { return "dropout" }
 
 func (d Dropout) Apply(s []float64, env Env) {
-	if d.Rate <= 0 {
+	if !(d.Rate > 0) {
 		return
 	}
-	for i := range s {
-		if env.Rng.Float64() < d.Rate {
-			s[i] = 0
+	for i := 0; ; i++ {
+		i += trace.FirstBelow(env.Rng, d.Rate, len(s)-i)
+		if i >= len(s) {
+			return
 		}
+		s[i] = 0
 	}
+}
+
+// maxMeanRun caps Stuck's and Burst's MeanRun so that the run-length
+// bound 2*MeanRun-1 is at most math.MaxInt instead of overflowing; a
+// run that long outlasts any record anyway.
+const maxMeanRun = math.MaxInt/2 + 1
+
+// runBound returns the exclusive bound n for a run length 1+Intn(n),
+// uniform in [1, 2*meanRun-1] with meanRun clamped to [1, maxMeanRun].
+func runBound(meanRun int) int {
+	return 2*min(max(meanRun, 1), maxMeanRun) - 1
 }
 
 // Stuck starts, with probability Rate per sample, a run in which the
 // converter repeats its previous output (a stuck sample-and-hold). Run
-// lengths are uniform in [1, 2*MeanRun-1], mean MeanRun.
+// lengths are uniform in [1, 2*MeanRun-1], mean MeanRun. A Rate that
+// is not positive (NaN included) disables the stage.
 type Stuck struct {
 	Rate    float64
 	MeanRun int
@@ -209,20 +224,20 @@ type Stuck struct {
 func (g Stuck) Name() string { return "stuck" }
 
 func (g Stuck) Apply(s []float64, env Env) {
-	if g.Rate <= 0 || len(s) < 2 {
+	if !(g.Rate > 0) || len(s) < 2 {
 		return
 	}
-	mean := g.MeanRun
-	if mean < 1 {
-		mean = 1
-	}
+	bound := runBound(g.MeanRun)
+	// The sample right after a run draws no start test: the loop's
+	// increment steps over it, and the pinned streams depend on that.
 	for i := 1; i < len(s); i++ {
-		if env.Rng.Float64() >= g.Rate {
-			continue
+		i += trace.FirstBelow(env.Rng, g.Rate, len(s)-i)
+		if i >= len(s) {
+			return
 		}
-		run := 1 + env.Rng.Intn(2*mean-1)
+		end := i + min(1+env.Rng.Intn(bound), len(s)-i)
 		hold := s[i-1]
-		for j := 0; j < run && i < len(s); j, i = j+1, i+1 {
+		for ; i < end; i++ {
 			s[i] = hold
 		}
 	}
@@ -230,7 +245,8 @@ func (g Stuck) Apply(s []float64, env Env) {
 
 // Burst adds runs of strong white noise (relay chatter, a neighbouring
 // driver switching): with probability Rate per sample a burst of RMS
-// amplitude starts, lasting uniform [1, 2*MeanRun-1] samples.
+// amplitude starts, lasting uniform [1, 2*MeanRun-1] samples. A Rate or
+// RMS that is not positive (NaN included) disables the stage.
 type Burst struct {
 	Rate    float64
 	RMS     float64
@@ -239,21 +255,30 @@ type Burst struct {
 
 func (b Burst) Name() string { return "burst" }
 
+// burstChunk is how many normal draws Burst takes in one bulk call,
+// into a stack buffer; longer runs take several.
+const burstChunk = 64
+
 func (b Burst) Apply(s []float64, env Env) {
-	if b.Rate <= 0 || b.RMS <= 0 {
+	if !(b.Rate > 0) || !(b.RMS > 0) {
 		return
 	}
-	mean := b.MeanRun
-	if mean < 1 {
-		mean = 1
-	}
+	bound := runBound(b.MeanRun)
+	var noise [burstChunk]float64
+	// As in Stuck, the sample right after a run draws no start test.
 	for i := 0; i < len(s); i++ {
-		if env.Rng.Float64() >= b.Rate {
-			continue
+		i += trace.FirstBelow(env.Rng, b.Rate, len(s)-i)
+		if i >= len(s) {
+			return
 		}
-		run := 1 + env.Rng.Intn(2*mean-1)
-		for j := 0; j < run && i < len(s); j, i = j+1, i+1 {
-			s[i] += env.Rng.NormFloat64() * b.RMS
+		end := i + min(1+env.Rng.Intn(bound), len(s)-i)
+		for i < end {
+			run := s[i:min(i+burstChunk, end)]
+			trace.Normals(env.Rng, noise[:len(run)])
+			for k, v := range noise[:len(run)] {
+				run[k] += v * b.RMS
+			}
+			i += len(run)
 		}
 	}
 }
@@ -282,34 +307,47 @@ func (d Drift) Apply(s []float64, env Env) {
 
 // Jitter resamples the record with Gaussian sample-clock jitter of
 // RMSFraction sample periods, by linear interpolation between the
-// neighbouring true samples.
+// neighbouring true samples. An RMSFraction that is not positive (NaN
+// included) disables the stage; +Inf acts as the largest finite value,
+// moving every sample whose offset draw is nonzero to an end of the
+// record and leaving a sample whose draw is exactly zero in place.
 type Jitter struct {
 	RMSFraction float64
 }
 
 func (j Jitter) Name() string { return "jitter" }
 
+// jitterChunk is how many clock-offset draws Jitter takes in one bulk
+// call, into a stack buffer.
+const jitterChunk = 256
+
 func (j Jitter) Apply(s []float64, env Env) {
-	if j.RMSFraction <= 0 || len(s) < 2 {
+	if !(j.RMSFraction > 0) || len(s) < 2 {
 		return
 	}
+	rms := min(j.RMSFraction, math.MaxFloat64)
 	orig := env.scratchBuf(len(s))
 	copy(orig, s)
 	max := float64(len(s) - 1)
-	for i := range s {
-		pos := float64(i) + env.Rng.NormFloat64()*j.RMSFraction
-		if pos < 0 {
-			pos = 0
-		} else if pos > max {
-			pos = max
+	var offs [jitterChunk]float64
+	for base := 0; base < len(s); base += jitterChunk {
+		out := s[base:min(base+jitterChunk, len(s))]
+		trace.Normals(env.Rng, offs[:len(out)])
+		for k, off := range offs[:len(out)] {
+			pos := float64(base+k) + off*rms
+			if pos < 0 {
+				pos = 0
+			} else if pos > max {
+				pos = max
+			}
+			lo := int(pos)
+			frac := pos - float64(lo)
+			if lo >= len(s)-1 {
+				out[k] = orig[len(s)-1]
+				continue
+			}
+			out[k] = orig[lo]*(1-frac) + orig[lo+1]*frac
 		}
-		lo := int(pos)
-		frac := pos - float64(lo)
-		if lo >= len(s)-1 {
-			s[i] = orig[len(s)-1]
-			continue
-		}
-		s[i] = orig[lo]*(1-frac) + orig[lo+1]*frac
 	}
 }
 

@@ -1,6 +1,7 @@
 package degrade
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -227,4 +228,87 @@ func TestProfileEdgeSeverities(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fixedNormals is a trace.Rand whose normal draws replay a fixed
+// cycle, to put exact values (zero included) under a stage.
+type fixedNormals struct {
+	vals []float64
+	next int
+}
+
+func (f *fixedNormals) NormFloat64() float64 {
+	v := f.vals[f.next%len(f.vals)]
+	f.next++
+	return v
+}
+func (f *fixedNormals) Float64() float64 { return 0.5 }
+func (f *fixedNormals) Intn(n int) int   { return n - 1 }
+
+// TestStageDegenerateParams gives each degenerate parameter a defined,
+// tested outcome. Each case used to panic: int(NaN) indexing in Jitter,
+// 0·Inf = NaN positions in Jitter at infinite RMS, and 2*MeanRun-1
+// overflowing Intn's argument in Stuck and Burst.
+func TestStageDegenerateParams(t *testing.T) {
+	in := ramp(64)
+	cases := []struct {
+		name  string
+		stage Stage
+		rng   trace.Rand
+		check func(out []float64) error
+	}{
+		{"jitter NaN is disabled", Jitter{RMSFraction: math.NaN()}, rand.New(rand.NewSource(1)),
+			func(out []float64) error { return sameAs(out, in) }},
+		{"jitter +Inf keeps zero-offset samples and sends the rest to the ends",
+			Jitter{RMSFraction: math.Inf(1)}, &fixedNormals{vals: []float64{0, 1, -1, 1e-300}},
+			func(out []float64) error {
+				for i, v := range out {
+					want := [4]float64{in[i], in[len(in)-1], in[0], in[len(in)-1]}[i%4]
+					if v != want {
+						return fmt.Errorf("sample %d = %v, want %v", i, v, want)
+					}
+				}
+				return nil
+			}},
+		{"stuck MaxInt mean holds to the record end", Stuck{Rate: 1, MeanRun: math.MaxInt}, rand.New(rand.NewSource(2)),
+			func(out []float64) error {
+				for i, v := range out {
+					if v != in[0] {
+						return fmt.Errorf("sample %d = %v, want held %v", i, v, in[0])
+					}
+				}
+				return nil
+			}},
+		{"burst MaxInt mean runs to the record end", Burst{Rate: 1, RMS: 1, MeanRun: math.MaxInt}, rand.New(rand.NewSource(3)),
+			func(out []float64) error {
+				for i, v := range out {
+					if v == in[i] || math.IsNaN(v) {
+						return fmt.Errorf("sample %d = %v untouched", i, v)
+					}
+				}
+				return nil
+			}},
+		{"stuck NaN rate is disabled", Stuck{Rate: math.NaN(), MeanRun: 4}, rand.New(rand.NewSource(4)),
+			func(out []float64) error { return sameAs(out, in) }},
+		{"burst NaN RMS is disabled", Burst{Rate: 0.5, RMS: math.NaN(), MeanRun: 4}, rand.New(rand.NewSource(5)),
+			func(out []float64) error { return sameAs(out, in) }},
+		{"dropout NaN rate is disabled", Dropout{Rate: math.NaN()}, rand.New(rand.NewSource(6)),
+			func(out []float64) error { return sameAs(out, in) }},
+	}
+	for _, tc := range cases {
+		out := append([]float64(nil), in...)
+		tc.stage.Apply(out, Env{Rng: tc.rng})
+		if err := tc.check(out); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+func sameAs(got, want []float64) error {
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("sample %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	return nil
 }

@@ -2,8 +2,15 @@ package fleet
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
+
+// dieRand returns a fresh math/rand generator for one (die, purpose,
+// index) draw site: the stream the die's reseeded frand.Rand replicates.
+func dieRand(seed int64, die, purpose int, index uint64) *rand.Rand {
+	return rand.New(rand.NewSource(dieSeed(seed, die, purpose, index)))
+}
 
 // referenceAcquire reproduces Die.acquire through the allocating
 // pre-pooling path: one fresh RNG per draw (dieRand), one allocating

@@ -116,8 +116,8 @@ type Die struct {
 	dormant  []float64   // clean emf of this die's healthy state
 	active   [][]float64 // clean emf per Trojan state (infected only)
 	// rng is the die's reusable generator: every draw site reseeds it
-	// with dieSeed, which yields the same stream as a fresh dieRand
-	// generator without the per-draw rngSource allocation.
+	// with dieSeed, which yields the same stream as a fresh generator
+	// without the per-draw allocation.
 	rng *frand.Rand
 	// acqAcc accumulates the trimmed mean in place and is the trace
 	// handed to the verdict pipeline; acqDraw holds the current raw
@@ -202,7 +202,7 @@ func (p *Population) spawn(id int) (*Die, error) {
 	// the tile-level image of power.Config's corner/variation model
 	// (per-cell variation averages out within a tile; the corner is
 	// what distinguishes dies macroscopically).
-	prng := dieRand(cfg.Seed, id, purposeParams, 0)
+	prng := frand.NewRand(dieSeed(cfg.Seed, id, purposeParams, 0))
 	corner := 1 + cfg.CornerSigma*prng.NormFloat64()
 	if corner < 0.1 {
 		corner = 0.1
@@ -683,15 +683,16 @@ func (d *Die) acquire(idx int, wave []float64, scale float64, purpose int, index
 	for k := uint64(1); k < m; k++ {
 		d.rng.Seed(dieSeed(cfg.Seed, d.ID, purpose, index*m+k))
 		r := d.channel.AcquireAtInto(idx, d.acqDraw, wave, scale, d.pop.dt, d.rng)
-		// One fused pass: sum for the mean, min/max for the trim.
+		// One fused pass: sum for the mean, min/max for the trim. The
+		// builtins compile to branchless selects; they differ from
+		// compare-and-assign only on NaN and on -0 against +0, and
+		// neither reaches here: the channel's samples are finite, and
+		// a sum is -0 only when both its terms are, which the sensor
+		// noise term never is.
 		for j, v := range r.Samples {
 			acc[j] += v
-			if v < lo[j] {
-				lo[j] = v
-			}
-			if v > hi[j] {
-				hi[j] = v
-			}
+			lo[j] = min(lo[j], v)
+			hi[j] = max(hi[j], v)
 		}
 	}
 	if trim {

@@ -32,7 +32,6 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"emtrust/internal/chip"
@@ -300,12 +299,4 @@ func dieSeed(seed int64, die, purpose int, index uint64) int64 {
 	h = splitmix64(h ^ splitmix64(uint64(purpose)+0x1000))
 	h = splitmix64(h ^ splitmix64(index+0x100000))
 	return int64(h)
-}
-
-// dieRand returns the private generator for one (die, purpose, index)
-// draw site. Hot paths keep a per-die *rand.Rand and Seed it with
-// dieSeed instead — reseeding resets the source to the identical
-// stream without the ~5 KB generator allocation.
-func dieRand(seed int64, die, purpose int, index uint64) *rand.Rand {
-	return rand.New(rand.NewSource(dieSeed(seed, die, purpose, index)))
 }

@@ -103,15 +103,63 @@ func absInt32(i int32) uint32 {
 // NormFloat64 returns a standard normal variate via the same ziggurat
 // (Marsaglia & Tsang) walk as math/rand, value stream included.
 func (r *Rand) NormFloat64() float64 {
+	j := int32(r.Uint32()) // Possibly negative
+	if i := j & 0x7F; absInt32(j) < kn[i] {
+		// This case should be hit better than 99% of the time.
+		return float64(j) * float64(wn[i])
+	}
+	return r.normSlow(j)
+}
+
+// NormFloat64s fills dst with successive NormFloat64 draws: the same
+// values, in order, consuming the same stream. The ziggurat's fast box
+// runs inline over the ring's unread words (normFast); the wedge and
+// tail run out of line.
+func (r *Rand) NormFloat64s(dst []float64) {
+	s := &r.src
+	for len(dst) > 0 {
+		if s.feed == s.stop {
+			s.refill()
+		}
+		// The run's unread words, handed out from the top down.
+		w := s.vec[s.stop:s.feed]
+		w = w[len(w)-min(len(w), len(dst)):]
+		k := normFast(dst[:len(w)], w)
+		s.feed -= k
+		dst = dst[k:]
+		if k < len(w) {
+			s.feed--
+			dst[0] = r.normSlow(int32(w[len(w)-1-k] & rngMask >> 31))
+			dst = dst[1:]
+		}
+	}
+}
+
+// normFast converts the words of w, from the top down, into dst while
+// each lands in the ziggurat's fast box, and returns how many it
+// converted. len(dst) must equal len(w).
+func normFast(dst []float64, w []uint64) int {
+	for k := range dst {
+		j := int32(w[len(w)-1-k] & rngMask >> 31) // Uint32, possibly negative
+		i := j & 0x7F
+		if absInt32(j) >= kn[i] {
+			return k
+		}
+		dst[k] = float64(j) * float64(wn[i])
+	}
+	return len(dst)
+}
+
+// normSlow finishes a ziggurat draw whose first word j missed the fast
+// box: the base strip's tail, or a wedge test that on rejection starts
+// the walk over with a fresh word.
+func (r *Rand) normSlow(j int32) float64 {
 	for {
-		j := int32(r.Uint32()) // Possibly negative
 		i := j & 0x7F
 		x := float64(j) * float64(wn[i])
 		if absInt32(j) < kn[i] {
-			// This case should be hit better than 99% of the time.
 			return x
 		}
-
 		if i == 0 {
 			// This extra work is only required for the base strip.
 			for {
@@ -129,5 +177,84 @@ func (r *Rand) NormFloat64() float64 {
 		if fn[i]+float32(r.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
 			return x
 		}
+		j = int32(r.Uint32())
 	}
+}
+
+// resampleAt is the smallest Int63 value Float64 rounds to 1.0 and
+// therefore resamples: float64(x) for x ≥ 2⁶³−512 rounds to 2⁶³.
+const resampleAt = 1<<63 - 512
+
+// FirstBelow makes up to n Bernoulli tests Float64() < p and returns
+// the index of the first that succeeds, or n when none does. It
+// consumes exactly the draws the Float64 loop would, stopping after
+// the success, so FirstBelow(p, n) and
+//
+//	for i := 0; i < n; i++ { if r.Float64() < p { return i } }; return n
+//
+// leave the generator in the same state. With p ≤ 0 or NaN no test
+// succeeds and all n draws are consumed.
+func (r *Rand) FirstBelow(p float64, n int) int {
+	t := belowThreshold(p)
+	// A success (x < t) and a resample (x ≥ resampleAt) are the two
+	// rare outcomes; in wrapping unsigned arithmetic both read
+	// x-t ≥ resampleAt-t, so the scan makes one compare per draw.
+	span := resampleAt - t
+	s := &r.src
+	for i := 0; i < n; {
+		if s.feed == s.stop {
+			s.refill()
+		}
+		// The run's unread words, handed out from the top down.
+		w := s.vec[s.stop:s.feed]
+		lo := len(w) - min(len(w), n-i)
+		k := len(w) - 1
+		for ; k >= lo && w[k]&rngMask-t < span; k-- {
+		}
+		i += len(w) - 1 - k // draws that failed the test
+		if k < lo {
+			s.feed = s.stop + lo
+			continue
+		}
+		s.feed = s.stop + k
+		x := w[k] & rngMask
+		for x >= resampleAt { // Float64 would round to 1 and resample
+			x = uint64(r.Int63())
+		}
+		if x < t {
+			return i
+		}
+		i++
+	}
+	return n
+}
+
+// belowThreshold returns the count t of Int63 values x for which
+// math/rand's Float64, float64(x)/2⁶³, is below p: the test
+// Float64() < p is exactly x < t for every x Float64 does not
+// resample. Scaling by 2⁶³ is exact, so the test is
+// float64(x) < P with P = p·2⁶³, and since rounding an integer to
+// float64 is monotone, the x passing it form a prefix [0, t).
+func belowThreshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	P := p * (1 << 63)
+	switch {
+	case P > 1<<63-1024:
+		// Every x below resampleAt converts to at most 2⁶³−1024.
+		return resampleAt
+	case P <= 1<<53:
+		// Integers up to 2⁵³ convert exactly: x < P iff x < ⌈P⌉.
+		return uint64(math.Ceil(P))
+	}
+	// P is an integer with a float64 neighbour prev below it; x
+	// converts to P or above from the midpoint m of the two up, and the
+	// midpoint itself goes whichever way round-half-even sends it.
+	hi := uint64(P)
+	m := hi - (hi-uint64(math.Nextafter(P, 0)))/2
+	if float64(m) >= P {
+		return m
+	}
+	return m + 1
 }

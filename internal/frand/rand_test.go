@@ -69,3 +69,22 @@ func BenchmarkNormFloat64MathRand(b *testing.B) {
 		_ = r.NormFloat64()
 	}
 }
+
+func BenchmarkNormFloat64s(b *testing.B) {
+	r := NewRand(1)
+	dst := make([]float64, 512)
+	b.SetBytes(int64(len(dst)))
+	for i := 0; i < b.N; i++ {
+		r.NormFloat64s(dst)
+	}
+}
+
+func BenchmarkFirstBelow(b *testing.B) {
+	r := NewRand(1)
+	b.SetBytes(512)
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 512; k++ {
+			k += r.FirstBelow(0.002, 512-k)
+		}
+	}
+}

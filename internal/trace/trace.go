@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"emtrust/internal/frand"
 )
 
 // Rand is the slice of randomness the measurement chain consumes: one
@@ -17,12 +19,42 @@ import (
 // for environment noise, and the occasional bounded integer for fault
 // injection run lengths (internal/degrade). Both *math/rand.Rand and
 // the repo's concrete *frand.Rand satisfy it; the fleet hot path passes
-// the latter so every per-sample draw compiles to direct arithmetic
-// instead of two interface hops.
+// the latter, for which Normals and FirstBelow draw in bulk instead of
+// making one interface call per sample.
 type Rand interface {
 	Float64() float64
 	NormFloat64() float64
 	Intn(n int) int
+}
+
+// Normals fills dst with successive rng.NormFloat64 draws. A
+// *frand.Rand draws them in bulk; any other Rand gets one call per
+// value. Both consume the same stream, so the values are identical.
+func Normals(rng Rand, dst []float64) {
+	if fr, ok := rng.(*frand.Rand); ok {
+		fr.NormFloat64s(dst)
+		return
+	}
+	for i := range dst {
+		dst[i] = rng.NormFloat64()
+	}
+}
+
+// FirstBelow makes up to n Bernoulli tests rng.Float64() < p and
+// returns the index of the first that succeeds, or n when none does,
+// consuming exactly the draws made up to it. A *frand.Rand scans its
+// raw stream against an integer threshold; any other Rand gets one
+// Float64 call per test.
+func FirstBelow(rng Rand, p float64, n int) int {
+	if fr, ok := rng.(*frand.Rand); ok {
+		return fr.FirstBelow(p, n)
+	}
+	for i := 0; i < n; i++ {
+		if rng.Float64() < p {
+			return i
+		}
+	}
+	return n
 }
 
 // Trace is a sampled voltage record.
@@ -115,13 +147,20 @@ func (a Acquisition) Acquire(clean []float64, dt float64, rng Rand) *Trace {
 	return a.AcquireScaledInto(&Trace{}, clean, 1, dt, rng)
 }
 
+// noiseChunk is how many normal draws AcquireScaledInto takes in one
+// bulk call, into a stack buffer.
+const noiseChunk = 256
+
 // AcquireScaledInto implements ScaledAcquirer: Acquire with the clean
 // waveform pre-multiplied by scale, written into dst. dst.Samples is
-// reused when its capacity suffices; the rng draw order (interference
-// phase first, then one normal draw per sample) matches Acquire
-// exactly, so reseeded streams reproduce the allocating path bit for
-// bit. scale*gain is applied as (v*scale)*g, two rounded multiplies,
-// matching a caller that scaled the waveform itself before acquiring.
+// reused when its capacity suffices, and may be clean itself: each
+// output sample is written only after its input sample is read. The
+// rng draw order (interference phase first, then one normal draw per
+// sample) matches Acquire exactly, so reseeded streams reproduce the
+// allocating path bit for bit; the normal draws are taken in chunks
+// through Normals. scale*gain is applied as (v*scale)*g, two rounded
+// multiplies, matching a caller that scaled the waveform itself before
+// acquiring.
 func (a Acquisition) AcquireScaledInto(dst *Trace, clean []float64, scale, dt float64, rng Rand) *Trace {
 	g := a.Gain
 	if g == 0 {
@@ -134,17 +173,24 @@ func (a Acquisition) AcquireScaledInto(dst *Trace, clean []float64, scale, dt fl
 		out = out[:len(clean)]
 	}
 	phase := rng.Float64() * 2 * math.Pi
-	for i, v := range clean {
-		s := (v * scale) * g
+	var noise [noiseChunk]float64
+	for lo := 0; lo < len(clean); lo += noiseChunk {
+		in := clean[lo:min(lo+noiseChunk, len(clean))]
 		if a.NoiseRMS > 0 {
-			s += rng.NormFloat64() * a.NoiseRMS
+			Normals(rng, noise[:len(in)])
 		}
-		if a.InterferenceRMS > 0 {
-			s += a.InterferenceRMS * math.Sqrt2 * math.Sin(2*math.Pi*a.InterferenceHz*float64(i)*dt+phase)
+		for k, v := range in {
+			s := (v * scale) * g
+			if a.NoiseRMS > 0 {
+				s += noise[k] * a.NoiseRMS
+			}
+			if a.InterferenceRMS > 0 {
+				s += a.InterferenceRMS * math.Sqrt2 * math.Sin(2*math.Pi*a.InterferenceHz*float64(lo+k)*dt+phase)
+			}
+			out[lo+k] = s
 		}
-		out[i] = s
 	}
-	if a.ADCBits > 0 && a.FullScale > 0 {
+	if a.ADCBits > 0 && a.FullScale > 0 && !math.IsInf(a.FullScale, 1) {
 		quantize(out, a.ADCBits, a.FullScale)
 	}
 	dst.Dt = dt
@@ -158,9 +204,15 @@ func (a Acquisition) AcquireNoise(n int, dt float64, rng Rand) *Trace {
 	return a.Acquire(make([]float64, n), dt, rng)
 }
 
+// maxADCBits caps the converter width quantize honours. Its grid of
+// 2⁶³ levels is already finer than float64 resolves near full scale;
+// beyond it, 1<<bits would overflow to zero levels and an infinite
+// step, turning every sample into NaN.
+const maxADCBits = 63
+
 // quantize rounds samples to the ADC grid and clips at full scale.
 func quantize(x []float64, bits int, fullScale float64) {
-	levels := float64(int64(1) << uint(bits))
+	levels := math.Ldexp(1, min(bits, maxADCBits))
 	step := 2 * fullScale / levels
 	for i, v := range x {
 		if v > fullScale {
