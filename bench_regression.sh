@@ -25,7 +25,7 @@ bop_floor=64
 # Stable allowlist: keep this to kernels whose per-op time does not
 # depend on parallelism, cache warm-up across iterations, or RNG-driven
 # workload shape. Adding a benchmark here makes it a build gate.
-stable='^(BenchmarkFFT|BenchmarkSpectralPlan|BenchmarkSTFT|BenchmarkDieTick|BenchmarkEMFWeightedInto|BenchmarkTick/engine=compiled|BenchmarkTick/engine=reference)$'
+stable='^(BenchmarkSpectralPlan|BenchmarkDieTick|BenchmarkEMFWeightedInto|BenchmarkTick/engine=compiled|BenchmarkTick/engine=reference)$'
 
 prev=""
 max=0
@@ -49,7 +49,7 @@ gate_raw="$(mktemp)"
 trap 'rm -f "$raw" "$gate_raw"' EXIT
 
 echo "== gate: stable benchmarks vs $prev (fail above +${threshold}% ns/op or +${bop_threshold}% B/op) =="
-go test -run '^$' -bench 'BenchmarkFFT$|BenchmarkSpectralPlan$|BenchmarkSTFT$|BenchmarkDieTick$|BenchmarkEMFWeightedInto$|BenchmarkTick$' \
+go test -run '^$' -bench 'BenchmarkSpectralPlan$|BenchmarkDieTick$|BenchmarkEMFWeightedInto$|BenchmarkTick$' \
     -benchmem -benchtime=0.3s . | tee "$gate_raw"
 
 echo ""

@@ -378,20 +378,6 @@ func BenchmarkVariation(b *testing.B) {
 	b.ReportMetric(selfFA, "selfref-false-alarms")
 }
 
-// BenchmarkFFT measures the cached-twiddle transform on a
-// spectral-window-sized input.
-func BenchmarkFFT(b *testing.B) {
-	x := make([]float64, 4096)
-	for i := range x {
-		x[i] = math.Sin(float64(i) * 0.1)
-	}
-	var buf []complex128
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = dsp.RealFFTInto(buf, x)
-	}
-}
-
 // BenchmarkSpectralPlan measures one planned one-sided amplitude
 // spectrum into a reused buffer — the monitor verdict path's per-trace
 // transform cost. Zero allocations at steady state.
@@ -405,20 +391,6 @@ func BenchmarkSpectralPlan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		amp = p.SpectrumInto(amp, x, dsp.Hann)
-	}
-}
-
-// BenchmarkSTFT measures a full spectrogram into reused row buffers —
-// the streaming demodulator view of a long capture.
-func BenchmarkSTFT(b *testing.B) {
-	x := make([]float64, 16384)
-	for i := range x {
-		x[i] = math.Sin(float64(i)*0.1) + 0.3*math.Sin(float64(i)*0.37)
-	}
-	var rows [][]float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, _ = dsp.STFTInto(rows, x, 1e-9, dsp.Hann, 1024, 256)
 	}
 }
 

@@ -11,6 +11,12 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== perfbench module (vet, tests) =="
+# perfbench is its own module, so the root build, vet and test never
+# compile it: an exported name it calls could vanish with the rest of
+# the gate green.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== gofmt =="
 unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then

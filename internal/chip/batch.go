@@ -86,6 +86,9 @@ func (c *Chip) CaptureBatchFrom(snaps []*Snapshot, pts [][]byte, key []byte, cyc
 	if len(key) != 16 {
 		return nil, fmt.Errorf("chip: need 16-byte key")
 	}
+	if err := checkCycles(cycles); err != nil {
+		return nil, err
+	}
 	ptA := make([][16]byte, len(pts))
 	for i, pt := range pts {
 		if len(pt) != 16 {
@@ -97,19 +100,9 @@ func (c *Chip) CaptureBatchFrom(snaps []*Snapshot, pts [][]byte, key []byte, cyc
 	if err != nil {
 		return nil, err
 	}
-	return c.captureBatch(snaps, ptA, key, cycles, false)
-}
-
-// CaptureIdleBatch runs one idle (no encryption) capture lane per
-// snapshot through the wide engine, without advancing the chip's state.
-func (c *Chip) CaptureIdleBatch(snaps []*Snapshot, cycles int) ([]*Capture, error) {
-	if len(snaps) == 0 {
-		return nil, nil
-	}
-	if len(snaps) > logic.MaxLanes*1024 {
-		return nil, fmt.Errorf("chip: idle batch of %d lanes", len(snaps))
-	}
-	return c.captureBatch(snaps, make([][16]byte, len(snaps)), nil, cycles, true)
+	var keyA [16]byte
+	copy(keyA[:], key)
+	return c.captureBatch(snaps, ptA, keyA, cycles)
 }
 
 // batchSnaps normalizes the snapshot list: nil broadcasts the current
@@ -137,9 +130,7 @@ func (c *Chip) batchSnaps(snaps []*Snapshot, n int) ([]*Snapshot, error) {
 // captureBatch deduplicates the lanes, replays cached groups, simulates
 // the rest in wide chunks (or scalar captures when the chip runs the
 // reference engine), and maps group results back onto the input order.
-func (c *Chip) captureBatch(snaps []*Snapshot, pts [][16]byte, key []byte, cycles int, idle bool) ([]*Capture, error) {
-	var keyA [16]byte
-	copy(keyA[:], key)
+func (c *Chip) captureBatch(snaps []*Snapshot, pts [][16]byte, key [16]byte, cycles int) ([]*Capture, error) {
 	hashes := make(map[*Snapshot]uint64)
 	var groups []*batchGroup
 	var misses []*batchGroup
@@ -163,7 +154,7 @@ func (c *Chip) captureBatch(snaps []*Snapshot, pts [][16]byte, key []byte, cycle
 		if g == nil {
 			g = &batchGroup{
 				snap: s, hash: h, pt: pts[i],
-				ck: c.captureCacheKey(pts[i], keyA, cycles, idle, s.a2, s.a2Enabled, h),
+				ck: c.captureCacheKey(pts[i], key, cycles, false, s.a2, s.a2Enabled, h),
 			}
 			g.entry = lookupCapture(g.ck, s.sim)
 			groups = append(groups, g)
@@ -181,11 +172,11 @@ func (c *Chip) captureBatch(snaps []*Snapshot, pts [][16]byte, key []byte, cycle
 				if hi > len(misses) {
 					hi = len(misses)
 				}
-				if err := c.runWide(misses[lo:hi], key, cycles, idle); err != nil {
+				if err := c.runWide(misses[lo:hi], key, cycles); err != nil {
 					return nil, err
 				}
 			}
-		} else if err := c.runScalarBatch(misses, key, cycles, idle); err != nil {
+		} else if err := c.runScalarBatch(misses, key, cycles); err != nil {
 			return nil, err
 		}
 	}
@@ -227,12 +218,12 @@ func (c *Chip) ensureWide(lanes int) error {
 
 // runWide simulates up to MaxLanes miss groups as lanes of one wide
 // capture, stores each lane's result in the capture cache and fills the
-// groups' entries. The capture sequence mirrors CapturePT/CaptureIdle
-// exactly: idle lead-in tick, per-lane plaintext with broadcast key and
-// start pulse, load edge, then the remaining cycles — with the T2
-// crowbar and A2 charge-pump hooks applied per lane from the lane's net
-// word each cycle.
-func (c *Chip) runWide(groups []*batchGroup, key []byte, cycles int, idle bool) error {
+// groups' entries. The capture sequence mirrors the scalar encryption
+// capture exactly: idle lead-in tick, per-lane plaintext with broadcast
+// key and start pulse, load edge, then the remaining cycles — with the
+// T2 crowbar and A2 charge-pump hooks applied per lane from the lane's
+// net word each cycle.
+func (c *Chip) runWide(groups []*batchGroup, key [16]byte, cycles int) error {
 	lanes := len(groups)
 	if err := c.ensureWide(lanes); err != nil {
 		return err
@@ -304,41 +295,33 @@ func (c *Chip) runWide(groups []*batchGroup, key []byte, cycles int, idle bool) 
 		return nil
 	}
 
-	if idle {
-		for i := 0; i < cycles; i++ {
-			if err := tick(); err != nil {
-				return err
-			}
-		}
-	} else {
-		if err := tick(); err != nil { // cycle 0: idle lead-in
+	if err := tick(); err != nil { // cycle 0: idle lead-in
+		return err
+	}
+	laneBits := make([][]uint8, lanes)
+	for l, g := range groups {
+		laneBits[l] = aes.BytesToBits(g.pt[:])
+	}
+	if err := w.SetPortLanesBits(aes.PortPT, laneBits); err != nil {
+		return err
+	}
+	if err := w.SetPortBitsAll(aes.PortKey, aes.BytesToBits(key[:])); err != nil {
+		return err
+	}
+	if err := w.SetPortUintAll(aes.PortStart, 1); err != nil {
+		return err
+	}
+	w.Settle()
+	if err := tick(); err != nil { // load edge
+		return err
+	}
+	if err := w.SetPortUintAll(aes.PortStart, 0); err != nil {
+		return err
+	}
+	w.Settle()
+	for i := 2; i < cycles; i++ {
+		if err := tick(); err != nil {
 			return err
-		}
-		laneBits := make([][]uint8, lanes)
-		for l, g := range groups {
-			laneBits[l] = aes.BytesToBits(g.pt[:])
-		}
-		if err := w.SetPortLanesBits(aes.PortPT, laneBits); err != nil {
-			return err
-		}
-		if err := w.SetPortBitsAll(aes.PortKey, aes.BytesToBits(key)); err != nil {
-			return err
-		}
-		if err := w.SetPortUintAll(aes.PortStart, 1); err != nil {
-			return err
-		}
-		w.Settle()
-		if err := tick(); err != nil { // load edge
-			return err
-		}
-		if err := w.SetPortUintAll(aes.PortStart, 0); err != nil {
-			return err
-		}
-		w.Settle()
-		for i := 2; i < cycles; i++ {
-			if err := tick(); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -369,34 +352,31 @@ func (c *Chip) runWide(groups []*batchGroup, key []byte, cycles int, idle bool) 
 // layer's semantic ground truth, which the batch tests pin the wide
 // path against): each miss group restores its snapshot and runs a plain
 // scalar capture, after which the chip is rewound to where it was.
-func (c *Chip) runScalarBatch(groups []*batchGroup, key []byte, cycles int, idle bool) error {
+func (c *Chip) runScalarBatch(groups []*batchGroup, key [16]byte, cycles int) error {
 	save := c.Snapshot()
 	defer c.Restore(save)
 	for _, g := range groups {
 		c.Restore(g.snap)
-		var cap *Capture
-		var err error
-		if idle {
-			cap, err = c.CaptureIdle(cycles)
-		} else {
-			cap, err = c.CapturePT(g.pt[:], key, cycles)
-		}
+		cap, err := c.capture(g.pt, key, cycles, false)
 		if err != nil {
 			return err
 		}
-		post := c.sim.State()
-		var postA2 analog.A2
-		if c.a2 != nil {
-			postA2 = *c.a2
-		}
-		e := &captureEntry{
-			pre:  g.snap.sim,
-			cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: nextCaptureSeq()},
-			post: post, postA2: postA2, postHash: post.ValueHash(),
-		}
-		g.entry = storeCapture(g.ck, e)
+		g.entry = storeCapture(g.ck, c.cacheEntry(g.snap.sim, cap))
 	}
 	return nil
+}
+
+// cacheEntry turns the scalar capture that just ran from pre into a
+// capture-cache entry: the waveforms without Tiles under a fresh Seq,
+// plus the chip's post-capture state.
+func (c *Chip) cacheEntry(pre *logic.State, cap *Capture) *captureEntry {
+	post := c.sim.State()
+	postA2, _ := c.a2State()
+	return &captureEntry{
+		pre:  pre,
+		cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: nextCaptureSeq()},
+		post: post, postA2: postA2, postHash: post.ValueHash(),
+	}
 }
 
 // CaptureChain runs count consecutive fixed-stimulus captures — the
@@ -408,7 +388,8 @@ func (c *Chip) runScalarBatch(groups []*batchGroup, key []byte, cycles int, idle
 // whole chain to one simulation; an active Trojan's orbit replays after
 // its first traversal), and simulated scalar otherwise. Waveforms and
 // the chip's state trajectory are bit-identical to count serial
-// CapturePT calls. Chain captures carry no Tiles.
+// CapturePT calls. Chain captures carry no Tiles. A count <= 0 is
+// clamped to a nil chain.
 func (c *Chip) CaptureChain(pt, key []byte, cycles, count int) ([]*Capture, error) {
 	if len(pt) != 16 || len(key) != 16 {
 		return nil, fmt.Errorf("chip: need 16-byte pt and key")
@@ -416,48 +397,7 @@ func (c *Chip) CaptureChain(pt, key []byte, cycles, count int) ([]*Capture, erro
 	var ptA, keyA [16]byte
 	copy(ptA[:], pt)
 	copy(keyA[:], key)
-	caps := make([]*Capture, count)
-	var hash uint64
-	hashValid := false
-	for j := range caps {
-		pre := c.sim.State()
-		if !hashValid {
-			hash = pre.ValueHash()
-		}
-		var a2v analog.A2
-		if c.a2 != nil {
-			a2v = *c.a2
-		}
-		ck := c.captureCacheKey(ptA, keyA, cycles, false, a2v, c.a2Enabled, hash)
-		if e := lookupCapture(ck, pre); e != nil {
-			cyc := c.sim.Cycle()
-			c.sim.SetState(e.post)
-			c.sim.SetCycle(cyc + cycles)
-			if c.a2 != nil {
-				*c.a2 = e.postA2
-			}
-			caps[j] = e.cap
-			hash, hashValid = e.postHash, true
-			continue
-		}
-		cap, err := c.CapturePT(pt, key, cycles)
-		if err != nil {
-			return nil, err
-		}
-		post := c.sim.State()
-		var postA2 analog.A2
-		if c.a2 != nil {
-			postA2 = *c.a2
-		}
-		e := storeCapture(ck, &captureEntry{
-			pre:  pre,
-			cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: nextCaptureSeq()},
-			post: post, postA2: postA2, postHash: post.ValueHash(),
-		})
-		caps[j] = e.cap
-		hash, hashValid = e.postHash, true
-	}
-	return caps, nil
+	return c.chain(ptA, keyA, cycles, count, false)
 }
 
 // CaptureIdleChain is CaptureChain for idle (no-encryption) captures:
@@ -473,50 +413,42 @@ func (c *Chip) CaptureChain(pt, key []byte, cycles, count int) ([]*Capture, erro
 // state are bit-identical to count serial CaptureIdle calls. Chain
 // captures carry no Tiles. A count <= 0 is clamped to a nil chain.
 func (c *Chip) CaptureIdleChain(cycles, count int) ([]*Capture, error) {
+	return c.chain([16]byte{}, [16]byte{}, cycles, count, true)
+}
+
+// chain is the replay loop behind CaptureChain and CaptureIdleChain:
+// each step replays its capture-cache entry, advancing the chip to the
+// entry's post state, or runs the scalar capture and stores it.
+func (c *Chip) chain(pt, key [16]byte, cycles, count int, idle bool) ([]*Capture, error) {
 	if count <= 0 {
 		return nil, nil
 	}
 	caps := make([]*Capture, count)
-	var zero [16]byte
 	var hash uint64
-	hashValid := false
 	for j := range caps {
 		pre := c.sim.State()
-		if !hashValid {
+		if j == 0 {
 			hash = pre.ValueHash()
 		}
-		var a2v analog.A2
-		if c.a2 != nil {
-			a2v = *c.a2
-		}
-		ck := c.captureCacheKey(zero, zero, cycles, true, a2v, c.a2Enabled, hash)
-		if e := lookupCapture(ck, pre); e != nil {
+		a2v, a2On := c.a2State()
+		ck := c.captureCacheKey(pt, key, cycles, idle, a2v, a2On, hash)
+		e := lookupCapture(ck, pre)
+		if e != nil {
 			cyc := c.sim.Cycle()
 			c.sim.SetState(e.post)
 			c.sim.SetCycle(cyc + cycles)
 			if c.a2 != nil {
 				*c.a2 = e.postA2
 			}
-			caps[j] = e.cap
-			hash, hashValid = e.postHash, true
-			continue
+		} else {
+			cap, err := c.capture(pt, key, cycles, idle)
+			if err != nil {
+				return nil, err
+			}
+			e = storeCapture(ck, c.cacheEntry(pre, cap))
 		}
-		cap, err := c.CaptureIdle(cycles)
-		if err != nil {
-			return nil, err
-		}
-		post := c.sim.State()
-		var postA2 analog.A2
-		if c.a2 != nil {
-			postA2 = *c.a2
-		}
-		e := storeCapture(ck, &captureEntry{
-			pre:  pre,
-			cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: nextCaptureSeq()},
-			post: post, postA2: postA2, postHash: post.ValueHash(),
-		})
 		caps[j] = e.cap
-		hash, hashValid = e.postHash, true
+		hash = e.postHash
 	}
 	return caps, nil
 }

@@ -106,29 +106,6 @@ func TestCaptureBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestCaptureIdleBatchMatchesScalar does the same for idle captures.
-func TestCaptureIdleBatchMatchesScalar(t *testing.T) {
-	resetCaptureCache()
-	c := activeClone(t, trojan.T3CDMALeaker)
-	snaps := orbitSnapshots(t, c, make([]byte, 16), 6)
-	caps, err := c.CaptureIdleBatch(snaps, batchCycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range snaps {
-		scalar.Restore(s)
-		want, err := scalar.CaptureIdle(batchCycles)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameWave(t, "idle lane", caps[i], want)
-	}
-}
-
 // TestCaptureBatchLaneCountInvariance pins the determinism contract:
 // the same batch split into 1-, 3- or 64-lane wide runs (partial final
 // chunks included) produces byte-identical captures.
@@ -374,4 +351,58 @@ func TestFixedPointMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameWave(t, "idle memo vs fresh", freshIdle, i2)
+}
+
+// TestCaptureEdgeCases pins the degenerate-argument contract of every
+// capture entry point: a window without a clock cycle is an error, an
+// encryption window of one cycle cannot hold the load edge and errors
+// too, and a chain of count <= 0 is clamped to nil. None of them may
+// panic.
+func TestCaptureEdgeCases(t *testing.T) {
+	c, err := golden(t).Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := make([]byte, 16)
+	scalar := func(cap *Capture, err error) ([]*Capture, error) {
+		if cap == nil {
+			return nil, err
+		}
+		return []*Capture{cap}, err
+	}
+	cases := []struct {
+		name    string
+		run     func(cycles int) ([]*Capture, error)
+		okAtOne bool // a one-cycle window is a valid capture
+	}{
+		{"CapturePT", func(cycles int) ([]*Capture, error) { return scalar(c.CapturePT(pt, testKey, cycles)) }, false},
+		{"CaptureIdle", func(cycles int) ([]*Capture, error) { return scalar(c.CaptureIdle(cycles)) }, true},
+		{"CaptureBatch", func(cycles int) ([]*Capture, error) { return c.CaptureBatch([][]byte{pt}, testKey, cycles) }, false},
+		{"CaptureChain", func(cycles int) ([]*Capture, error) { return c.CaptureChain(pt, testKey, cycles, 1) }, false},
+		{"CaptureIdleChain", func(cycles int) ([]*Capture, error) { return c.CaptureIdleChain(cycles, 1) }, true},
+	}
+	for _, tc := range cases {
+		for _, cycles := range []int{-1, 0, 1} {
+			caps, err := tc.run(cycles)
+			if cycles == 1 && tc.okAtOne {
+				if err != nil || len(caps) != 1 || len(caps[0].Sensor) != c.cfg.Power.SamplesPerCycle {
+					t.Errorf("%s(cycles=1) = %d captures, %v; want one one-cycle capture", tc.name, len(caps), err)
+				}
+				continue
+			}
+			if err == nil || caps != nil {
+				t.Errorf("%s(cycles=%d) = %d captures, %v; want an error", tc.name, cycles, len(caps), err)
+			}
+		}
+	}
+	for _, cycles := range []int{-1, 0, 1, batchCycles} {
+		for _, count := range []int{-1, 0} {
+			if caps, err := c.CaptureChain(pt, testKey, cycles, count); caps != nil || err != nil {
+				t.Errorf("CaptureChain(cycles=%d, count=%d) = %d captures, %v; want nil, nil", cycles, count, len(caps), err)
+			}
+			if caps, err := c.CaptureIdleChain(cycles, count); caps != nil || err != nil {
+				t.Errorf("CaptureIdleChain(cycles=%d, count=%d) = %d captures, %v; want nil, nil", cycles, count, len(caps), err)
+			}
+		}
+	}
 }

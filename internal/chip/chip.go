@@ -501,8 +501,42 @@ func (c *Chip) CapturePT(pt, key []byte, cycles int) (*Capture, error) {
 	if len(pt) != 16 || len(key) != 16 {
 		return nil, fmt.Errorf("chip: need 16-byte pt and key")
 	}
-	if m := c.memoPT; m.matches(c, cycles) &&
-		string(pt) == string(m.pt[:]) && string(key) == string(m.key[:]) {
+	var ptA, keyA [16]byte
+	copy(ptA[:], pt)
+	copy(keyA[:], key)
+	return c.capture(ptA, keyA, cycles, false)
+}
+
+// CaptureIdle runs a capture with no encryption: the Section V-A noise
+// measurement ("the chip is powered up without executing the
+// encryption"). Only the clock tree and any active Trojans draw current.
+// It shares CapturePT's fixed-point fast path.
+func (c *Chip) CaptureIdle(cycles int) (*Capture, error) {
+	return c.capture([16]byte{}, [16]byte{}, cycles, true)
+}
+
+// checkCycles rejects a capture window that holds no clock cycle.
+func checkCycles(cycles int) error {
+	if cycles < 1 {
+		return fmt.Errorf("chip: capture of %d cycles (need >= 1)", cycles)
+	}
+	return nil
+}
+
+// capture is the scalar capture sequence behind CapturePT and
+// CaptureIdle: replay the matching fixed-point memo, or simulate the
+// window — for an encryption, an idle lead-in cycle, the plaintext, key
+// and start pulse, the load edge, then the remaining cycles — and
+// memoize it when it ends where it started.
+func (c *Chip) capture(pt, key [16]byte, cycles int, idle bool) (*Capture, error) {
+	if err := checkCycles(cycles); err != nil {
+		return nil, err
+	}
+	memo := &c.memoPT
+	if idle {
+		memo = &c.memoIdle
+	}
+	if m := *memo; m.matches(c, cycles) && pt == m.pt && key == m.key {
 		c.sim.SetCycle(c.sim.Cycle() + cycles)
 		return m.cap, nil
 	}
@@ -516,29 +550,33 @@ func (c *Chip) CapturePT(pt, key []byte, cycles int) (*Capture, error) {
 	s.BatchToggles(true)
 	defer s.BatchToggles(false)
 
-	// Cycle 0: idle lead-in.
-	if err := c.tick(); err != nil {
-		return nil, err
+	start := 0
+	if !idle {
+		// Cycle 0: idle lead-in.
+		if err := c.tick(); err != nil {
+			return nil, err
+		}
+		// Set up the encryption; the input settle happens inside the cycle.
+		if err := s.SetPortBits(aes.PortPT, aes.BytesToBits(pt[:])); err != nil {
+			return nil, err
+		}
+		if err := s.SetPortBits(aes.PortKey, aes.BytesToBits(key[:])); err != nil {
+			return nil, err
+		}
+		if err := s.SetPortUint(aes.PortStart, 1); err != nil {
+			return nil, err
+		}
+		s.Settle()
+		if err := c.tick(); err != nil { // load edge
+			return nil, err
+		}
+		if err := s.SetPortUint(aes.PortStart, 0); err != nil {
+			return nil, err
+		}
+		s.Settle()
+		start = 2
 	}
-	// Set up the encryption; the input settle happens inside the cycle.
-	if err := s.SetPortBits(aes.PortPT, aes.BytesToBits(pt)); err != nil {
-		return nil, err
-	}
-	if err := s.SetPortBits(aes.PortKey, aes.BytesToBits(key)); err != nil {
-		return nil, err
-	}
-	if err := s.SetPortUint(aes.PortStart, 1); err != nil {
-		return nil, err
-	}
-	s.Settle()
-	if err := c.tick(); err != nil { // load edge
-		return nil, err
-	}
-	if err := s.SetPortUint(aes.PortStart, 0); err != nil {
-		return nil, err
-	}
-	s.Settle()
-	for i := 2; i < cycles; i++ {
+	for i := start; i < cycles; i++ {
 		if err := c.tick(); err != nil {
 			return nil, err
 		}
@@ -553,43 +591,8 @@ func (c *Chip) CapturePT(pt, key []byte, cycles int) (*Capture, error) {
 		seq:    nextCaptureSeq(),
 	}
 	if m := c.tryMemo(pre, preA2, preOn, cycles, cap); m != nil {
-		copy(m.pt[:], pt)
-		copy(m.key[:], key)
-		c.memoPT = m
-		return m.cap, nil
-	}
-	return cap, nil
-}
-
-// CaptureIdle runs a capture with no encryption: the Section V-A noise
-// measurement ("the chip is powered up without executing the
-// encryption"). Only the clock tree and any active Trojans draw current.
-func (c *Chip) CaptureIdle(cycles int) (*Capture, error) {
-	if m := c.memoIdle; m.matches(c, cycles) {
-		c.sim.SetCycle(c.sim.Cycle() + cycles)
-		return m.cap, nil
-	}
-	pre := c.sim.State()
-	preA2, preOn := c.a2State()
-	c.rec.Begin(cycles)
-	c.sim.BatchToggles(true)
-	defer c.sim.BatchToggles(false)
-	for i := 0; i < cycles; i++ {
-		if err := c.tick(); err != nil {
-			return nil, err
-		}
-	}
-	currents := c.rec.Currents()
-	dt := c.rec.Dt()
-	cap := &Capture{
-		Sensor: c.sensor.EMF(currents, dt),
-		Probe:  c.probe.EMF(currents, dt),
-		Dt:     dt,
-		Tiles:  currents,
-		seq:    nextCaptureSeq(),
-	}
-	if m := c.tryMemo(pre, preA2, preOn, cycles, cap); m != nil {
-		c.memoIdle = m
+		m.pt, m.key = pt, key
+		*memo = m
 		return m.cap, nil
 	}
 	return cap, nil

@@ -1,78 +1,5 @@
 package dsp
 
-// MovingAverage returns the centered moving average of x over a window of
-// the given width (clamped at the edges). A width <= 1 — including zero
-// and negative widths — is clamped to the identity filter and returns a
-// copy of x.
-func MovingAverage(x []float64, width int) []float64 {
-	out := make([]float64, len(x))
-	if width <= 1 {
-		copy(out, x)
-		return out
-	}
-	half := width / 2
-	for i := range x {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(x) {
-			hi = len(x) - 1
-		}
-		sum := 0.0
-		for j := lo; j <= hi; j++ {
-			sum += x[j]
-		}
-		out[i] = sum / float64(hi-lo+1)
-	}
-	return out
-}
-
-// Decimate keeps every factor-th sample of x starting at index 0. A factor
-// <= 1 — including zero and negative factors — is clamped to no
-// decimation and returns a copy of x.
-func Decimate(x []float64, factor int) []float64 {
-	if factor <= 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]float64, 0, (len(x)+factor-1)/factor)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out
-}
-
-// Convolve returns the full linear convolution of x and h
-// (length len(x)+len(h)-1). It is used by the power model to shape
-// per-cycle charge impulses into current pulses.
-func Convolve(x, h []float64) []float64 {
-	if len(x) == 0 || len(h) == 0 {
-		return nil
-	}
-	out := make([]float64, len(x)+len(h)-1)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		for j, hv := range h {
-			out[i+j] += xv * hv
-		}
-	}
-	return out
-}
-
-// Scale multiplies every sample of x by k in place and returns x for
-// chaining.
-func Scale(x []float64, k float64) []float64 {
-	for i := range x {
-		x[i] *= k
-	}
-	return x
-}
-
 // Add accumulates src into dst element-wise (over the shorter length) and
 // returns dst.
 func Add(dst, src []float64) []float64 {

@@ -1,110 +1,8 @@
 package dsp
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
-func TestMovingAverageConstant(t *testing.T) {
-	x := []float64{5, 5, 5, 5, 5}
-	for _, w := range []int{1, 3, 5, 9} {
-		got := MovingAverage(x, w)
-		for i, v := range got {
-			if math.Abs(v-5) > 1e-12 {
-				t.Fatalf("width %d: sample %d = %g, want 5", w, i, v)
-			}
-		}
-	}
-}
-
-func TestMovingAverageSmooths(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 1000)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	smoothed := MovingAverage(x, 21)
-	if RMS(smoothed) >= RMS(x) {
-		t.Fatal("moving average must reduce noise RMS")
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	got := Decimate(x, 3)
-	want := []float64{0, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	cp := Decimate(x, 1)
-	cp[0] = 42
-	if x[0] != 0 {
-		t.Fatal("Decimate(x, 1) aliased its input")
-	}
-}
-
-func TestConvolveIdentity(t *testing.T) {
-	x := []float64{1, 2, 3}
-	got := Convolve(x, []float64{1})
-	for i := range x {
-		if got[i] != x[i] {
-			t.Fatalf("identity convolution failed: %v", got)
-		}
-	}
-	if Convolve(nil, x) != nil || Convolve(x, nil) != nil {
-		t.Fatal("empty convolution must be nil")
-	}
-}
-
-func TestConvolveKnown(t *testing.T) {
-	got := Convolve([]float64{1, 1}, []float64{1, 1})
-	want := []float64{1, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-// Convolution must be commutative (property test).
-func TestConvolveCommutative(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x := make([]float64, 1+rng.Intn(16))
-		h := make([]float64, 1+rng.Intn(16))
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		for i := range h {
-			h[i] = rng.NormFloat64()
-		}
-		a := Convolve(x, h)
-		b := Convolve(h, x)
-		for i := range a {
-			if math.Abs(a[i]-b[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestScaleAndAdd(t *testing.T) {
-	x := []float64{1, 2}
-	Scale(x, 2)
-	if x[0] != 2 || x[1] != 4 {
-		t.Fatalf("Scale: %v", x)
-	}
+func TestAdd(t *testing.T) {
 	dst := []float64{1, 1, 1}
 	Add(dst, []float64{1, 2})
 	if dst[0] != 2 || dst[1] != 3 || dst[2] != 1 {

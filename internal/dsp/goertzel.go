@@ -45,52 +45,3 @@ func GoertzelSeries(x []float64, dt, freq float64, winLen, hop int) []float64 {
 	}
 	return out
 }
-
-// STFT computes a spectrogram: successive windowed spectra of x with the
-// given window length and hop. Each row is the one-sided amplitude
-// spectrum of one frame. Degenerate arguments — winLen <= 0, hop <= 0,
-// or a signal shorter than one frame — are clamped to a nil result
-// rather than panicking or looping forever. Callers that want to reuse
-// row buffers across calls use STFTInto instead; this wrapper allocates
-// one Spectrum per frame to keep its historical signature.
-func STFT(x []float64, dt float64, w Window, winLen, hop int) []*Spectrum {
-	if winLen <= 0 || hop <= 0 || len(x) < winLen {
-		return nil
-	}
-	p := PlanForLength(winLen)
-	n := p.Size()
-	df := 1 / (float64(n) * dt)
-	frames := make([]*Spectrum, 0, 1+(len(x)-winLen)/hop)
-	for start := 0; start+winLen <= len(x); start += hop {
-		amp := p.SpectrumInto(nil, x[start:start+winLen], w)
-		frames = append(frames, &Spectrum{Amplitude: amp, DF: df, N: n})
-	}
-	return frames
-}
-
-// CoherentAverage averages multiple aligned traces sample by sample,
-// improving SNR by sqrt(len(traces)) for trigger-aligned captures. All
-// traces must be at least as long as the shortest one; the result has
-// the shortest length.
-func CoherentAverage(traces [][]float64) []float64 {
-	if len(traces) == 0 {
-		return nil
-	}
-	minLen := len(traces[0])
-	for _, t := range traces {
-		if len(t) < minLen {
-			minLen = len(t)
-		}
-	}
-	out := make([]float64, minLen)
-	for _, t := range traces {
-		for i := 0; i < minLen; i++ {
-			out[i] += t[i]
-		}
-	}
-	inv := 1 / float64(len(traces))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}

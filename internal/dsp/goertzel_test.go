@@ -2,21 +2,20 @@ package dsp
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
 func TestGoertzelMatchesSpectrum(t *testing.T) {
 	const n = 1024
 	const dt = 1e-6
-	f := BinFrequency(100, n, dt)
+	f := binFrequency(100, n, dt)
 	x := sine(n, dt, f, 2.5)
 	got := Goertzel(x, dt, f)
 	if math.Abs(got-2.5) > 0.01 {
 		t.Fatalf("Goertzel amplitude = %g, want 2.5", got)
 	}
 	// Off-frequency bins read near zero.
-	if off := Goertzel(x, dt, BinFrequency(300, n, dt)); off > 0.05 {
+	if off := Goertzel(x, dt, binFrequency(300, n, dt)); off > 0.05 {
 		t.Fatalf("off-bin amplitude = %g", off)
 	}
 	if Goertzel(nil, dt, f) != 0 {
@@ -48,62 +47,5 @@ func TestGoertzelSeriesTracksOOK(t *testing.T) {
 	}
 	if GoertzelSeries(x, dt, f, 0, symbol) != nil || GoertzelSeries(x[:10], dt, f, symbol, symbol) != nil {
 		t.Fatal("degenerate inputs must return nil")
-	}
-}
-
-func TestSTFT(t *testing.T) {
-	const dt = 1e-6
-	// First half 50 kHz, second half 150 kHz.
-	var x []float64
-	for i := 0; i < 2048; i++ {
-		f := 50e3
-		if i >= 1024 {
-			f = 150e3
-		}
-		x = append(x, math.Sin(2*math.Pi*f*float64(i)*dt))
-	}
-	frames := STFT(x, dt, Hann, 512, 512)
-	if len(frames) != 4 {
-		t.Fatalf("frames = %d", len(frames))
-	}
-	if f0 := frames[0].TopPeaks(1, 0.1)[0].Frequency; math.Abs(f0-50e3) > 3*frames[0].DF {
-		t.Fatalf("frame 0 peak at %g", f0)
-	}
-	if f3 := frames[3].TopPeaks(1, 0.1)[0].Frequency; math.Abs(f3-150e3) > 3*frames[3].DF {
-		t.Fatalf("frame 3 peak at %g", f3)
-	}
-	if STFT(x, dt, Hann, 0, 512) != nil {
-		t.Fatal("degenerate STFT must return nil")
-	}
-}
-
-func TestCoherentAverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	const n = 2048
-	clean := sine(n, 1e-6, 5e3, 1.0)
-	var traces [][]float64
-	for k := 0; k < 64; k++ {
-		tr := make([]float64, n)
-		for i := range tr {
-			tr[i] = clean[i] + rng.NormFloat64()
-		}
-		traces = append(traces, tr)
-	}
-	avg := CoherentAverage(traces)
-	// Residual noise should shrink by ~sqrt(64) = 8.
-	residual := make([]float64, n)
-	for i := range residual {
-		residual[i] = avg[i] - clean[i]
-	}
-	if r := RMS(residual); r > 0.25 {
-		t.Fatalf("averaged residual RMS = %g, want ~0.125", r)
-	}
-	if CoherentAverage(nil) != nil {
-		t.Fatal("empty average must be nil")
-	}
-	// Ragged lengths truncate to the shortest.
-	ragged := CoherentAverage([][]float64{{1, 2, 3}, {3, 4}})
-	if len(ragged) != 2 || ragged[0] != 2 || ragged[1] != 3 {
-		t.Fatalf("ragged average = %v", ragged)
 	}
 }

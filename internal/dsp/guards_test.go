@@ -58,76 +58,3 @@ func TestGoertzelSeriesDegenerateArgs(t *testing.T) {
 		t.Fatalf("valid series has %d windows", len(got))
 	}
 }
-
-func TestSTFTDegenerateArgs(t *testing.T) {
-	x := make([]float64, 100)
-	cases := []struct {
-		name        string
-		x           []float64
-		winLen, hop int
-	}{
-		{"zero winLen", x, 0, 10},
-		{"negative winLen", x, -5, 10},
-		{"zero hop", x, 32, 0},
-		{"negative hop", x, 32, -1},
-		{"short signal", x[:10], 32, 8},
-		{"empty signal", nil, 32, 8},
-	}
-	for _, c := range cases {
-		if got := STFT(c.x, 1e-9, Hann, c.winLen, c.hop); got != nil {
-			t.Fatalf("STFT %s: got %d frames, want nil", c.name, len(got))
-		}
-		if got, _ := STFTInto(nil, c.x, 1e-9, Hann, c.winLen, c.hop); got != nil {
-			t.Fatalf("STFTInto %s: got %d frames, want nil", c.name, len(got))
-		}
-	}
-	if got := STFT(x, 1e-9, Hann, 32, 8); len(got) != 1+(100-32)/8 {
-		t.Fatalf("valid STFT has %d frames", len(got))
-	}
-}
-
-func TestMovingAverageDegenerateWidth(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	for _, width := range []int{1, 0, -3} {
-		got := MovingAverage(x, width)
-		if len(got) != len(x) {
-			t.Fatalf("width %d: length %d", width, len(got))
-		}
-		for i := range x {
-			if got[i] != x[i] {
-				t.Fatalf("width %d: sample %d changed", width, i)
-			}
-		}
-		// Must be a copy, not the input slice.
-		if &got[0] == &x[0] {
-			t.Fatalf("width %d: returned the input slice", width)
-		}
-	}
-	// A real width still averages.
-	got := MovingAverage(x, 3)
-	if got[2] != 3 {
-		t.Fatalf("width 3 center = %g, want 3", got[2])
-	}
-}
-
-func TestDecimateDegenerateFactor(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6}
-	for _, factor := range []int{1, 0, -2} {
-		got := Decimate(x, factor)
-		if len(got) != len(x) {
-			t.Fatalf("factor %d: length %d", factor, len(got))
-		}
-		for i := range x {
-			if got[i] != x[i] {
-				t.Fatalf("factor %d: sample %d changed", factor, i)
-			}
-		}
-		if &got[0] == &x[0] {
-			t.Fatalf("factor %d: returned the input slice", factor)
-		}
-	}
-	got := Decimate(x, 2)
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("factor 2 = %v", got)
-	}
-}

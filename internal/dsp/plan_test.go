@@ -2,35 +2,25 @@ package dsp
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// referenceRealFFT is the pre-plan implementation — zero-pad, widen to
-// complex, full-size radix-2 transform — kept as the correctness
-// reference for the half-size real path.
-func referenceRealFFT(x []float64) []complex128 {
-	n := NextPow2(len(x))
-	out := make([]complex128, n)
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	FFT(out)
-	return out
-}
-
-// referenceSpectrum is the pre-plan NewSpectrum implementation: windowed
-// copy, full complex FFT, Hypot magnitudes.
+// referenceSpectrum is the one-sided amplitude spectrum computed the
+// long way: windowed copy, zero-pad, full-size complex transform, Hypot
+// magnitudes.
 func referenceSpectrum(x []float64, w Window) []float64 {
-	windowed := w.Apply(x)
-	spec := referenceRealFFT(windowed)
-	n := len(spec)
-	gain := w.Gain(len(x))
+	wv := windowFor(w, len(x))
+	n := NextPow2(len(x))
+	spec := make([]complex128, n)
+	for i, v := range x {
+		spec[i] = complex(v*wv.coef[i], 0)
+	}
+	fft(spec)
 	half := n/2 + 1
 	amp := make([]float64, half)
-	scale := 2 / (float64(len(x)) * gain)
+	scale := 2 / (float64(len(x)) * wv.gain)
 	for k := 0; k < half; k++ {
 		a := math.Hypot(real(spec[k]), imag(spec[k])) * scale
 		if k == 0 || k == n/2 {
@@ -41,50 +31,7 @@ func referenceSpectrum(x []float64, w Window) []float64 {
 	return amp
 }
 
-// specNorm is the largest magnitude of the reference spectrum, the
-// scale the ULP-style differential bounds are relative to.
-func specNorm(spec []complex128) float64 {
-	m := 0.0
-	for _, v := range spec {
-		if a := cmplx.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 var planSizes = []int{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-
-// TestRealFFTMatchesReference is the differential gate for the tentpole:
-// across every size and random signals, the planned half-size real path
-// agrees with the full complex reference transform to a few ULPs of the
-// spectrum norm.
-func TestRealFFTMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range planSizes {
-		for trial := 0; trial < 4; trial++ {
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
-			// Exercise the zero-pad path too.
-			if trial == 3 && n > 2 {
-				x = x[:n-n/4]
-			}
-			want := referenceRealFFT(x)
-			got := PlanFor(n).RealFFTInto(nil, x)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d: length %d, want %d", n, len(got), len(want))
-			}
-			tol := 1e-13 * specNorm(want) * float64(1+bitsLen(n))
-			for k := range want {
-				if d := cmplx.Abs(got[k] - want[k]); d > tol {
-					t.Fatalf("n=%d bin %d: |Δ|=%g > %g (got %v want %v)", n, k, d, tol, got[k], want[k])
-				}
-			}
-		}
-	}
-}
 
 func bitsLen(n int) int {
 	l := 0
@@ -96,8 +43,7 @@ func bitsLen(n int) int {
 }
 
 // TestSpectrumIntoMatchesReference bounds the planned one-sided
-// spectrum against the historical windowed-copy + Hypot implementation
-// across sizes and windows.
+// spectrum against referenceSpectrum across sizes and windows.
 func TestSpectrumIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range planSizes {
@@ -127,110 +73,6 @@ func TestSpectrumIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRealFFTRoundTrip: IFFT of the planned real spectrum recovers the
-// padded signal — the plan keeps the unnormalized-FFT/normalized-IFFT
-// contract of the complex path.
-func TestRealFFTRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range planSizes {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.Float64()*2 - 1
-		}
-		spec := PlanFor(n).RealFFTInto(nil, x)
-		IFFT(spec)
-		for i, v := range x {
-			if d := math.Abs(real(spec[i]) - v); d > 1e-10 {
-				t.Fatalf("n=%d sample %d: drifted by %g", n, i, d)
-			}
-			if im := math.Abs(imag(spec[i])); im > 1e-10 {
-				t.Fatalf("n=%d sample %d: imaginary residue %g", n, i, im)
-			}
-		}
-	}
-}
-
-// TestRealFFTParseval: energy is conserved between the time and
-// frequency domains for the planned real transform.
-func TestRealFFTParseval(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, n := range planSizes {
-		x := make([]float64, n)
-		timeE := 0.0
-		for i := range x {
-			x[i] = rng.NormFloat64()
-			timeE += x[i] * x[i]
-		}
-		spec := PlanFor(n).RealFFTInto(nil, x)
-		freqE := 0.0
-		for _, v := range spec {
-			freqE += real(v)*real(v) + imag(v)*imag(v)
-		}
-		freqE /= float64(n)
-		if d := math.Abs(timeE - freqE); d > 1e-9*(1+timeE) {
-			t.Fatalf("n=%d: Parseval broken, time %g vs freq %g", n, timeE, freqE)
-		}
-	}
-}
-
-// TestRealFFTLinearity: the transform of a*x + b*y matches the
-// combination of the individual transforms.
-func TestRealFFTLinearity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{8, 64, 1024, 4096} {
-		x := make([]float64, n)
-		y := make([]float64, n)
-		z := make([]float64, n)
-		const a, b = 2.5, -1.25
-		for i := range x {
-			x[i] = rng.NormFloat64()
-			y[i] = rng.NormFloat64()
-			z[i] = a*x[i] + b*y[i]
-		}
-		p := PlanFor(n)
-		fx := p.RealFFTInto(nil, x)
-		fy := p.RealFFTInto(nil, y)
-		fz := p.RealFFTInto(nil, z)
-		for k := range fz {
-			want := complex(a, 0)*fx[k] + complex(b, 0)*fy[k]
-			if d := cmplx.Abs(fz[k] - want); d > 1e-9*(1+cmplx.Abs(want)) {
-				t.Fatalf("n=%d bin %d: linearity broken by %g", n, k, d)
-			}
-		}
-	}
-}
-
-// TestRealFFTKnownAnswers: impulse and DC inputs have closed-form
-// spectra at every size.
-func TestRealFFTKnownAnswers(t *testing.T) {
-	for _, n := range planSizes {
-		p := PlanFor(n)
-		// Impulse at 0: flat spectrum of ones.
-		x := make([]float64, n)
-		x[0] = 1
-		spec := p.RealFFTInto(nil, x)
-		for k, v := range spec {
-			if cmplx.Abs(v-1) > 1e-12 {
-				t.Fatalf("n=%d impulse bin %d = %v, want 1", n, k, v)
-			}
-		}
-		// DC: everything lands in bin 0.
-		for i := range x {
-			x[i] = 1
-		}
-		spec = p.RealFFTInto(spec, x)
-		for k, v := range spec {
-			want := complex(0, 0)
-			if k == 0 {
-				want = complex(float64(n), 0)
-			}
-			if cmplx.Abs(v-want) > 1e-9*float64(n) {
-				t.Fatalf("n=%d DC bin %d = %v, want %v", n, k, v, want)
-			}
-		}
-	}
-}
-
 // TestPlanDirtyBufferReuse: passing a dst full of garbage from a
 // previous, larger transform must not leak into the result.
 func TestPlanDirtyBufferReuse(t *testing.T) {
@@ -239,21 +81,6 @@ func TestPlanDirtyBufferReuse(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	clean := PlanFor(256).RealFFTInto(nil, x)
-	dirty := make([]complex128, 4096)
-	for i := range dirty {
-		dirty[i] = complex(math.NaN(), math.Inf(1))
-	}
-	got := PlanFor(256).RealFFTInto(dirty, x)
-	if &got[0] != &dirty[0] {
-		t.Fatal("RealFFTInto did not reuse the caller's buffer")
-	}
-	for k := range clean {
-		if got[k] != clean[k] {
-			t.Fatalf("bin %d: dirty reuse changed result: %v vs %v", k, got[k], clean[k])
-		}
-	}
-	// Same for the amplitude path.
 	cleanAmp := PlanFor(256).SpectrumInto(nil, x, Hann)
 	dirtyAmp := make([]float64, 2048)
 	for i := range dirtyAmp {
@@ -318,7 +145,6 @@ func TestPlanConcurrentStress(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				var amp []float64
-				var spec []complex128
 				for iter := 0; iter < 50; iter++ {
 					i := (w + iter) % len(inputs)
 					amp = p.SpectrumInto(amp, inputs[i], Hann)
@@ -328,7 +154,6 @@ func TestPlanConcurrentStress(t *testing.T) {
 							return
 						}
 					}
-					spec = p.RealFFTInto(spec, inputs[i])
 				}
 			}(w)
 		}
@@ -337,148 +162,6 @@ func TestPlanConcurrentStress(t *testing.T) {
 		for e := range errs {
 			t.Fatalf("workers=%d: %s", workers, e)
 		}
-	}
-}
-
-func TestWelchAccumulator(t *testing.T) {
-	if _, err := NewWelch(0, 1e-9, Hann); err == nil {
-		t.Fatal("segLen 0 must error")
-	}
-	if _, err := NewWelch(64, 0, Hann); err == nil {
-		t.Fatal("dt 0 must error")
-	}
-	const segLen, dt = 128, 1e-9
-	wa, err := NewWelch(segLen, dt, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wa.PSDInto(nil) != nil {
-		t.Fatal("empty accumulator must return nil")
-	}
-	if err := wa.Add(make([]float64, 5)); err == nil {
-		t.Fatal("wrong segment length must error")
-	}
-	// A pure tone's averaged PSD concentrates at the tone bin, and the
-	// streaming average equals the arithmetic mean of per-segment PSDs.
-	rng := rand.New(rand.NewSource(15))
-	p := PlanFor(segLen)
-	sum := make([]float64, p.Bins())
-	const segs = 10
-	freqBin := 16
-	for s := 0; s < segs; s++ {
-		seg := make([]float64, segLen)
-		for i := range seg {
-			seg[i] = math.Sin(2*math.Pi*float64(freqBin*i)/segLen) + 0.01*rng.NormFloat64()
-		}
-		if err := wa.Add(seg); err != nil {
-			t.Fatal(err)
-		}
-		psd := p.PSDInto(nil, seg, dt, Hann)
-		for k, v := range psd {
-			sum[k] += v
-		}
-	}
-	if wa.Segments() != segs {
-		t.Fatalf("segments = %d", wa.Segments())
-	}
-	got := wa.PSDInto(nil)
-	best := 0
-	for k, v := range got {
-		if v > got[best] {
-			best = k
-		}
-		want := sum[k] / segs
-		if d := math.Abs(v - want); d > 1e-12*(1+want) {
-			t.Fatalf("bin %d: streaming average %g, direct mean %g", k, v, want)
-		}
-	}
-	if best != freqBin {
-		t.Fatalf("tone landed in bin %d, want %d", best, freqBin)
-	}
-	wa.Reset()
-	if wa.Segments() != 0 || wa.PSDInto(nil) != nil {
-		t.Fatal("reset did not clear the accumulator")
-	}
-	if df, want := wa.DF(), 1/(float64(p.Size())*dt); df != want {
-		t.Fatalf("DF = %g, want %g", df, want)
-	}
-}
-
-func TestSTFTIntoMatchesSTFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	x := make([]float64, 1000)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	const dt, winLen, hop = 1e-9, 128, 32
-	frames := STFT(x, dt, Hann, winLen, hop)
-	rows, df := STFTInto(nil, x, dt, Hann, winLen, hop)
-	if len(rows) != len(frames) {
-		t.Fatalf("%d rows vs %d frames", len(rows), len(frames))
-	}
-	if df != frames[0].DF {
-		t.Fatalf("df %g vs %g", df, frames[0].DF)
-	}
-	for f := range rows {
-		for k := range rows[f] {
-			if rows[f][k] != frames[f].Amplitude[k] {
-				t.Fatalf("frame %d bin %d differs", f, k)
-			}
-		}
-	}
-	// Re-running into the same rows reuses them.
-	rows2, _ := STFTInto(rows, x, dt, Hann, winLen, hop)
-	if &rows2[0][0] != &rows[0][0] {
-		t.Fatal("STFTInto did not reuse row buffers")
-	}
-	// Degenerate arguments clamp to nil like STFT.
-	if r, _ := STFTInto(nil, x, dt, Hann, 0, hop); r != nil {
-		t.Fatal("winLen 0 must clamp to nil")
-	}
-	if r, _ := STFTInto(nil, x, dt, Hann, winLen, 0); r != nil {
-		t.Fatal("hop 0 must clamp to nil")
-	}
-	if r, _ := STFTInto(nil, x[:winLen-1], dt, Hann, winLen, hop); r != nil {
-		t.Fatal("short signal must clamp to nil")
-	}
-}
-
-func TestPSDIntoToneLevel(t *testing.T) {
-	// A unit sinusoid at an exact bin has total one-sided power 1/2;
-	// integrating the PSD over frequency must recover it for every
-	// window.
-	const n, dt = 1024, 1e-9
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * 100 * float64(i) / n)
-	}
-	p := PlanFor(n)
-	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman} {
-		psd := p.PSDInto(nil, x, dt, w)
-		df := 1 / (float64(n) * dt)
-		total := 0.0
-		for _, v := range psd {
-			total += v * df
-		}
-		if math.Abs(total-0.5) > 0.02 {
-			t.Fatalf("%v: integrated tone power %g, want 0.5", w, total)
-		}
-	}
-}
-
-func TestMagnitudesInto(t *testing.T) {
-	spec := []complex128{3 + 4i, -5, 0, 1i, 2 + 2i, -1 - 1i, 6, 7i, 0.5}
-	got := MagnitudesInto(nil, spec)
-	for k, v := range spec {
-		want := math.Sqrt(real(v)*real(v) + imag(v)*imag(v))
-		if got[k] != want {
-			t.Fatalf("bin %d: %g want %g", k, got[k], want)
-		}
-	}
-	buf := make([]float64, 1)
-	got2 := MagnitudesInto(buf[:0], spec)
-	if len(got2) != len(spec) {
-		t.Fatal("short dst not grown")
 	}
 }
 
@@ -493,10 +176,6 @@ func TestPlanForPanicsOnBadLength(t *testing.T) {
 
 func TestPlanSizeOne(t *testing.T) {
 	p := PlanFor(1)
-	spec := p.RealFFTInto(nil, []float64{2.5})
-	if len(spec) != 1 || spec[0] != complex(2.5, 0) {
-		t.Fatalf("size-1 transform = %v", spec)
-	}
 	amp := p.SpectrumInto(nil, []float64{2.5}, Hann)
 	if len(amp) != 1 {
 		t.Fatalf("size-1 spectrum has %d bins", len(amp))
@@ -506,37 +185,8 @@ func TestPlanSizeOne(t *testing.T) {
 	}
 }
 
-// FuzzRealFFTInto cross-checks the planned real transform against the
-// full complex reference on arbitrary signals, with a dirty reused
-// buffer, which must not change the result.
-func FuzzRealFFTInto(f *testing.F) {
-	f.Add(uint16(3), int64(1))
-	f.Add(uint16(1000), int64(2))
-	f.Add(uint16(4096), int64(3))
-	f.Fuzz(func(t *testing.T, nRaw uint16, seed int64) {
-		n := int(nRaw)%4096 + 1
-		rng := rand.New(rand.NewSource(seed))
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64() * math.Exp(rng.NormFloat64())
-		}
-		want := referenceRealFFT(x)
-		dirty := make([]complex128, NextPow2(n))
-		for i := range dirty {
-			dirty[i] = complex(math.NaN(), math.NaN())
-		}
-		got := RealFFTInto(dirty, x)
-		tol := 1e-12 * (1 + specNorm(want)) * float64(1+bitsLen(NextPow2(n)))
-		for k := range want {
-			if d := cmplx.Abs(got[k] - want[k]); d > tol || math.IsNaN(real(got[k])) {
-				t.Fatalf("n=%d bin %d: |Δ|=%g > %g", n, k, d, tol)
-			}
-		}
-	})
-}
-
 // FuzzSpectrumInto checks dst-aliasing and dirty-buffer reuse against
-// the historical spectrum implementation on arbitrary signals/windows.
+// referenceSpectrum on arbitrary signals/windows.
 func FuzzSpectrumInto(f *testing.F) {
 	f.Add(uint16(100), uint8(1), int64(4))
 	f.Add(uint16(4000), uint8(3), int64(5))

@@ -74,11 +74,3 @@ func VoltageRatioDB(r float64) float64 {
 	}
 	return 20 * math.Log10(r)
 }
-
-// PowerRatioDB converts a power ratio to decibels (10 log10 r).
-func PowerRatioDB(r float64) float64 {
-	if r <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(r)
-}

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Spectrum is a one-sided amplitude spectrum of a real signal.
 type Spectrum struct {
@@ -58,8 +55,12 @@ func (s *Spectrum) AmplitudeAt(f float64) float64 {
 	return s.Amplitude[s.Bin(f)]
 }
 
-// BandEnergy integrates squared amplitude over [fLo, fHi] (inclusive bins).
+// BandEnergy integrates squared amplitude over [fLo, fHi] (inclusive
+// bins). It returns 0 for an empty spectrum, like AmplitudeAt.
 func (s *Spectrum) BandEnergy(fLo, fHi float64) float64 {
+	if len(s.Amplitude) == 0 {
+		return 0
+	}
 	lo, hi := s.Bin(fLo), s.Bin(fHi)
 	if lo > hi {
 		lo, hi = hi, lo
@@ -69,48 +70,4 @@ func (s *Spectrum) BandEnergy(fLo, fHi float64) float64 {
 		e += s.Amplitude[k] * s.Amplitude[k]
 	}
 	return e
-}
-
-// Peak is a local maximum of a spectrum.
-type Peak struct {
-	Bin       int
-	Frequency float64
-	Amplitude float64
-}
-
-// Peaks returns the local maxima with amplitude at least minAmp, sorted by
-// descending amplitude. Bin 0 (DC) is never reported as a peak.
-func (s *Spectrum) Peaks(minAmp float64) []Peak {
-	var peaks []Peak
-	for k := 1; k < len(s.Amplitude)-1; k++ {
-		a := s.Amplitude[k]
-		if a >= minAmp && a > s.Amplitude[k-1] && a >= s.Amplitude[k+1] {
-			peaks = append(peaks, Peak{Bin: k, Frequency: s.Frequency(k), Amplitude: a})
-		}
-	}
-	sort.Slice(peaks, func(i, j int) bool { return peaks[i].Amplitude > peaks[j].Amplitude })
-	return peaks
-}
-
-// TopPeaks returns up to n strongest peaks above minAmp.
-func (s *Spectrum) TopPeaks(n int, minAmp float64) []Peak {
-	p := s.Peaks(minAmp)
-	if len(p) > n {
-		p = p[:n]
-	}
-	return p
-}
-
-// Sub returns the per-bin amplitude difference s - ref. The spectra must
-// have the same length.
-func (s *Spectrum) Sub(ref *Spectrum) []float64 {
-	n := len(s.Amplitude)
-	if len(ref.Amplitude) < n {
-		n = len(ref.Amplitude)
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = s.Amplitude[i] - ref.Amplitude[i]
-	}
-	return d
 }

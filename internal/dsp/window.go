@@ -39,13 +39,11 @@ func (w Window) String() string {
 }
 
 // windowVec is a cached window vector: the coefficients plus the
-// derived scalars every spectral normalization needs, computed once per
-// (window, length) pair. The coef slice is shared read-only by the hot
-// paths; Coefficients hands out copies so callers stay free to mutate.
+// coherent gain the spectrum normalization needs, computed once per
+// (window, length) pair. The coef slice is shared read-only.
 type windowVec struct {
-	coef  []float64
-	gain  float64 // coherent gain: mean coefficient
-	sumsq float64 // sum of squared coefficients (PSD normalization)
+	coef []float64
+	gain float64 // coherent gain: mean coefficient
 }
 
 type windowKey struct {
@@ -71,13 +69,11 @@ func windowFor(w Window, n int) *windowVec {
 	c := computeCoefficients(w, n)
 	v = &windowVec{coef: c, gain: 1}
 	if n > 0 {
-		sum, sumsq := 0.0, 0.0
+		sum := 0.0
 		for _, cv := range c {
 			sum += cv
-			sumsq += cv * cv
 		}
 		v.gain = sum / float64(n)
-		v.sumsq = sumsq
 	}
 	windowMu.Lock()
 	if q, ok := windowVecs[k]; ok {
@@ -110,29 +106,4 @@ func computeCoefficients(w Window, n int) []float64 {
 		}
 	}
 	return c
-}
-
-// Coefficients returns the n window coefficients. n must be
-// non-negative. The returned slice is a private copy.
-func (w Window) Coefficients(n int) []float64 {
-	c := make([]float64, n)
-	copy(c, windowFor(w, n).coef)
-	return c
-}
-
-// Apply multiplies x by the window coefficients and returns a new slice; x
-// is not modified.
-func (w Window) Apply(x []float64) []float64 {
-	c := windowFor(w, len(x)).coef
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v * c[i]
-	}
-	return out
-}
-
-// Gain returns the coherent gain of the window (mean coefficient value),
-// used to rescale spectral amplitudes so windows are comparable.
-func (w Window) Gain(n int) float64 {
-	return windowFor(w, n).gain
 }

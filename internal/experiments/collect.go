@@ -22,9 +22,9 @@ import (
 //     with internal counters evolve across captures, so a handful of
 //     serial captures sample that state diversity and the n acquisitions
 //     round-robin over them.
-//   - captureEach: for distinct-stimulus sets (random plaintexts). Each
-//     worker owns a chip clone; traces are dealt out dynamically and
-//     every trace restores the shared base snapshot before capturing.
+//   - captureRandomSet: for distinct-stimulus sets (random plaintexts).
+//     Every trace starts from the same base snapshot, so the set batches
+//     through the wide engine (chip.CaptureBatchFrom) on worker clones.
 //
 // All derive per-trace randomness from (cfg.Seed, stream, index) via
 // chip.SplitRand, with one stream id reserved per set, so results are
@@ -63,34 +63,6 @@ func replicate(c *chip.Chip, n int, capture func(*chip.Chip) (*chip.Capture, err
 	return parallel.For(n, func(i int) error {
 		return each(i, cap, c.SplitRand(stream, uint64(i)))
 	})
-}
-
-// captureEach runs n independent captures, each from the same base
-// snapshot, sharded across chip clones. fn receives the worker's chip
-// (already rewound to the base state), the trace index, and a private
-// per-trace generator; it must be index-addressed and must not touch
-// shared mutable state. The primary chip c ends at the base state plus
-// one capture-equivalent only if worker 0 ran last — so to keep the
-// post-set state schedule-independent, c is restored to the base
-// snapshot after the set.
-func captureEach(c *chip.Chip, n int, fn func(w *chip.Chip, i int, rng *rand.Rand) error) error {
-	if n <= 0 {
-		return nil
-	}
-	stream := c.NextStream()
-	base := c.Snapshot()
-	defer c.Restore(base)
-	return parallel.Run(n,
-		func(w int) (*chip.Chip, error) {
-			if w == 0 {
-				return c, nil
-			}
-			return c.Clone()
-		},
-		func(w *chip.Chip, i int) error {
-			w.Restore(base)
-			return fn(w, i, c.SplitRand(stream, uint64(i)))
-		})
 }
 
 // stateSamples is how many distinct chip states a fixed-stimulus set

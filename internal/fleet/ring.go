@@ -30,33 +30,14 @@ func newRing(capacity int) *ring {
 	return r
 }
 
-// push admits v, evicting the oldest entry when full. It never blocks.
-// Pushes after close are counted as drops: the aggregator is gone, so
-// the verdict is shed, not leaked into a queue nobody drains.
-func (r *ring) push(v verdict) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		r.dropped++
-		return
-	}
-	if r.n == len(r.buf) {
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-		r.dropped++
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
-	r.n++
-	r.nonEmpty.Signal()
-}
-
-// pushBatch admits every element of vs under one lock acquisition,
-// element-wise identical to a sequence of push calls: each admission
-// may evict the then-oldest entry, and every eviction (or post-close
-// shed) is counted. It returns the number of verdicts shed, which
-// producers use as a congestion signal to shrink their batches — bulk
-// admission under saturation would evict contiguous runs of one
-// shard's sweep and systematically starve the same dies, where
+// pushBatch admits every element of vs under one lock acquisition. It
+// never blocks: each admission into a full ring evicts the then-oldest
+// entry, and pushes after close are shed — the aggregator is gone, so
+// the verdicts are dropped, not leaked into a queue nobody drains.
+// Every eviction or shed is counted, and pushBatch returns the number
+// shed, which producers use as a congestion signal to shrink their
+// batches — bulk admission under saturation would evict contiguous runs
+// of one shard's sweep and systematically starve the same dies, where
 // fine-grained interleaving thins the stream uniformly. One Signal
 // suffices — the ring has a single consumer.
 func (r *ring) pushBatch(vs []verdict) (shed int) {

@@ -4,15 +4,16 @@ import "testing"
 
 func TestRingFIFOAndDropOldest(t *testing.T) {
 	r := newRing(3)
-	for i := 0; i < 3; i++ {
-		r.push(verdict{die: i})
+	if shed := r.pushBatch([]verdict{{die: 0}, {die: 1}, {die: 2}}); shed != 0 {
+		t.Fatalf("fill shed %d", shed)
 	}
 	if depth, capacity, dropped := r.stats(); depth != 3 || capacity != 3 || dropped != 0 {
 		t.Fatalf("stats after fill: depth=%d cap=%d dropped=%d", depth, capacity, dropped)
 	}
 	// Overflow: the two oldest are evicted, both counted.
-	r.push(verdict{die: 3})
-	r.push(verdict{die: 4})
+	if shed := r.pushBatch([]verdict{{die: 3}, {die: 4}}); shed != 2 {
+		t.Fatalf("overflow shed %d, want 2", shed)
+	}
 	if _, _, dropped := r.stats(); dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
 	}
@@ -26,8 +27,7 @@ func TestRingFIFOAndDropOldest(t *testing.T) {
 
 func TestRingCloseDrains(t *testing.T) {
 	r := newRing(4)
-	r.push(verdict{die: 1})
-	r.push(verdict{die: 2})
+	r.pushBatch([]verdict{{die: 1}, {die: 2}})
 	r.close()
 	// A closed ring still hands out its backlog...
 	if v, ok := r.pop(); !ok || v.die != 1 {
@@ -41,7 +41,9 @@ func TestRingCloseDrains(t *testing.T) {
 		t.Fatal("pop on drained closed ring reported ok")
 	}
 	// Pushes after close are shed and counted, not leaked.
-	r.push(verdict{die: 3})
+	if shed := r.pushBatch([]verdict{{die: 3}}); shed != 1 {
+		t.Fatalf("post-close push shed %d, want 1", shed)
+	}
 	if _, _, dropped := r.stats(); dropped != 1 {
 		t.Fatalf("dropped after post-close push = %d, want 1", dropped)
 	}

@@ -2,8 +2,6 @@ package sensorarray
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"emtrust/internal/chip"
 	"emtrust/internal/dsp"
@@ -178,13 +176,6 @@ func (a *Array) ScanEncryption(c *chip.Chip, ch trace.Channel, pt, key []byte, c
 	})
 }
 
-// ScanIdle captures a frame with no encryption running.
-func (a *Array) ScanIdle(c *chip.Chip, ch trace.Channel, cycles int) (*Frame, error) {
-	return a.ScanFrame(c, ch, func(int) (*chip.Capture, error) {
-		return c.CaptureIdle(cycles)
-	})
-}
-
 // Feature reduces one coil trace to the scalar the self-referencing
 // detector compares across the array.
 type Feature func(t *trace.Trace) float64
@@ -192,47 +183,6 @@ type Feature func(t *trace.Trace) float64
 // RMSFeature is the default feature: broadband RMS emission, the array
 // counterpart of the paper's amplitude statistics.
 func RMSFeature(t *trace.Trace) float64 { return dsp.RMS(t.Samples) }
-
-// BandPowerFeature returns a feature measuring the spectral energy in
-// [fLo, fHi] hertz of each coil trace — the narrowband counterpart of
-// RMSFeature, tuned at, say, the clock harmonic an always-on Trojan
-// pollutes. It runs on the planned spectral engine: the per-call
-// amplitude buffer comes from a pool shared by the returned closure, so
-// scanning a full array frame allocates nothing at steady state. The
-// closure is safe for concurrent use.
-func BandPowerFeature(fLo, fHi float64, w dsp.Window) Feature {
-	var pool sync.Pool
-	return func(t *trace.Trace) float64 {
-		if len(t.Samples) == 0 {
-			return 0
-		}
-		bp, _ := pool.Get().(*[]float64)
-		if bp == nil {
-			bp = new([]float64)
-		}
-		p := dsp.PlanForLength(len(t.Samples))
-		amp := p.SpectrumInto(*bp, t.Samples, w)
-		df := 1 / (float64(p.Size()) * t.Dt)
-		lo := int(math.Round(fLo / df))
-		hi := int(math.Round(fHi / df))
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(amp) {
-			hi = len(amp) - 1
-		}
-		e := 0.0
-		for k := lo; k <= hi; k++ {
-			e += amp[k] * amp[k]
-		}
-		*bp = amp
-		pool.Put(bp)
-		return e
-	}
-}
 
 // Features reduces the frame to one scalar per coil.
 func (f *Frame) Features(fn Feature) []float64 {

@@ -50,79 +50,3 @@ func sign(x float64) int {
 	}
 	return 1
 }
-
-// SpectralTVLA computes the per-bin Welch t-statistic between two
-// groups of aligned one-sided spectra (rows from Plan.SpectrumInto,
-// Welch.PSDInto, or STFTInto in internal/dsp): the frequency-domain
-// TVLA sweep. t is written into dst (grown as needed) over the shortest
-// common row length; bins where Welch's t is undefined (fewer than two
-// rows in either group) yield a nil result. The per-bin statistic
-// matches WelchT applied to that bin's column samples, computed without
-// materializing the columns.
-func SpectralTVLA(dst []float64, a, b [][]float64) []float64 {
-	if len(a) < 2 || len(b) < 2 {
-		return nil
-	}
-	bins := len(a[0])
-	for _, r := range a {
-		if len(r) < bins {
-			bins = len(r)
-		}
-	}
-	for _, r := range b {
-		if len(r) < bins {
-			bins = len(r)
-		}
-	}
-	if cap(dst) >= bins {
-		dst = dst[:bins]
-	} else {
-		dst = make([]float64, bins)
-	}
-	na, nb := float64(len(a)), float64(len(b))
-	for k := 0; k < bins; k++ {
-		ma, mb := 0.0, 0.0
-		for _, r := range a {
-			ma += r[k]
-		}
-		ma /= na
-		for _, r := range b {
-			mb += r[k]
-		}
-		mb /= nb
-		va, vb := 0.0, 0.0
-		for _, r := range a {
-			d := r[k] - ma
-			va += d * d
-		}
-		va /= na - 1
-		for _, r := range b {
-			d := r[k] - mb
-			vb += d * d
-		}
-		vb /= nb - 1
-		den := math.Sqrt(va/na + vb/nb)
-		switch {
-		case den != 0:
-			dst[k] = (ma - mb) / den
-		case ma == mb:
-			dst[k] = 0
-		default:
-			dst[k] = math.Inf(sign(ma - mb))
-		}
-	}
-	return dst
-}
-
-// SpectralTVLADetects reports whether any bin of the per-bin Welch
-// sweep crosses the TVLA threshold, and returns the worst bin index and
-// its t value.
-func SpectralTVLADetects(a, b [][]float64) (detected bool, worstBin int, worstT float64) {
-	t := SpectralTVLA(nil, a, b)
-	for k, v := range t {
-		if math.Abs(v) > math.Abs(worstT) || k == 0 {
-			worstBin, worstT = k, v
-		}
-	}
-	return math.Abs(worstT) > TVLAThreshold, worstBin, worstT
-}

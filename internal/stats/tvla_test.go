@@ -71,112 +71,3 @@ func TestWelchTDegenerate(t *testing.T) {
 		t.Fatalf("constant different populations t = %g, want +Inf", tt)
 	}
 }
-
-// spectraGroup builds rows of synthetic one-sided spectra with
-// independent per-bin Gaussian noise; shift raises the mean of one bin.
-func spectraGroup(rng *rand.Rand, rows, bins, shiftBin int, shift float64) [][]float64 {
-	out := make([][]float64, rows)
-	for r := range out {
-		out[r] = make([]float64, bins)
-		for k := range out[r] {
-			out[r][k] = 1 + rng.NormFloat64()*0.1
-		}
-		if shiftBin >= 0 {
-			out[r][shiftBin] += shift
-		}
-	}
-	return out
-}
-
-// TestSpectralTVLAMatchesWelchT: the per-bin sweep must agree with
-// WelchT applied to the materialized column samples.
-func TestSpectralTVLAMatchesWelchT(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := spectraGroup(rng, 20, 33, 7, 0.5)
-	b := spectraGroup(rng, 25, 33, -1, 0)
-	got := SpectralTVLA(nil, a, b)
-	if len(got) != 33 {
-		t.Fatalf("%d bins, want 33", len(got))
-	}
-	colA := make([]float64, len(a))
-	colB := make([]float64, len(b))
-	for k := range got {
-		for r := range a {
-			colA[r] = a[r][k]
-		}
-		for r := range b {
-			colB[r] = b[r][k]
-		}
-		want, _ := WelchT(colA, colB)
-		if d := math.Abs(got[k] - want); d > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("bin %d: sweep t=%g, WelchT=%g", k, got[k], want)
-		}
-	}
-}
-
-func TestSpectralTVLADetectsShiftedBin(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := spectraGroup(rng, 30, 64, 20, 1.0)
-	b := spectraGroup(rng, 30, 64, -1, 0)
-	detected, worstBin, worstT := SpectralTVLADetects(a, b)
-	if !detected {
-		t.Fatal("injected bin shift not detected")
-	}
-	if worstBin != 20 {
-		t.Fatalf("worst bin %d, want 20", worstBin)
-	}
-	if math.Abs(worstT) <= TVLAThreshold {
-		t.Fatalf("worst t = %g under threshold", worstT)
-	}
-	// Same populations: no detection.
-	c := spectraGroup(rng, 30, 64, -1, 0)
-	if det, _, _ := SpectralTVLADetects(b, c); det {
-		t.Fatal("TVLA false positive on identical populations")
-	}
-}
-
-func TestSpectralTVLADegenerateInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	one := spectraGroup(rng, 1, 8, -1, 0)
-	two := spectraGroup(rng, 2, 8, -1, 0)
-	if SpectralTVLA(nil, one, two) != nil {
-		t.Fatal("single-row group must yield nil")
-	}
-	if SpectralTVLA(nil, two, nil) != nil {
-		t.Fatal("empty group must yield nil")
-	}
-	// Ragged rows clamp to the shortest common length.
-	ragged := [][]float64{make([]float64, 8), make([]float64, 5)}
-	for i := range ragged {
-		for k := range ragged[i] {
-			ragged[i][k] = rng.NormFloat64()
-		}
-	}
-	if got := SpectralTVLA(nil, ragged, two); len(got) != 5 {
-		t.Fatalf("ragged sweep has %d bins, want 5", len(got))
-	}
-	// Zero-variance equal bins -> t = 0; unequal -> signed infinity.
-	ca := [][]float64{{1, 2}, {1, 2}}
-	cb := [][]float64{{1, 5}, {1, 5}}
-	got := SpectralTVLA(nil, ca, cb)
-	if got[0] != 0 {
-		t.Fatalf("equal constant bin t = %g, want 0", got[0])
-	}
-	if !math.IsInf(got[1], -1) {
-		t.Fatalf("unequal constant bin t = %g, want -Inf", got[1])
-	}
-	// dst reuse: a large dirty buffer is truncated and overwritten.
-	dirty := make([]float64, 64)
-	for i := range dirty {
-		dirty[i] = math.NaN()
-	}
-	reused := SpectralTVLA(dirty, two, two)
-	if len(reused) != 8 || &reused[0] != &dirty[0] {
-		t.Fatal("dst not reused")
-	}
-	for _, v := range reused {
-		if math.IsNaN(v) {
-			t.Fatal("dirty dst leaked into the sweep")
-		}
-	}
-}
