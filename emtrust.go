@@ -212,9 +212,13 @@ func (d *Device) CaptureIdleBoth(cycles int) (sensor, probe *Trace, err error) {
 	return sensor, probe, nil
 }
 
-// CollectGolden captures n golden traces for fitting. The caller is
-// responsible for the chip actually being Trojan-free or dormant.
+// CollectGolden captures n golden traces for fitting (none for n == 0;
+// a negative n is an error). The caller is responsible for the chip
+// actually being Trojan-free or dormant.
 func (d *Device) CollectGolden(n int) ([]*Trace, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("emtrust: cannot collect %d golden traces", n)
+	}
 	out := make([]*Trace, n)
 	for i := range out {
 		t, err := d.CaptureTrace()

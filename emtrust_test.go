@@ -86,6 +86,19 @@ func TestFitNeedsGolden(t *testing.T) {
 	}
 }
 
+// CollectGolden rejects a negative count instead of panicking, and
+// returns an empty set for zero.
+func TestCollectGoldenCount(t *testing.T) {
+	dev := device(t)
+	if _, err := dev.CollectGolden(-1); err == nil {
+		t.Fatal("CollectGolden(-1) must error")
+	}
+	golden, err := dev.CollectGolden(0)
+	if err != nil || len(golden) != 0 {
+		t.Fatalf("CollectGolden(0) = %d traces, %v; want an empty set", len(golden), err)
+	}
+}
+
 func TestEndToEndDetection(t *testing.T) {
 	dev := device(t)
 	golden, err := dev.CollectGolden(30)

@@ -8,6 +8,9 @@ import (
 	"testing/quick"
 )
 
+// RoundKey returns round key r (0..10) in r+4c order.
+func (c *Cipher) RoundKey(r int) [16]byte { return c.roundKeys[r] }
+
 func TestGFMulKnown(t *testing.T) {
 	// Classic FIPS-197 examples.
 	if got := Mul(0x57, 0x83); got != 0xc1 {

@@ -82,9 +82,6 @@ func NewCipher(key []byte) *Cipher {
 	return c
 }
 
-// RoundKey returns round key r (0..10) in r+4c order.
-func (c *Cipher) RoundKey(r int) [16]byte { return c.roundKeys[r] }
-
 // Encrypt encrypts one 16-byte block. dst and src may overlap.
 func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < 16 || len(dst) < 16 {

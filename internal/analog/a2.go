@@ -87,9 +87,6 @@ func (a *A2) Voltage() float64 { return a.v }
 // Firing reports whether the payload is currently asserted.
 func (a *A2) Firing() bool { return a.firing }
 
-// FireCount returns how many cycles the Trojan has spent firing.
-func (a *A2) FireCount() int { return a.fireCount }
-
 // Reset discharges the capacitor and clears the payload.
 func (a *A2) Reset() {
 	a.v = 0
@@ -141,23 +138,4 @@ func (a *A2) Step(victim uint8) CycleResult {
 	}
 	res.Firing = a.firing
 	return res
-}
-
-// MaxVoltage returns the steady-state capacitor voltage reached when the
-// victim toggles once per period cycles: charge/period balancing leak.
-// Useful for choosing configurations in tests and experiments.
-func (a *A2) MaxVoltage(period int) float64 {
-	if period <= 0 {
-		return 0
-	}
-	// One edge adds ChargePerEdge, then period cycles of decay; solve
-	// the geometric fixed point v = (v + c) * (1-l)^period.
-	decay := 1.0
-	for i := 0; i < period; i++ {
-		decay *= 1 - a.cfg.LeakPerCycle
-	}
-	if decay >= 1 {
-		return 0
-	}
-	return a.cfg.ChargePerEdge * decay / (1 - decay)
 }

@@ -5,6 +5,27 @@ import (
 	"testing"
 )
 
+// FireCount returns how many cycles the Trojan has spent firing.
+func (a *A2) FireCount() int { return a.fireCount }
+
+// MaxVoltage returns the steady-state capacitor voltage reached when the
+// victim toggles once per period cycles: charge/period balancing leak.
+func (a *A2) MaxVoltage(period int) float64 {
+	if period <= 0 {
+		return 0
+	}
+	// One edge adds ChargePerEdge, then period cycles of decay; solve
+	// the geometric fixed point v = (v + c) * (1-l)^period.
+	decay := 1.0
+	for i := 0; i < period; i++ {
+		decay *= 1 - a.cfg.LeakPerCycle
+	}
+	if decay >= 1 {
+		return 0
+	}
+	return a.cfg.ChargePerEdge * decay / (1 - decay)
+}
+
 // run drives the Trojan with a victim wire toggling at the given period
 // (one rising edge per period cycles) for n cycles and returns whether it
 // ever fired.

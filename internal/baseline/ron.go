@@ -110,9 +110,6 @@ func chebyshev(ax, ay, bx, by int) int {
 // Oscillators returns the number of placed oscillators.
 func (r *RON) Oscillators() int { return len(r.positions) }
 
-// Positions returns the oscillator locations on the die.
-func (r *RON) Positions() []layout.Point { return r.positions }
-
 // Measure counts each oscillator's edges over the capture window given
 // the per-tile current waveforms (amps, spaced dt seconds). The counts
 // carry the configured measurement noise from rng.

@@ -9,6 +9,9 @@ import (
 	"emtrust/internal/netlist"
 )
 
+// Positions returns the oscillator locations on the die.
+func (r *RON) Positions() []layout.Point { return r.positions }
+
 func testPlan(t *testing.T) *layout.Floorplan {
 	t.Helper()
 	b := netlist.NewBuilder("p")

@@ -53,19 +53,6 @@ func AESStimulus() Stimulus {
 	}
 }
 
-// width returns the total stimulus bit width (the genome length).
-func (s Stimulus) width(n *netlist.Netlist) (int, error) {
-	total := 0
-	for _, name := range s.Ports {
-		p, ok := n.InputPort(name)
-		if !ok {
-			return 0, fmt.Errorf("campaign: no input port %q on %s", name, n.Name)
-		}
-		total += len(p.Nets)
-	}
-	return total, nil
-}
-
 // splitmix64 is the SplitMix64 finalizer used to derive independent
 // sub-seeds from the campaign seed (the same permutation the chip
 // model uses for trace seeding).

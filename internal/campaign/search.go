@@ -27,7 +27,8 @@ type Evaluator struct {
 	base  *logic.State
 	stim  Stimulus
 	terms []Term
-	// widths caches the per-port bit widths; their sum is GenomeLen.
+	// widths caches the per-port bit widths; their sum is glen, the
+	// genome length.
 	widths []int
 	glen   int
 	lanes  int
@@ -71,12 +72,6 @@ func NewEvaluator(n *netlist.Netlist, stim Stimulus, m *Member, lanes int) (*Eva
 	}
 	return e, nil
 }
-
-// GenomeLen is the stimulus bit width one individual carries.
-func (e *Evaluator) GenomeLen() int { return e.glen }
-
-// Terms returns the number of trigger terms (the maximum Score).
-func (e *Evaluator) Terms() int { return len(e.terms) }
 
 // Evaluate runs every genome through one stimulus window and scores its
 // partial-trigger coverage. Individuals are packed into wide lanes in

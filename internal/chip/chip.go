@@ -135,6 +135,10 @@ type Chip struct {
 	a2Tile    int
 	a2Enabled bool
 
+	// rng is the chip's shared deterministic stream (random plaintexts
+	// and acquisition noise), so a whole experiment reproduces from one
+	// seed. Loops that may be reordered or parallelized derive a private
+	// stream per trace with SplitRand instead.
 	rng *rand.Rand
 	// streams counts the per-trace seed streams handed out by NextStream.
 	// It is a shared pointer so clones and stuck-at variants draw from the
@@ -313,13 +317,6 @@ func (c *Chip) Trojan(kind trojan.Kind) *trojan.Instance { return c.trojans[kind
 // process-variation sibling synthesis) need the raw couplings, not just
 // the synthesized emf of a capture.
 func (c *Chip) SensorCoupling() *emfield.Coupling { return c.sensor }
-
-// Rand returns the chip's deterministic random stream (shared with the
-// acquisition channels so a whole experiment reproduces from one seed).
-// Loops that may be reordered or parallelized should derive a private
-// stream per trace with SplitRand instead: consuming this shared stream
-// out of order changes every later draw.
-func (c *Chip) Rand() *rand.Rand { return c.rng }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed 64-bit
 // permutation used to derive independent sub-seeds.

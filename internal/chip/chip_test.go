@@ -87,7 +87,7 @@ func TestInfectedChipInventory(t *testing.T) {
 	if c.Config().Seed != DefaultConfig().Seed {
 		t.Fatal("config not retained")
 	}
-	if c.Floorplan() == nil || c.Netlist() == nil || c.Rand() == nil {
+	if c.Floorplan() == nil || c.Netlist() == nil || c.rng == nil {
 		t.Fatal("accessors broken")
 	}
 }

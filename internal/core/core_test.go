@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -291,6 +292,100 @@ func TestMonitorPipeline(t *testing.T) {
 	}
 }
 
+// The Monitor must emit exactly the verdicts a synchronous Evaluator
+// gives for the same stream, under the paper's options and under the
+// hardened ones (health gate, debounce window, re-baselining). The
+// stream mixes every case the stateful stages handle: quiet traces
+// that feed the re-baseliner, a health-rejected flatline, and a Trojan
+// run that confirms.
+func TestMonitorMatchesEvaluator(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	golden := goldenSet(rng, 20, 1024)
+	fp, err := BuildFingerprint(golden, DefaultFingerprintConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := BuildSpectralDetector(golden, DefaultSpectralConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := BuildChannelHealth(golden, DefaultHealthConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream []*trace.Trace
+	add := func(n int, extra float64) {
+		for i := 0; i < n; i++ {
+			stream = append(stream, synthTrace(rng, 1024, extra))
+		}
+	}
+	add(6, 0)
+	stream = append(stream, &trace.Trace{Dt: testDt, Samples: make([]float64, 1024)})
+	add(3, 0)
+	add(6, 0.3)
+	add(6, 0)
+
+	for _, tc := range []struct {
+		name string
+		opts MonitorOptions
+	}{
+		{"paper", MonitorOptions{}},
+		{"hardened", HardenedOptions(h)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewMonitorWith(fp, sd, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				for _, tr := range stream {
+					m.Submit(tr)
+				}
+				m.Close()
+			}()
+			var got []Verdict
+			for v := range m.Verdicts() {
+				got = append(got, v)
+			}
+			if len(got) != len(stream) {
+				t.Fatalf("monitor emitted %d verdicts for %d traces", len(got), len(stream))
+			}
+			ev, err := NewEvaluator(fp, sd, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rejected, quiet, confirmed int
+			for i, tr := range stream {
+				want := ev.Eval(tr)
+				if !reflect.DeepEqual(got[i], want) {
+					t.Fatalf("trace %d: monitor %+v, evaluator %+v", i, got[i], want)
+				}
+				switch {
+				case want.Health.Rejected:
+					rejected++
+				case want.Confirmed():
+					confirmed++
+				case !want.Alarm() && want.Window.Alarms == 0:
+					quiet++
+				}
+			}
+			if tc.opts.Health != nil && rejected == 0 {
+				t.Error("no trace was health-rejected")
+			}
+			if quiet == 0 || confirmed == 0 {
+				t.Errorf("stream lacks a case: %d quiet, %d confirmed", quiet, confirmed)
+			}
+			off := m.BaselineOffset()
+			if tc.opts.Rebaseline.enabled() && off == nil {
+				t.Error("no quiet trace fed the re-baseliner")
+			}
+			if !reflect.DeepEqual(off, ev.BaselineOffset()) {
+				t.Errorf("baseline offsets differ: monitor %v, evaluator %v", off, ev.BaselineOffset())
+			}
+		})
+	}
+}
+
 func countAlarms(vs []Verdict) int {
 	n := 0
 	for _, v := range vs {
@@ -335,45 +430,6 @@ func TestQuickMedian(t *testing.T) {
 	x := []float64{9, 2, 7, 4, 6, 1, 8}
 	if median(x) != 6 {
 		t.Fatalf("median = %g", median(x))
-	}
-}
-
-func TestMonitorPoolPreservesOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	golden := goldenSet(rng, 20, 1024)
-	fp, err := BuildFingerprint(golden, DefaultFingerprintConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := BuildSpectralDetector(golden, DefaultSpectralConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		m, err := NewMonitorPool(fp, sd, 4, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 32
-		go func() {
-			for i := 0; i < n; i++ {
-				m.Submit(synthTrace(rng, 1024, 0))
-			}
-			m.Close()
-		}()
-		want := 0
-		for v := range m.Verdicts() {
-			if v.Seq != want {
-				t.Fatalf("workers=%d: verdict %d arrived out of order (want %d)", workers, v.Seq, want)
-			}
-			want++
-		}
-		if want != n {
-			t.Fatalf("workers=%d: got %d verdicts, want %d", workers, want, n)
-		}
-		if total, _ := m.Stats(); total != n {
-			t.Fatalf("workers=%d: stats total %d, want %d", workers, total, n)
-		}
 	}
 }
 

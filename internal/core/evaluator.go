@@ -12,8 +12,8 @@ import (
 // re-baselining — run synchronously on the calling goroutine. It is the
 // engine inside Monitor, exposed directly for callers that multiplex
 // many monitored devices over few goroutines (the fleet service runs
-// one Evaluator per die inside a shard worker; spawning a Monitor's
-// goroutine trio per die would not scale to thousands of dies).
+// one Evaluator per die inside a shard worker; a Monitor goroutine per
+// die would not scale to thousands of dies).
 //
 // An Evaluator is stateful (debounce ring, drift baseline, sequence
 // counter) and must not be used from multiple goroutines concurrently.
@@ -24,16 +24,14 @@ type Evaluator struct {
 	db     *debouncer
 	rb     *rebaseliner
 	seq    int
-	// feat/score/recon back the allocation-free EvalChecked path. They
-	// are confined to the synchronous Eval/EvalChecked entry points —
-	// Monitor's concurrent worker pool goes through evaluate, which
-	// never touches them.
+	// feat/score/recon are the reused buffers behind the
+	// allocation-free EvalChecked path.
 	feat, score, recon []float64
 }
 
 // NewEvaluator builds the synchronous pipeline from fitted detectors.
-// Options are interpreted as in NewMonitorWith; Buffer and Workers are
-// ignored (there is no pool — the caller is the worker).
+// Options are interpreted as in NewMonitorWith; Buffer is ignored
+// (there are no channels — the caller is the worker).
 func NewEvaluator(fp *Fingerprint, sd *SpectralDetector, opts MonitorOptions) (*Evaluator, error) {
 	if fp == nil && sd == nil {
 		return nil, fmt.Errorf("core: evaluator needs at least one detector")
@@ -115,60 +113,6 @@ func (e *Evaluator) EvalChecked(t *trace.Trace, hv HealthVerdict, features []flo
 	if e.db != nil {
 		v.Window = e.db.push(raw)
 	}
-	// Guarded re-baselining, as in finalize: adapt only on quiet traces
-	// with an all-clear debounce window.
-	if e.rb != nil && score != nil && !raw && v.Window.Alarms == 0 {
-		e.rb.update(score, e.fp.Centroid)
-	}
-	return v
-}
-
-// evaluate is the stateless half: the health pre-check and both
-// detectors. With re-baselining enabled the time-domain distance
-// depends on pipeline state, so only the projected score is computed
-// here; finalize applies the baseline. Monitor calls this from its
-// worker pool, so it must not touch db/rb state.
-func (e *Evaluator) evaluate(seq int, t *trace.Trace) eval {
-	ev := eval{v: Verdict{Seq: seq, Confidence: 1}}
-	if e.health != nil {
-		ev.v.Health = e.health.Check(t)
-		ev.v.Confidence = e.health.Confidence(ev.v.Health)
-		if ev.v.Health.Rejected {
-			return ev // no usable evidence; detectors skipped
-		}
-	}
-	if e.fp != nil {
-		if e.rb != nil {
-			ev.score = e.fp.Project(t)
-		} else {
-			ev.v.Time = e.fp.Evaluate(t)
-		}
-	}
-	if e.sd != nil {
-		ev.v.Spectral = e.sd.Evaluate(t)
-	}
-	return ev
-}
-
-// finalize applies the stateful hardening stages in submission order:
-// baseline-shifted distance, debounce window, and the guarded EWMA
-// update.
-func (e *Evaluator) finalize(ev eval) Verdict {
-	v := ev.v
-	if v.Health.Rejected {
-		if e.db != nil {
-			v.Window = e.db.state() // window unchanged: no evidence either way
-		}
-		return v
-	}
-	if e.rb != nil && ev.score != nil {
-		d := stats.MinDistanceToSet(e.rb.shift(ev.score), e.fp.Golden)
-		v.Time = TimeVerdict{Distance: d, Threshold: e.fp.Threshold, Alarm: d > e.fp.Threshold}
-	}
-	raw := v.Time.Alarm || v.Spectral.Alarm
-	if e.db != nil {
-		v.Window = e.db.push(raw)
-	}
 	// Guarded re-baselining: adapt only on quiet traces (no raw alarm —
 	// an alarming trace never feeds the baseline, so a Trojan's own
 	// signature is never averaged in) and only while the debounce window
@@ -177,15 +121,11 @@ func (e *Evaluator) finalize(ev eval) Verdict {
 	// window evidence keeps those sub-threshold activations out of the
 	// baseline too, instead of slowly averaging the Trojan in between
 	// its own alarms.
-	if e.rb != nil && ev.score != nil && !raw && v.Window.Alarms == 0 {
-		e.rb.update(ev.score, e.fp.Centroid)
+	if e.rb != nil && score != nil && !raw && v.Window.Alarms == 0 {
+		e.rb.update(score, e.fp.Centroid)
 	}
 	return v
 }
-
-// Fingerprint returns the fitted time-domain detector (nil when running
-// spectral-only).
-func (e *Evaluator) Fingerprint() *Fingerprint { return e.fp }
 
 // BaselineOffset returns a copy of the current drift-tracking offset in
 // score space (nil when re-baselining is off or nothing has been

@@ -109,7 +109,7 @@ func (c RebaselineConfig) validate() error {
 }
 
 // rebaseliner tracks the EWMA offset between the live score stream and
-// the golden centroid. It is updated only from the in-order emitter;
+// the golden centroid. It is updated only from the monitor goroutine;
 // the mutex covers concurrent BaselineOffset reads.
 type rebaseliner struct {
 	mu     sync.Mutex
@@ -157,8 +157,6 @@ func (r *rebaseliner) snapshot() []float64 {
 type MonitorOptions struct {
 	// Buffer is the submit/verdict channel depth.
 	Buffer int
-	// Workers sizes the evaluation pool; <= 1 is serial.
-	Workers int
 	// Health, when set, pre-checks every trace and rejects unusable ones
 	// before either detector sees them.
 	Health *ChannelHealth
@@ -180,7 +178,6 @@ type MonitorOptions struct {
 func HardenedOptions(h *ChannelHealth) MonitorOptions {
 	return MonitorOptions{
 		Buffer:     8,
-		Workers:    1,
 		Health:     h,
 		Debounce:   DebounceConfig{M: 2, N: 4},
 		Rebaseline: RebaselineConfig{Alpha: 0.5},

@@ -268,43 +268,6 @@ func TestMonitorRejectsUnhealthyTraces(t *testing.T) {
 	}
 }
 
-func TestAcquireHealthyBoundedRetries(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	golden := goldenSet(rng, 10, 512)
-	h, err := BuildChannelHealth(golden, DefaultHealthConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := &trace.Trace{Dt: testDt, Samples: make([]float64, 512)}
-
-	// Second attempt recovers: one rejection, a healthy trace back.
-	calls := 0
-	tr, v, rejected, err := h.AcquireHealthy(3, func(attempt int) (*trace.Trace, error) {
-		calls++
-		if attempt == 0 {
-			return flat, nil
-		}
-		return synthTrace(rng, 512, 0), nil
-	})
-	if err != nil || v.Rejected || rejected != 1 || calls != 2 || tr == nil {
-		t.Fatalf("recovery path: calls=%d rejected=%d verdict=%+v err=%v", calls, rejected, v, err)
-	}
-
-	// Dead channel: the loop must stop after retries and report the last
-	// rejected verdict instead of spinning forever.
-	calls = 0
-	_, v, rejected, err = h.AcquireHealthy(3, func(int) (*trace.Trace, error) {
-		calls++
-		return flat, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 4 || rejected != 3 || !v.Rejected {
-		t.Fatalf("dead channel: calls=%d rejected=%d verdict=%+v", calls, rejected, v)
-	}
-}
-
 // driftedTrace shifts a clean synthetic trace by a slow gain/offset
 // drift (index i of span) without any Trojan component.
 func driftedTrace(rng *rand.Rand, n, i, span int) *trace.Trace {

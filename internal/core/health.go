@@ -106,9 +106,6 @@ func BuildChannelHealth(golden []*trace.Trace, cfg HealthConfig) (*ChannelHealth
 	return h, nil
 }
 
-// Config returns the effective thresholds.
-func (h *ChannelHealth) Config() HealthConfig { return h.cfg }
-
 // HealthVerdict is the pre-check outcome for one trace. The zero value
 // means "accepted" (or "not checked" on an unhardened monitor).
 type HealthVerdict struct {
@@ -202,25 +199,6 @@ func (h *ChannelHealth) Confidence(v HealthVerdict) float64 {
 		c = 0.05
 	}
 	return c
-}
-
-// AcquireHealthy pulls traces from acquire until the pre-check accepts
-// one or retries re-acquisitions are exhausted (bounded, so a dead
-// channel cannot spin the monitor forever). It returns the last trace,
-// its verdict, and how many attempts were rejected.
-func (h *ChannelHealth) AcquireHealthy(retries int, acquire func(attempt int) (*trace.Trace, error)) (*trace.Trace, HealthVerdict, int, error) {
-	rejected := 0
-	for attempt := 0; ; attempt++ {
-		t, err := acquire(attempt)
-		if err != nil {
-			return nil, HealthVerdict{}, rejected, err
-		}
-		v := h.Check(t)
-		if !v.Rejected || attempt >= retries {
-			return t, v, rejected, nil
-		}
-		rejected++
-	}
 }
 
 func minMax(s []float64) (lo, hi float64) {

@@ -65,16 +65,11 @@ func (v Verdict) String() string {
 // Monitor is the runtime trust evaluation loop of Figure 1: traces from
 // the on-chip sensor stream in, verdicts stream out, and the analysis
 // runs in parallel with the circuit's normal execution (no performance
-// degradation on the monitored chip). With more than one worker the
-// evaluations themselves run concurrently — both detectors are read-only
-// after fitting — while verdicts are still emitted in submission order.
-// The hardening stages (health gate, debouncer, re-baseliner) are
-// stateful and run in the in-order emitter, so they see the stream
-// exactly as submitted regardless of worker count.
+// degradation on the monitored chip). One goroutine runs Evaluator.Eval
+// on each trace in submission order, so the stateful hardening stages
+// (health gate, debouncer, re-baseliner) see the stream exactly as
+// submitted.
 type Monitor struct {
-	// ev is the verdict pipeline shared with the synchronous Evaluator:
-	// its stateless half runs in the worker pool, its stateful half in
-	// the in-order emitter.
 	ev *Evaluator
 
 	in      chan *trace.Trace
@@ -89,34 +84,10 @@ type Monitor struct {
 	}
 }
 
-// eval carries a worker's stateless result to the in-order finalizer:
-// the verdict skeleton plus the raw score vector when the emitter must
-// apply the drift baseline itself.
-type eval struct {
-	v     Verdict
-	score []float64
-}
-
-// job carries one submitted trace through the pool; done delivers its
-// evaluation to the in-order emitter.
-type job struct {
-	seq  int
-	t    *trace.Trace
-	done chan eval
-}
-
-// NewMonitor builds a single-worker runtime monitor from fitted
-// detectors. Either detector may be nil to run the other alone.
+// NewMonitor builds a runtime monitor from fitted detectors. Either
+// detector may be nil to run the other alone.
 func NewMonitor(fp *Fingerprint, sd *SpectralDetector, buffer int) (*Monitor, error) {
 	return NewMonitorWith(fp, sd, MonitorOptions{Buffer: buffer})
-}
-
-// NewMonitorPool is NewMonitor with a worker pool of the given size
-// evaluating traces concurrently. Verdict order matches submission
-// order regardless of worker count; workers <= 1 degrades to the serial
-// monitor.
-func NewMonitorPool(fp *Fingerprint, sd *SpectralDetector, buffer, workers int) (*Monitor, error) {
-	return NewMonitorWith(fp, sd, MonitorOptions{Buffer: buffer, Workers: workers})
 }
 
 // NewMonitorWith builds a monitor with explicit options (see
@@ -130,52 +101,17 @@ func NewMonitorWith(fp *Fingerprint, sd *SpectralDetector, opts MonitorOptions) 
 	if buffer < 0 {
 		buffer = 0
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	m := &Monitor{
 		ev:  ev,
 		in:  make(chan *trace.Trace, buffer),
 		out: make(chan Verdict, buffer),
 	}
-
-	// Dispatcher: stamps sequence numbers and registers each job with the
-	// emitter (pending preserves submission order). Workers: evaluate in
-	// any order, delivering on the job's private channel. Emitter: drains
-	// pending in order, finalizing the stateful hardening stages there.
-	jobs := make(chan job, workers)
-	pending := make(chan job, buffer+workers)
 	m.wg.Add(1)
-	go func() { // dispatcher
-		defer m.wg.Done()
-		seq := 0
-		for t := range m.in {
-			j := job{seq: seq, t: t, done: make(chan eval, 1)}
-			seq++
-			pending <- j
-			jobs <- j
-		}
-		close(jobs)
-		close(pending)
-	}()
-	var workersWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		workersWG.Add(1)
-		go func() {
-			defer workersWG.Done()
-			for j := range jobs {
-				j.done <- m.evaluate(j.seq, j.t)
-			}
-		}()
-	}
-	m.wg.Add(1)
-	go func() { // emitter
+	go func() {
 		defer m.wg.Done()
 		defer close(m.out)
-		for j := range pending {
-			e := <-j.done
-			v := m.finalize(e)
+		for t := range m.in {
+			v := m.ev.Eval(t)
 			m.history.Lock()
 			m.history.total++
 			if v.Alarm() {
@@ -190,17 +126,9 @@ func NewMonitorWith(fp *Fingerprint, sd *SpectralDetector, opts MonitorOptions) 
 			m.history.Unlock()
 			m.out <- v
 		}
-		workersWG.Wait()
 	}()
 	return m, nil
 }
-
-// evaluate runs the stateless half of the pipeline in a pool worker;
-// finalize runs the stateful half (debounce, re-baselining) in the
-// in-order emitter. Both live on Evaluator.
-func (m *Monitor) evaluate(seq int, t *trace.Trace) eval { return m.ev.evaluate(seq, t) }
-
-func (m *Monitor) finalize(e eval) Verdict { return m.ev.finalize(e) }
 
 // Submit queues a trace for evaluation. It blocks when the buffer is
 // full (backpressure instead of dropped traces).

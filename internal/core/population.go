@@ -85,9 +85,6 @@ func NewPopulationReference(cfg PopulationConfig) *PopulationReference {
 	return &PopulationReference{cfg: cfg.withDefaults()}
 }
 
-// Config returns the effective tuning.
-func (p *PopulationReference) Config() PopulationConfig { return p.cfg }
-
 // Rank cancels the common mode and flags the FDR-controlled alarm set.
 // scores[i] is die i's current detector statistic (a z-like score where
 // larger means more Trojan-like); eligible[i] gates die i into the test

@@ -208,13 +208,6 @@ func (d *SelfReference) Evaluate(frame []float64) (ArrayVerdict, error) {
 // Threshold returns the effective alarm threshold.
 func (d *SelfReference) Threshold() float64 { return d.cfg.Threshold }
 
-// Baseline returns a copy of the current per-sensor rolling baseline.
-func (d *SelfReference) Baseline() []float64 {
-	out := make([]float64, len(d.base))
-	copy(out, d.base)
-	return out
-}
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x

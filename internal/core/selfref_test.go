@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// Baseline returns a copy of the current per-sensor rolling baseline.
+func (d *SelfReference) Baseline() []float64 {
+	out := make([]float64, len(d.base))
+	copy(out, d.base)
+	return out
+}
+
 // grid3x3 returns the 8-connected adjacency of a 3x3 sensor grid.
 func grid3x3() [][]int {
 	nb := make([][]int, 9)

@@ -37,8 +37,9 @@ type SpectralDetector struct {
 	Floor    float64
 	DF       float64
 	// scratch pools per-call amplitude buffers so the clean verdict
-	// path allocates nothing at steady state, even with the monitor's
-	// worker pool evaluating concurrently on one shared detector.
+	// path allocates nothing at steady state, even with several
+	// monitors or evaluators evaluating concurrently on one shared
+	// detector.
 	scratch sync.Pool
 }
 

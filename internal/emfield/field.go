@@ -39,69 +39,8 @@ func (v Vec3) Scale(k float64) Vec3 { return Vec3{v.X * k, v.Y * k, v.Z * k} }
 // Dot returns the dot product.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v x w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm returns the Euclidean length.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// DipoleB returns the magnetic field at point p of a magnetic dipole with
-// moment m located at pos (exact dipole formula).
-func DipoleB(pos, p Vec3, m Vec3) Vec3 {
-	r := p.Sub(pos)
-	rn := r.Norm()
-	if rn == 0 {
-		return Vec3{}
-	}
-	rhat := r.Scale(1 / rn)
-	k := Mu0 / (4 * math.Pi * rn * rn * rn)
-	return rhat.Scale(3 * m.Dot(rhat)).Sub(m).Scale(k)
-}
-
-// DipoleBz returns only the z-component of the field of a ẑ-oriented
-// unit dipole at pos evaluated at p; the common case for flux through
-// horizontal loops.
-func DipoleBz(pos, p Vec3) float64 {
-	r := p.Sub(pos)
-	rn := r.Norm()
-	if rn == 0 {
-		return 0
-	}
-	k := Mu0 / (4 * math.Pi * rn * rn * rn * rn * rn)
-	return k * (3*r.Z*r.Z - rn*rn)
-}
-
-// SegmentB returns the Biot-Savart field at p of a finite straight wire
-// from a to b carrying unit current (amps).
-func SegmentB(a, b, p Vec3) Vec3 {
-	ab := b.Sub(a)
-	l := ab.Norm()
-	if l == 0 {
-		return Vec3{}
-	}
-	u := ab.Scale(1 / l)
-	ap := p.Sub(a)
-	// Perpendicular distance vector from the wire line to p.
-	along := ap.Dot(u)
-	perp := ap.Sub(u.Scale(along))
-	d := perp.Norm()
-	if d == 0 {
-		return Vec3{} // on the wire axis: field singular/zero by symmetry
-	}
-	// Standard finite-wire result: B = mu0 I /(4 pi d) (sin t2 - sin t1)
-	// where angles are measured from the perpendicular foot.
-	sin1 := -along / math.Hypot(along, d)
-	sin2 := (l - along) / math.Hypot(l-along, d)
-	mag := Mu0 / (4 * math.Pi * d) * (sin2 - sin1)
-	dir := u.Cross(perp.Scale(1 / d))
-	return dir.Scale(mag)
-}
 
 // Loop is a horizontal conducting turn through which flux is computed.
 type Loop interface {

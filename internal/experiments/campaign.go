@@ -376,16 +376,6 @@ func campaignSearch(cfg Config, goldenCfg chip.Config, camp *campaign.Campaign, 
 	return nil
 }
 
-// SearchStat returns the named searcher's stats, or nil.
-func (r *CampaignResult) SearchStat(name string) *CampaignSearchStat {
-	for i := range r.Search {
-		if r.Search[i].Searcher == name {
-			return &r.Search[i]
-		}
-	}
-	return nil
-}
-
 // campaignROC pools the threshold-normalized distances of every member
 // and sweeps the alarm margin.
 func campaignROC(members []CampaignMemberResult) []CampaignROCPoint {

@@ -6,6 +6,16 @@ import (
 	"emtrust/internal/campaign"
 )
 
+// SearchStat returns the named searcher's stats, or nil.
+func (r *CampaignResult) SearchStat(name string) *CampaignSearchStat {
+	for i := range r.Search {
+		if r.Search[i].Searcher == name {
+			return &r.Search[i]
+		}
+	}
+	return nil
+}
+
 // smallCampaignConfig shrinks the sweep for the quick tests: fewer
 // members, fewer traces, smaller search budget.
 func smallCampaignConfig() Config {

@@ -62,11 +62,6 @@ type Rect struct {
 	X, Y, W, H float64
 }
 
-// Contains reports whether p lies inside the rectangle.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.X && p.X <= r.X+r.W && p.Y >= r.Y && p.Y <= r.Y+r.H
-}
-
 // TileGrid aggregates cells into NX x NY tiles over the die.
 type TileGrid struct {
 	NX, NY int
@@ -86,11 +81,6 @@ func (g *TileGrid) TileCenter(t int) Point {
 		X: (float64(tx) + 0.5) * g.Die.X / float64(g.NX),
 		Y: (float64(ty) + 0.5) * g.Die.Y / float64(g.NY),
 	}
-}
-
-// TileArea returns the area of one tile in square meters.
-func (g *TileGrid) TileArea() float64 {
-	return g.Die.X * g.Die.Y / float64(g.NumTiles())
 }
 
 // TileOf returns the tile index containing point p (clamped to the die).

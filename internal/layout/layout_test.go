@@ -9,6 +9,16 @@ import (
 	"emtrust/internal/trojan"
 )
 
+// Contains reports whether p lies inside the rectangle.
+func (r Rect) Contains(p Point) bool {
+	return p.X >= r.X && p.X <= r.X+r.W && p.Y >= r.Y && p.Y <= r.Y+r.H
+}
+
+// TileArea returns the area of one tile in square meters.
+func (g *TileGrid) TileArea() float64 {
+	return g.Die.X * g.Die.Y / float64(g.NumTiles())
+}
+
 func buildFullDesign(t testing.TB) *netlist.Netlist {
 	t.Helper()
 	b := netlist.NewBuilder("chip")

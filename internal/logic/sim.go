@@ -76,9 +76,6 @@ type ToggleEvent int32
 // Cell returns the index of the toggling cell.
 func (e ToggleEvent) Cell() int { return int(e >> 1) }
 
-// Rise reports whether the toggle was a 0->1 transition.
-func (e ToggleEvent) Rise() bool { return e&1 != 0 }
-
 // New builds a simulator for n. It fails if the combinational logic
 // contains a cycle (through non-sequential cells). By default the
 // compiled event-driven engine is used; see WithReferenceEngine.

@@ -8,6 +8,9 @@ import (
 	"emtrust/internal/netlist"
 )
 
+// Rise reports whether the toggle was a 0->1 transition.
+func (e ToggleEvent) Rise() bool { return e&1 != 0 }
+
 // buildComb creates a tiny netlist with every combinational cell type fed
 // by a 3-bit input bus.
 func buildComb(t *testing.T) (*netlist.Netlist, *Simulator) {

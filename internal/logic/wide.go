@@ -121,12 +121,6 @@ func (s *Simulator) Wide() (*WideState, error) {
 	return w, nil
 }
 
-// Lanes returns the active lane count.
-func (w *WideState) Lanes() int { return w.lanes }
-
-// Cycle returns the number of Tick calls since the last LoadStates.
-func (w *WideState) Cycle() int { return w.cycle }
-
 // LoadStates loads one scalar snapshot per lane (1 to MaxLanes lanes)
 // and schedules a full first settle, exactly like restoring a snapshot
 // into a scalar simulator. Pending per-lane toggle buffers are
@@ -175,12 +169,6 @@ func (w *WideState) LaneState(lane int) *State {
 	}
 	return &State{values: v, cycle: w.cycle}
 }
-
-// LaneToggles returns the toggle events accumulated for one lane since
-// the last ResetToggles/LoadStates, in scalar occurrence order. The
-// slice aliases the internal buffer; it is valid until the buffers are
-// reset. Empty while OnWideToggle is installed.
-func (w *WideState) LaneToggles(lane int) []ToggleEvent { return w.events[lane] }
 
 // ResetToggles clears every lane's accumulated toggle buffer.
 func (w *WideState) ResetToggles() {
@@ -315,24 +303,6 @@ func (w *WideState) SetPortLanesBits(name string, laneBits [][]uint8) error {
 			if bits[i] != 0 {
 				word |= 1 << uint(l)
 			}
-		}
-		w.setNetWord(net, word)
-	}
-	return nil
-}
-
-// SetPortLaneUint drives up to 64 bits of a named input port on a
-// single lane, leaving the other lanes' values unchanged.
-func (w *WideState) SetPortLaneUint(name string, lane int, v uint64) error {
-	p, ok := w.n.InputPort(name)
-	if !ok {
-		return fmt.Errorf("logic: no input port %q on %s", name, w.n.Name)
-	}
-	bit := uint64(1) << uint(lane)
-	for i, net := range p.Nets {
-		word := w.values[net] &^ bit
-		if i < 64 && v>>uint(i)&1 == 1 {
-			word |= bit
 		}
 		w.setNetWord(net, word)
 	}

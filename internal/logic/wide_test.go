@@ -2,11 +2,39 @@ package logic
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"emtrust/internal/netlist"
 )
+
+// Cycle returns the number of Tick calls since the last LoadStates.
+func (w *WideState) Cycle() int { return w.cycle }
+
+// LaneToggles returns the toggle events accumulated for one lane since
+// the last ResetToggles/LoadStates, in scalar occurrence order. The
+// slice aliases the internal buffer; it is valid until the buffers are
+// reset. Empty while OnWideToggle is installed.
+func (w *WideState) LaneToggles(lane int) []ToggleEvent { return w.events[lane] }
+
+// SetPortLaneUint drives up to 64 bits of a named input port on a
+// single lane, leaving the other lanes' values unchanged.
+func (w *WideState) SetPortLaneUint(name string, lane int, v uint64) error {
+	p, ok := w.n.InputPort(name)
+	if !ok {
+		return fmt.Errorf("logic: no input port %q on %s", name, w.n.Name)
+	}
+	bit := uint64(1) << uint(lane)
+	for i, net := range p.Nets {
+		word := w.values[net] &^ bit
+		if i < 64 && v>>uint(i)&1 == 1 {
+			word |= bit
+		}
+		w.setNetWord(net, word)
+	}
+	return nil
+}
 
 // wideHarness runs one WideState against per-lane scalar pairs — a
 // reference-engine and a compiled simulator per lane — so every check

@@ -26,9 +26,6 @@ func NewBuilder(name string) *Builder {
 // SetRegion sets the region tag applied to subsequently created cells.
 func (b *Builder) SetRegion(region string) { b.region = region }
 
-// Region returns the current region tag.
-func (b *Builder) Region() string { return b.region }
-
 // PushRegion appends a path segment to the current region tag.
 func (b *Builder) PushRegion(segment string) {
 	b.stack = append(b.stack, b.region)
@@ -159,49 +156,12 @@ func (b *Builder) XorBus(x, y []Net) []Net {
 	return out
 }
 
-// AndBus ANDs two equal-width buses.
-func (b *Builder) AndBus(x, y []Net) []Net {
-	mustSameWidth("AndBus", x, y)
-	out := make([]Net, len(x))
-	for i := range x {
-		out[i] = b.And(x[i], y[i])
-	}
-	return out
-}
-
-// NotBus inverts every bit of a bus.
-func (b *Builder) NotBus(x []Net) []Net {
-	out := make([]Net, len(x))
-	for i := range x {
-		out[i] = b.Not(x[i])
-	}
-	return out
-}
-
 // MuxBus selects between two equal-width buses: s ? hi : lo.
 func (b *Builder) MuxBus(lo, hi []Net, s Net) []Net {
 	mustSameWidth("MuxBus", lo, hi)
 	out := make([]Net, len(lo))
 	for i := range lo {
 		out[i] = b.Mux(lo[i], hi[i], s)
-	}
-	return out
-}
-
-// RegBus registers every bit of a bus.
-func (b *Builder) RegBus(d []Net) []Net {
-	out := make([]Net, len(d))
-	for i := range d {
-		out[i] = b.Reg(d[i])
-	}
-	return out
-}
-
-// RegEBus registers every bit of a bus with a shared enable.
-func (b *Builder) RegEBus(d []Net, en Net) []Net {
-	out := make([]Net, len(d))
-	for i := range d {
-		out[i] = b.RegE(d[i], en)
 	}
 	return out
 }

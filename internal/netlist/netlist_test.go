@@ -73,8 +73,8 @@ func TestBuilderRegions(t *testing.T) {
 	in := b.Input("in", 1)
 	b.SetRegion("aes")
 	b.PushRegion("sbox")
-	if b.Region() != "aes/sbox" {
-		t.Fatalf("region = %q", b.Region())
+	if b.region != "aes/sbox" {
+		t.Fatalf("region = %q", b.region)
 	}
 	b.Not(in[0])
 	b.PopRegion()
@@ -96,12 +96,12 @@ func TestBuilderRegions(t *testing.T) {
 func TestPushRegionFromEmpty(t *testing.T) {
 	b := NewBuilder("t")
 	b.PushRegion("top")
-	if b.Region() != "top" {
-		t.Fatalf("region = %q", b.Region())
+	if b.region != "top" {
+		t.Fatalf("region = %q", b.region)
 	}
 	b.PopRegion()
-	if b.Region() != "" {
-		t.Fatalf("region after pop = %q", b.Region())
+	if b.region != "" {
+		t.Fatalf("region after pop = %q", b.region)
 	}
 }
 
@@ -295,20 +295,8 @@ func TestBusHelpers(t *testing.T) {
 	if got := len(b.XorBus(x, y)); got != 4 {
 		t.Fatalf("XorBus width %d", got)
 	}
-	if got := len(b.AndBus(x, y)); got != 4 {
-		t.Fatalf("AndBus width %d", got)
-	}
-	if got := len(b.NotBus(x)); got != 4 {
-		t.Fatalf("NotBus width %d", got)
-	}
 	if got := len(b.MuxBus(x, y, s[0])); got != 4 {
 		t.Fatalf("MuxBus width %d", got)
-	}
-	if got := len(b.RegBus(x)); got != 4 {
-		t.Fatalf("RegBus width %d", got)
-	}
-	if got := len(b.RegEBus(x, en[0])); got != 4 {
-		t.Fatalf("RegEBus width %d", got)
 	}
 	outs := []Net{
 		b.ReduceXor(x), b.ReduceAnd(x), b.ReduceOr(x),

@@ -299,32 +299,3 @@ func (r *Recorder) Currents() [][]float64 { return r.currents }
 
 // Dt returns the waveform sample spacing in seconds.
 func (r *Recorder) Dt() float64 { return r.cfg.Dt() }
-
-// Cycle returns how many cycles have been flushed.
-func (r *Recorder) Cycle() int { return r.cycle }
-
-// Config returns the recorder's configuration.
-func (r *Recorder) Config() Config { return r.cfg }
-
-// TotalCharge integrates all tile currents over the capture; useful for
-// sanity checks and the power-hog experiments.
-func (r *Recorder) TotalCharge() float64 {
-	dt := r.Dt()
-	sum := 0.0
-	for _, w := range r.currents {
-		for _, v := range w {
-			sum += v * dt
-		}
-	}
-	return sum
-}
-
-// TileFFCount returns the number of flip-flops per tile (the clock-load
-// map), exposed for tests and the layout report.
-func (r *Recorder) TileFFCount() []int {
-	counts := make([]int, r.grid.NumTiles())
-	for _, t := range r.ffTile {
-		counts[t]++
-	}
-	return counts
-}

@@ -9,6 +9,35 @@ import (
 	"emtrust/internal/netlist"
 )
 
+// Cycle returns how many cycles have been flushed.
+func (r *Recorder) Cycle() int { return r.cycle }
+
+// Config returns the recorder's configuration.
+func (r *Recorder) Config() Config { return r.cfg }
+
+// TotalCharge integrates all tile currents over the capture, for the
+// charge-conservation checks.
+func (r *Recorder) TotalCharge() float64 {
+	dt := r.Dt()
+	sum := 0.0
+	for _, w := range r.currents {
+		for _, v := range w {
+			sum += v * dt
+		}
+	}
+	return sum
+}
+
+// TileFFCount returns the number of flip-flops per tile (the clock-load
+// map).
+func (r *Recorder) TileFFCount() []int {
+	counts := make([]int, r.grid.NumTiles())
+	for _, t := range r.ffTile {
+		counts[t]++
+	}
+	return counts
+}
+
 // smallPlan builds a small placed netlist: an inverter chain plus a few
 // flip-flops.
 func smallPlan(t testing.TB) (*layout.Floorplan, *netlist.Netlist) {

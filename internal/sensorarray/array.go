@@ -208,24 +208,6 @@ func (a *Array) Adjacency() [][]int {
 	return out
 }
 
-// CellDist returns the Chebyshev (chessboard) distance between two
-// cells: 0 same cell, 1 adjacent (including diagonals).
-func (a *Array) CellDist(k1, k2 int) int {
-	x1, y1 := a.CellXY(k1)
-	x2, y2 := a.CellXY(k2)
-	dx, dy := x1-x2, y1-y2
-	if dx < 0 {
-		dx = -dx
-	}
-	if dy < 0 {
-		dy = -dy
-	}
-	if dy > dx {
-		return dy
-	}
-	return dx
-}
-
 // DefaultChannel returns the acquisition front end assumed for the
 // array: simulation-mode white noise, lower than the whole-die sensor's
 // floor because each cell coil feeds a dedicated narrowband LNA next to

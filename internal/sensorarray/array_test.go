@@ -9,6 +9,24 @@ import (
 	"emtrust/internal/parallel"
 )
 
+// CellDist returns the Chebyshev (chessboard) distance between two
+// cells: 0 same cell, 1 adjacent (including diagonals).
+func (a *Array) CellDist(k1, k2 int) int {
+	x1, y1 := a.CellXY(k1)
+	x2, y2 := a.CellXY(k2)
+	dx, dy := x1-x2, y1-y2
+	if dx < 0 {
+		dx = -dx
+	}
+	if dy < 0 {
+		dy = -dy
+	}
+	if dy > dx {
+		return dy
+	}
+	return dx
+}
+
 // testFloorplan builds a synthetic placement view: the array only needs
 // the die outline and the tile grid, not real cell positions.
 func testFloorplan() *layout.Floorplan {

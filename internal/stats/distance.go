@@ -41,16 +41,6 @@ func MaxPairwiseDistance(golden *Matrix) float64 {
 // Centroid returns the mean row of m.
 func Centroid(m *Matrix) []float64 { return m.ColumnMeans() }
 
-// DistancesToCentroid returns the Euclidean distance of every row of m to
-// the given centroid.
-func DistancesToCentroid(m *Matrix, centroid []float64) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Euclidean(m.Row(i), centroid)
-	}
-	return out
-}
-
 // MinDistanceToSet returns the smallest Euclidean distance from x to any
 // row of set. It returns +Inf for an empty set.
 func MinDistanceToSet(x []float64, set *Matrix) float64 {

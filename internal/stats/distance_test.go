@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// Total returns the number of recorded samples.
+func (h *Histogram) Total() int { return h.total }
+
 func TestEuclideanKnown(t *testing.T) {
 	if d := Euclidean([]float64{0, 0}, []float64{3, 4}); d != 5 {
 		t.Fatalf("Euclidean = %g, want 5", d)
@@ -78,19 +81,6 @@ func TestThresholdCoversGolden(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDistancesToCentroid(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, 0)
-	m.Set(0, 1, 0)
-	m.Set(1, 0, 2)
-	m.Set(1, 1, 0)
-	c := Centroid(m) // (1, 0)
-	d := DistancesToCentroid(m, c)
-	if d[0] != 1 || d[1] != 1 {
-		t.Fatalf("distances = %v", d)
 	}
 }
 
@@ -186,19 +176,4 @@ func TestHistogramOverlapPanicsOnMismatch(t *testing.T) {
 func TestHistogramConstructorPanics(t *testing.T) {
 	mustPanic(t, func() { NewHistogram(0, 10, 0) })
 	mustPanic(t, func() { NewHistogram(5, 5, 4) })
-}
-
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram(0, 4, 20)
-	for i := 0; i < 50; i++ {
-		h.Add(1)
-	}
-	out := h.Render(4)
-	if len(out) == 0 {
-		t.Fatal("empty render")
-	}
-	empty := NewHistogram(0, 1, 4)
-	if empty.Render(2) != "(empty histogram)\n" {
-		t.Fatal("empty histogram render")
-	}
 }

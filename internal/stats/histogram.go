@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Histogram bins scalar samples over a fixed range, mirroring the
@@ -50,9 +49,6 @@ func (h *Histogram) binOf(v float64) int {
 	}
 	return b
 }
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int { return h.total }
 
 // BinCenter returns the center value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
@@ -104,31 +100,4 @@ func (h *Histogram) Overlap(o *Histogram) float64 {
 func (h *Histogram) PeakSeparation(o *Histogram) float64 {
 	w := (h.Max - h.Min) / float64(len(h.Counts))
 	return math.Abs(h.PeakCenter()-o.PeakCenter()) / w
-}
-
-// Render returns a fixed-width ASCII rendering of the histogram with the
-// given number of rows, suitable for terminal output of the Figure 6
-// panels.
-func (h *Histogram) Render(rows int) string {
-	if rows <= 0 {
-		rows = 8
-	}
-	peak := h.Counts[h.PeakBin()]
-	if peak == 0 {
-		return "(empty histogram)\n"
-	}
-	var sb strings.Builder
-	for r := rows; r >= 1; r-- {
-		cut := float64(r) / float64(rows) * float64(peak)
-		for _, c := range h.Counts {
-			if float64(c) >= cut {
-				sb.WriteByte('#')
-			} else {
-				sb.WriteByte(' ')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	fmt.Fprintf(&sb, "%-8.3g%*s\n", h.Min, len(h.Counts)-8, fmt.Sprintf("%.3g", h.Max))
-	return sb.String()
 }

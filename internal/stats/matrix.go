@@ -5,10 +5,7 @@
 // reproduce Figure 6.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix of float64 values.
 type Matrix struct {
@@ -37,56 +34,6 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns the matrix product m * b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("stats: dimension mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m * v for a column vector v.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("stats: dimension mismatch %dx%d * %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		sum := 0.0
-		for j, r := range row {
-			sum += r * v[j]
-		}
-		out[i] = sum
-	}
 	return out
 }
 
@@ -133,19 +80,4 @@ func (m *Matrix) Covariance() *Matrix {
 		cov.Data[i] *= inv
 	}
 	return cov
-}
-
-// MaxOffDiagonal returns the largest absolute off-diagonal element of a
-// square matrix, along with its indices (p < q).
-func (m *Matrix) MaxOffDiagonal() (p, q int, v float64) {
-	p, q = 0, 1
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if a := math.Abs(m.At(i, j)); a > v {
-				v = a
-				p, q = i, j
-			}
-		}
-	}
-	return p, q, v
 }

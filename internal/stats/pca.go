@@ -135,31 +135,13 @@ func FitPCA(data *Matrix, k int) *PCA {
 // K returns the number of kept components.
 func (p *PCA) K() int { return p.Components.Rows }
 
-// ExplainedVarianceRatio returns the fraction of total variance captured by
-// the kept components.
-func (p *PCA) ExplainedVarianceRatio() float64 {
-	if p.TotalVar == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range p.Variances {
-		sum += v
-	}
-	return sum / p.TotalVar
-}
-
-// Project maps an observation x (length d) to the k-dimensional principal
-// subspace.
-func (p *PCA) Project(x []float64) []float64 {
-	return p.ProjectInto(make([]float64, p.K()), x)
-}
-
-// ProjectInto is Project writing into dst, which must have length K().
-// The centering is folded into each row's dot product, so no temporary
-// is needed; the per-row accumulation order matches Project exactly.
+// ProjectInto maps an observation x (length d) to the k-dimensional
+// principal subspace, writing the scores into dst, which must have
+// length K(). The centering is folded into each row's dot product, so
+// no temporary is needed.
 func (p *PCA) ProjectInto(dst, x []float64) []float64 {
 	if len(x) != len(p.Mean) {
-		panic(fmt.Sprintf("stats: PCA.Project dimension mismatch %d vs %d", len(x), len(p.Mean)))
+		panic(fmt.Sprintf("stats: PCA.ProjectInto dimension mismatch %d vs %d", len(x), len(p.Mean)))
 	}
 	if len(dst) != p.K() {
 		panic(fmt.Sprintf("stats: PCA.ProjectInto wants %d scores, got %d", p.K(), len(dst)))
@@ -186,27 +168,12 @@ func (p *PCA) ProjectInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// ProjectRows projects each row of data and returns the k-column score
-// matrix.
-func (p *PCA) ProjectRows(data *Matrix) *Matrix {
-	out := NewMatrix(data.Rows, p.K())
-	for i := 0; i < data.Rows; i++ {
-		copy(out.Row(i), p.Project(data.Row(i)))
-	}
-	return out
-}
-
-// Reconstruct maps a score vector back into the original space:
-// mean + scores * components.
-func (p *PCA) Reconstruct(scores []float64) []float64 {
-	return p.ReconstructInto(make([]float64, len(p.Mean)), scores)
-}
-
-// ReconstructInto is Reconstruct writing into dst, which must have
-// length d (the original dimension).
+// ReconstructInto maps a score vector back into the original space,
+// mean + scores * components, writing into dst, which must have length
+// d (the original dimension).
 func (p *PCA) ReconstructInto(dst, scores []float64) []float64 {
 	if len(scores) != p.K() {
-		panic(fmt.Sprintf("stats: PCA.Reconstruct expects %d scores, got %d", p.K(), len(scores)))
+		panic(fmt.Sprintf("stats: PCA.ReconstructInto expects %d scores, got %d", p.K(), len(scores)))
 	}
 	if len(dst) != len(p.Mean) {
 		panic(fmt.Sprintf("stats: PCA.ReconstructInto wants %d values, got %d", len(p.Mean), len(dst)))

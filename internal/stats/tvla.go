@@ -5,7 +5,7 @@ import "math"
 // WelchT computes Welch's t-statistic and degrees of freedom between two
 // samples — the Test Vector Leakage Assessment (TVLA) statistic the
 // side-channel community uses to decide whether two trace populations
-// differ. |t| > TVLAThreshold is the conventional detection criterion.
+// differ. |t| > 4.5 is the conventional detection criterion.
 func WelchT(a, b []float64) (t, dof float64) {
 	if len(a) < 2 || len(b) < 2 {
 		return 0, 0
@@ -31,17 +31,6 @@ func WelchT(a, b []float64) (t, dof float64) {
 		dof = num / d
 	}
 	return t, dof
-}
-
-// TVLAThreshold is the conventional |t| detection threshold of the Test
-// Vector Leakage Assessment methodology.
-const TVLAThreshold = 4.5
-
-// TVLADetects reports whether the two populations differ under the TVLA
-// criterion.
-func TVLADetects(a, b []float64) bool {
-	t, _ := WelchT(a, b)
-	return math.Abs(t) > TVLAThreshold
 }
 
 func sign(x float64) int {

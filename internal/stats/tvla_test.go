@@ -25,9 +25,6 @@ func TestWelchTSamePopulation(t *testing.T) {
 	if dof < 100 {
 		t.Fatalf("dof = %g", dof)
 	}
-	if TVLADetects(a, b) {
-		t.Fatal("TVLA false positive")
-	}
 }
 
 func TestWelchTSeparatedPopulations(t *testing.T) {
@@ -35,11 +32,8 @@ func TestWelchTSeparatedPopulations(t *testing.T) {
 	a := gaussianSample(rng, 100, 0, 1)
 	b := gaussianSample(rng, 100, 1.5, 1)
 	tt, _ := WelchT(a, b)
-	if tt > -TVLAThreshold { // a below b: negative t
+	if tt > -4.5 { // a below b: negative t, past the TVLA criterion
 		t.Fatalf("separated populations t = %g, want < -4.5", tt)
-	}
-	if !TVLADetects(a, b) {
-		t.Fatal("TVLA missed a 1.5-sigma mean shift at n=100")
 	}
 }
 

@@ -198,12 +198,6 @@ func (a Acquisition) AcquireScaledInto(dst *Trace, clean []float64, scale, dt fl
 	return dst
 }
 
-// AcquireNoise captures a record with no signal (the chip idling), used
-// for the separate-noise-measurement SNR protocol of Section V-A.
-func (a Acquisition) AcquireNoise(n int, dt float64, rng Rand) *Trace {
-	return a.Acquire(make([]float64, n), dt, rng)
-}
-
 // maxADCBits caps the converter width quantize honours. Its grid of
 // 2⁶³ levels is already finer than float64 resolves near full scale;
 // beyond it, 1<<bits would overflow to zero levels and an infinite
@@ -232,25 +226,3 @@ type Set struct {
 
 // Add appends a trace.
 func (s *Set) Add(t *Trace) { s.Traces = append(s.Traces, t) }
-
-// Len returns the number of traces.
-func (s *Set) Len() int { return len(s.Traces) }
-
-// Matrix flattens the set into rows of samples, truncating every trace
-// to the shortest length so the rows are rectangular.
-func (s *Set) Matrix() ([][]float64, error) {
-	if len(s.Traces) == 0 {
-		return nil, fmt.Errorf("trace: empty set")
-	}
-	minLen := len(s.Traces[0].Samples)
-	for _, t := range s.Traces {
-		if len(t.Samples) < minLen {
-			minLen = len(t.Samples)
-		}
-	}
-	rows := make([][]float64, len(s.Traces))
-	for i, t := range s.Traces {
-		rows[i] = t.Samples[:minLen]
-	}
-	return rows, nil
-}

@@ -104,37 +104,3 @@ func TestQuantization(t *testing.T) {
 		}
 	}
 }
-
-func TestAcquireNoiseLength(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := SimulationChannel(0.05)
-	tr := a.AcquireNoise(100, 1e-8, rng)
-	if len(tr.Samples) != 100 {
-		t.Fatalf("noise length = %d", len(tr.Samples))
-	}
-	if dsp.RMS(tr.Samples) == 0 {
-		t.Fatal("noise record silent")
-	}
-}
-
-func TestSetMatrix(t *testing.T) {
-	var s Set
-	if _, err := s.Matrix(); err == nil {
-		t.Fatal("empty set must error")
-	}
-	s.Add(&Trace{Dt: 1, Samples: []float64{1, 2, 3}})
-	s.Add(&Trace{Dt: 1, Samples: []float64{4, 5}})
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	rows, err := s.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || len(rows[0]) != 2 || len(rows[1]) != 2 {
-		t.Fatalf("matrix shape wrong: %v", rows)
-	}
-	if rows[0][0] != 1 || rows[1][1] != 5 {
-		t.Fatal("matrix values wrong")
-	}
-}
