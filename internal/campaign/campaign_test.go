@@ -216,7 +216,6 @@ func TestEngineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.OnWideToggle = func(int32, uint64, uint64) {}
 
 		rng := splitRand(int64(seed), 0xd1f, 0)
 		bits := map[string][]uint8{}

@@ -63,7 +63,6 @@ func ProfileActivity(n *netlist.Netlist, stim Stimulus, windows, lanes int, seed
 	if err != nil {
 		return nil, err
 	}
-	w.OnWideToggle = func(int32, uint64, uint64) {} // drop per-lane toggle buffering
 	base := sim.State()
 
 	widths := make([]int, len(stim.Ports))

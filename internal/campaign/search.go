@@ -56,7 +56,6 @@ func NewEvaluator(n *netlist.Netlist, stim Stimulus, m *Member, lanes int) (*Eva
 	if err != nil {
 		return nil, err
 	}
-	w.OnWideToggle = func(int32, uint64, uint64) {}
 	e := &Evaluator{
 		sim: sim, w: w, base: sim.State(), stim: stim,
 		terms: m.Trigger, lanes: lanes,

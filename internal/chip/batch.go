@@ -12,14 +12,14 @@ import (
 	"emtrust/internal/trojan"
 )
 
-// Batched capture: up to logic.MaxLanes capture lanes — (pre-state,
-// plaintext) pairs — run through one bit-parallel wide simulation
-// instead of N scalar ones. The pipeline deduplicates identical lanes,
-// replays lanes the process-wide capture cache has seen before, and
-// simulates only the remainder, one uint64 word per net, with per-lane
-// toggle extraction feeding per-lane power recorders so every lane's
-// waveform is bit-identical to an independent scalar capture (pinned by
-// the batch and determinism tests at every worker/lane count).
+// Batched capture: up to logic.MaxLanes plaintext lanes from the chip's
+// current state run through one bit-parallel wide simulation instead of
+// N scalar ones. The pipeline deduplicates identical plaintexts, replays
+// lanes the process-wide capture cache has seen before, and simulates
+// only the remainder, one uint64 word per net, with per-lane toggle
+// extraction feeding per-lane power recorders so every lane's waveform
+// is bit-identical to an independent scalar capture (pinned by the
+// batch and determinism tests at every worker/lane count).
 //
 // Batch captures are side-effect-free on the chip: the wide engine is
 // separate simulation state, so the chip's own simulator, recorder and
@@ -50,36 +50,21 @@ func SetBatchLanes(n int) (restore func()) {
 	return func() { batchLanes.Store(old) }
 }
 
-// nextCaptureSeq hands out process-unique capture identities; see
-// Capture.Seq.
-var captureSeq atomic.Uint64
-
-func nextCaptureSeq() uint64 { return captureSeq.Add(1) }
-
-// batchGroup is one deduplicated (pre-state, plaintext) capture lane
-// and the input indices that collapse onto it.
+// batchGroup is one deduplicated plaintext lane and its capture-cache
+// entry.
 type batchGroup struct {
-	snap  *Snapshot
-	hash  uint64
 	pt    [16]byte
 	ck    captureKey
-	idx   []int
 	entry *captureEntry
 }
 
 // CaptureBatch fans up to 64 plaintext lanes from the chip's current
 // state through one wide simulation: lane i encrypts pts[i] under key.
-// It returns one *Capture per lane without advancing the chip's state.
+// It returns one *Capture per lane without advancing the chip's state;
+// lanes with equal plaintexts share one. Lanes the capture cache has
+// not seen simulate in wide chunks of BatchLanes, or as scalar captures
+// when the chip runs the reference engine.
 func (c *Chip) CaptureBatch(pts [][]byte, key []byte, cycles int) ([]*Capture, error) {
-	return c.CaptureBatchFrom(nil, pts, key, cycles)
-}
-
-// CaptureBatchFrom is CaptureBatch with per-lane starting states: lane
-// i restores snaps[i] (taken on this chip or one sharing its design)
-// before encrypting pts[i]. A nil snaps broadcasts the chip's current
-// state to every lane. The cache may retain references to the
-// snapshots' states, which Snapshot already promises are immutable.
-func (c *Chip) CaptureBatchFrom(snaps []*Snapshot, pts [][]byte, key []byte, cycles int) ([]*Capture, error) {
 	if len(pts) == 0 {
 		return nil, nil
 	}
@@ -96,95 +81,39 @@ func (c *Chip) CaptureBatchFrom(snaps []*Snapshot, pts [][]byte, key []byte, cyc
 		}
 		copy(ptA[i][:], pt)
 	}
-	snaps, err := c.batchSnaps(snaps, len(pts))
-	if err != nil {
-		return nil, err
-	}
 	var keyA [16]byte
 	copy(keyA[:], key)
-	return c.captureBatch(snaps, ptA, keyA, cycles)
-}
-
-// batchSnaps normalizes the snapshot list: nil broadcasts the current
-// state, otherwise one snapshot per lane.
-func (c *Chip) batchSnaps(snaps []*Snapshot, n int) ([]*Snapshot, error) {
-	if snaps == nil {
-		cur := c.Snapshot()
-		snaps = make([]*Snapshot, n)
-		for i := range snaps {
-			snaps[i] = cur
-		}
-		return snaps, nil
-	}
-	if len(snaps) != n {
-		return nil, fmt.Errorf("chip: %d snapshots for %d lanes", len(snaps), n)
-	}
-	for i, s := range snaps {
-		if s == nil {
-			return nil, fmt.Errorf("chip: nil snapshot for lane %d", i)
-		}
-	}
-	return snaps, nil
-}
-
-// captureBatch deduplicates the lanes, replays cached groups, simulates
-// the rest in wide chunks (or scalar captures when the chip runs the
-// reference engine), and maps group results back onto the input order.
-func (c *Chip) captureBatch(snaps []*Snapshot, pts [][16]byte, key [16]byte, cycles int) ([]*Capture, error) {
-	hashes := make(map[*Snapshot]uint64)
-	var groups []*batchGroup
+	pre := c.snapshot()
+	hash := pre.sim.ValueHash()
+	groups := make(map[[16]byte]*batchGroup)
 	var misses []*batchGroup
-	for i, s := range snaps {
-		h, ok := hashes[s]
-		if !ok {
-			h = s.sim.ValueHash()
-			hashes[s] = h
+	for _, pt := range ptA {
+		if groups[pt] != nil {
+			continue
 		}
-		var g *batchGroup
-		for _, have := range groups {
-			if have.pt != pts[i] {
-				continue
-			}
-			if have.snap == s || (have.hash == h && have.snap.a2Enabled == s.a2Enabled &&
-				have.snap.a2 == s.a2 && have.snap.sim.ValuesEqual(s.sim)) {
-				g = have
-				break
-			}
+		g := &batchGroup{pt: pt, ck: c.captureCacheKey(pt, keyA, cycles, false, pre, hash)}
+		g.entry = lookupCapture(g.ck, pre.sim)
+		groups[pt] = g
+		if g.entry == nil {
+			misses = append(misses, g)
 		}
-		if g == nil {
-			g = &batchGroup{
-				snap: s, hash: h, pt: pts[i],
-				ck: c.captureCacheKey(pts[i], key, cycles, false, s.a2, s.a2Enabled, h),
-			}
-			g.entry = lookupCapture(g.ck, s.sim)
-			groups = append(groups, g)
-			if g.entry == nil {
-				misses = append(misses, g)
-			}
-		}
-		g.idx = append(g.idx, i)
 	}
 	if len(misses) > 0 {
 		if c.sim.Compiled() {
 			lanes := BatchLanes()
 			for lo := 0; lo < len(misses); lo += lanes {
-				hi := lo + lanes
-				if hi > len(misses) {
-					hi = len(misses)
-				}
-				if err := c.runWide(misses[lo:hi], key, cycles); err != nil {
+				hi := min(lo+lanes, len(misses))
+				if err := c.runWide(misses[lo:hi], pre, keyA, cycles); err != nil {
 					return nil, err
 				}
 			}
-		} else if err := c.runScalarBatch(misses, key, cycles); err != nil {
+		} else if err := c.runScalarBatch(misses, pre, keyA, cycles); err != nil {
 			return nil, err
 		}
 	}
-	out := make([]*Capture, len(snaps))
-	for _, g := range groups {
-		for _, i := range g.idx {
-			out[i] = g.entry.cap
-		}
+	out := make([]*Capture, len(pts))
+	for i, pt := range ptA {
+		out[i] = groups[pt].entry.cap
 	}
 	return out, nil
 }
@@ -211,41 +140,37 @@ func (c *Chip) ensureWide(lanes int) error {
 	}
 	if len(c.a2s) < lanes {
 		c.a2s = make([]analog.A2, lanes)
-		c.a2on = make([]bool, lanes)
 	}
 	return nil
 }
 
-// runWide simulates up to MaxLanes miss groups as lanes of one wide
-// capture, stores each lane's result in the capture cache and fills the
-// groups' entries. The capture sequence mirrors the scalar encryption
-// capture exactly: idle lead-in tick, per-lane plaintext with broadcast
-// key and start pulse, load edge, then the remaining cycles — with the
-// T2 crowbar and A2 charge-pump hooks applied per lane from the lane's
-// net word each cycle.
-func (c *Chip) runWide(groups []*batchGroup, key [16]byte, cycles int) error {
+// runWide simulates up to MaxLanes miss groups from the pre state as
+// lanes of one wide capture, stores each lane's result in the capture
+// cache and fills the groups' entries. The capture sequence mirrors the
+// scalar encryption capture exactly: idle lead-in tick, per-lane
+// plaintext with broadcast key and start pulse, load edge, then the
+// remaining cycles — with the T2 crowbar and A2 charge-pump hooks
+// applied per lane from the lane's net word each cycle.
+func (c *Chip) runWide(groups []*batchGroup, pre state, key [16]byte, cycles int) error {
 	lanes := len(groups)
 	if err := c.ensureWide(lanes); err != nil {
 		return err
 	}
 	w := c.wide
 	sts := make([]*logic.State, lanes)
-	for l, g := range groups {
-		sts[l] = g.snap.sim
+	for l := range sts {
+		sts[l] = pre.sim
 	}
 	if err := w.LoadStates(sts); err != nil {
 		return err
 	}
 	recs := c.recs[:lanes]
 	a2s := c.a2s[:lanes]
-	a2on := c.a2on[:lanes]
-	for l, g := range groups {
+	for l := range groups {
 		recs[l].Begin(cycles)
-		if c.a2 != nil {
-			a2s[l] = g.snap.a2
-		}
-		a2on[l] = g.snap.a2Enabled && c.a2 != nil
+		a2s[l] = pre.a2
 	}
+	armed := c.a2 != nil && pre.a2On
 	// Per-lane toggle extraction: diff = old^new marks the lanes that
 	// changed; each set bit books the cell's switching charge on that
 	// lane's recorder, in the same order a scalar capture would.
@@ -272,12 +197,9 @@ func (c *Chip) runWide(groups []*batchGroup, key [16]byte, cycles int) error {
 				}
 			}
 		}
-		if c.a2 != nil {
+		if armed {
 			vw := w.NetWord(c.a2Victim)
 			for l := 0; l < lanes; l++ {
-				if !a2on[l] {
-					continue
-				}
 				res := a2s[l].Step(uint8(vw >> uint(l) & 1))
 				if res.Pumped {
 					recs[l].AddFastToggles(c.a2Tile, 1, c.cfg.A2.PumpCharge)
@@ -334,12 +256,11 @@ func (c *Chip) runWide(groups []*batchGroup, key [16]byte, cycles int) error {
 			postA2 = a2s[l]
 		}
 		e := &captureEntry{
-			pre: g.snap.sim,
+			pre: pre.sim,
 			cap: &Capture{
 				Sensor: c.sensor.EMF(currents, dt),
 				Probe:  c.probe.EMF(currents, dt),
 				Dt:     dt,
-				seq:    nextCaptureSeq(),
 			},
 			post: post, postA2: postA2, postHash: post.ValueHash(),
 		}
@@ -350,32 +271,30 @@ func (c *Chip) runWide(groups []*batchGroup, key [16]byte, cycles int) error {
 
 // runScalarBatch is the reference-engine fallback (and the batch
 // layer's semantic ground truth, which the batch tests pin the wide
-// path against): each miss group restores its snapshot and runs a plain
-// scalar capture, after which the chip is rewound to where it was.
-func (c *Chip) runScalarBatch(groups []*batchGroup, key [16]byte, cycles int) error {
-	save := c.Snapshot()
-	defer c.Restore(save)
+// path against): each miss group runs a plain scalar capture from the
+// pre state, and the chip is rewound to it afterwards.
+func (c *Chip) runScalarBatch(groups []*batchGroup, pre state, key [16]byte, cycles int) error {
+	defer c.restore(pre)
 	for _, g := range groups {
-		c.Restore(g.snap)
+		c.restore(pre)
 		cap, err := c.capture(g.pt, key, cycles, false)
 		if err != nil {
 			return err
 		}
-		g.entry = storeCapture(g.ck, c.cacheEntry(g.snap.sim, cap))
+		g.entry = storeCapture(g.ck, c.cacheEntry(pre.sim, cap))
 	}
 	return nil
 }
 
 // cacheEntry turns the scalar capture that just ran from pre into a
-// capture-cache entry: the waveforms without Tiles under a fresh Seq,
-// plus the chip's post-capture state.
+// capture-cache entry: the waveforms without Tiles, plus the chip's
+// post-capture state.
 func (c *Chip) cacheEntry(pre *logic.State, cap *Capture) *captureEntry {
-	post := c.sim.State()
-	postA2, _ := c.a2State()
+	post := c.snapshot()
 	return &captureEntry{
 		pre:  pre,
-		cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, seq: nextCaptureSeq()},
-		post: post, postA2: postA2, postHash: post.ValueHash(),
+		cap:  &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt},
+		post: post.sim, postA2: post.a2, postHash: post.sim.ValueHash(),
 	}
 }
 
@@ -426,13 +345,12 @@ func (c *Chip) chain(pt, key [16]byte, cycles, count int, idle bool) ([]*Capture
 	caps := make([]*Capture, count)
 	var hash uint64
 	for j := range caps {
-		pre := c.sim.State()
+		pre := c.snapshot()
 		if j == 0 {
-			hash = pre.ValueHash()
+			hash = pre.sim.ValueHash()
 		}
-		a2v, a2On := c.a2State()
-		ck := c.captureCacheKey(pt, key, cycles, idle, a2v, a2On, hash)
-		e := lookupCapture(ck, pre)
+		ck := c.captureCacheKey(pt, key, cycles, idle, pre, hash)
+		e := lookupCapture(ck, pre.sim)
 		if e != nil {
 			cyc := c.sim.Cycle()
 			c.sim.SetState(e.post)
@@ -445,7 +363,7 @@ func (c *Chip) chain(pt, key [16]byte, cycles, count int, idle bool) ([]*Capture
 			if err != nil {
 				return nil, err
 			}
-			e = storeCapture(ck, c.cacheEntry(pre, cap))
+			e = storeCapture(ck, c.cacheEntry(pre.sim, cap))
 		}
 		caps[j] = e.cap
 		hash = e.postHash

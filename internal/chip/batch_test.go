@@ -45,97 +45,92 @@ func sameWave(t *testing.T, step string, a, b *Capture) {
 	}
 }
 
-// orbitSnapshots advances the chip through count captures of a fixed
-// plaintext and returns the snapshot before each, giving genuinely
-// distinct per-lane starting states on an active-Trojan chip.
-func orbitSnapshots(t *testing.T, c *Chip, pt []byte, count int) []*Snapshot {
+// orbitStates advances the chip through count captures of a fixed
+// plaintext and calls visit before each, so a test meets genuinely
+// distinct starting states on an active-Trojan chip.
+func orbitStates(t *testing.T, c *Chip, pt []byte, count int, visit func(step int)) {
 	t.Helper()
-	snaps := make([]*Snapshot, count)
-	for i := range snaps {
-		snaps[i] = c.Snapshot()
+	for i := 0; i < count; i++ {
+		visit(i)
 		if _, err := c.CapturePT(pt, testKey, batchCycles); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return snaps
 }
 
 // TestCaptureBatchMatchesScalar pins the wide engine's end-to-end
-// contract: every lane of a batched capture — divergent plaintexts AND
-// divergent starting states, with a digital Trojan and the analog A2
-// running — must be bit-identical to an independent scalar capture from
-// the same snapshot, and the batch must not move the chip.
+// contract: every lane of a batched capture — divergent plaintexts,
+// batched from each of several divergent starting states in turn, with
+// a digital Trojan and the analog A2 running — must be bit-identical to
+// an independent scalar capture from the same state, and the batch
+// must not move the chip.
 func TestCaptureBatchMatchesScalar(t *testing.T) {
 	resetCaptureCache()
 	c := activeClone(t, trojan.T1AMLeaker)
 	c.EnableA2(true)
-	basePT := make([]byte, 16)
-	snaps := orbitSnapshots(t, c, basePT, 5)
+	scalar, err := c.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const lanes = 9
 	pts := make([][]byte, lanes)
-	laneSnaps := make([]*Snapshot, lanes)
 	for i := range pts {
 		pt := make([]byte, 16)
 		pt[0] = byte(37 * i)
 		pt[15] = byte(i)
 		pts[i] = pt
-		laneSnaps[i] = snaps[i%len(snaps)]
 	}
-
-	before := c.Snapshot()
-	caps, err := c.CaptureBatchFrom(laneSnaps, pts, testKey, batchCycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.sim.State().ValuesEqual(before.sim) || *c.a2 != before.a2 {
-		t.Fatal("batched capture moved the chip's state")
-	}
-
-	scalar, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pts {
-		scalar.Restore(laneSnaps[i])
-		want, err := scalar.CapturePT(pts[i], testKey, batchCycles)
+	orbitStates(t, c, make([]byte, 16), 5, func(int) {
+		before := c.snapshot()
+		caps, err := c.CaptureBatch(pts, testKey, batchCycles)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameWave(t, "lane", caps[i], want)
-	}
+		if !c.at(before) {
+			t.Fatal("batched capture moved the chip's state")
+		}
+		for i := range pts {
+			scalar.restore(before)
+			want, err := scalar.CapturePT(pts[i], testKey, batchCycles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameWave(t, "lane", caps[i], want)
+		}
+	})
 }
 
 // TestCaptureBatchLaneCountInvariance pins the determinism contract:
-// the same batch split into 1-, 3- or 64-lane wide runs (partial final
-// chunks included) produces byte-identical captures.
+// the same batch, from each of several starting states in turn, split
+// into 1-, 3- or 64-lane wide runs (partial final chunks included)
+// produces byte-identical captures.
 func TestCaptureBatchLaneCountInvariance(t *testing.T) {
 	c := activeClone(t, trojan.T4PowerHog)
-	snaps := orbitSnapshots(t, c, make([]byte, 16), 4)
 	const n = 7
 	pts := make([][]byte, n)
-	laneSnaps := make([]*Snapshot, n)
 	for i := range pts {
 		pt := make([]byte, 16)
 		pt[3] = byte(11 * i)
 		pts[i] = pt
-		laneSnaps[i] = snaps[i%len(snaps)]
 	}
-	var got [][]*Capture
-	for _, lanes := range []int{64, 3, 1} {
-		resetCaptureCache()
-		restore := SetBatchLanes(lanes)
-		caps, err := c.CaptureBatchFrom(laneSnaps, pts, testKey, batchCycles)
-		restore()
-		if err != nil {
-			t.Fatal(err)
+	orbitStates(t, c, make([]byte, 16), 4, func(int) {
+		var got [][]*Capture
+		for _, lanes := range []int{64, 3, 1} {
+			resetCaptureCache()
+			restore := SetBatchLanes(lanes)
+			caps, err := c.CaptureBatch(pts, testKey, batchCycles)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, caps)
 		}
-		got = append(got, caps)
-	}
-	for i := 0; i < n; i++ {
-		sameWave(t, "lanes=3", got[0][i], got[1][i])
-		sameWave(t, "lanes=1", got[0][i], got[2][i])
-	}
+		for i := 0; i < n; i++ {
+			sameWave(t, "lanes=3", got[0][i], got[1][i])
+			sameWave(t, "lanes=1", got[0][i], got[2][i])
+		}
+	})
 }
 
 // TestCaptureBatchReferenceFallback pins the scalar fallback: a
@@ -183,8 +178,8 @@ func TestCaptureBatchReferenceFallback(t *testing.T) {
 	}
 }
 
-// TestCaptureBatchDedup: lanes with identical (state, plaintext) share
-// one simulation and one result object.
+// TestCaptureBatchDedup: lanes with identical plaintexts share one
+// simulation and one result object.
 func TestCaptureBatchDedup(t *testing.T) {
 	resetCaptureCache()
 	c := activeClone(t, trojan.T1AMLeaker)
@@ -201,9 +196,6 @@ func TestCaptureBatchDedup(t *testing.T) {
 	if caps[0] == caps[1] {
 		t.Fatal("distinct plaintexts returned the same capture")
 	}
-	if caps[0].Seq() == caps[1].Seq() {
-		t.Fatal("distinct captures share a Seq")
-	}
 }
 
 // TestCaptureChainMatchesSerial pins CaptureChain's contract on an
@@ -213,7 +205,7 @@ func TestCaptureBatchDedup(t *testing.T) {
 func TestCaptureChainMatchesSerial(t *testing.T) {
 	resetCaptureCache()
 	c := activeClone(t, trojan.T3CDMALeaker)
-	start := c.Snapshot()
+	start := c.snapshot()
 	pt := make([]byte, 16)
 	pt[5] = 0xa5
 	const count = 5
@@ -222,7 +214,7 @@ func TestCaptureChainMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial.Restore(start)
+	serial.restore(start)
 	want := make([]*Capture, count)
 	for j := range want {
 		cap, err := serial.CapturePT(pt, testKey, batchCycles)
@@ -240,7 +232,7 @@ func TestCaptureChainMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chained.Restore(start)
+	chained.restore(start)
 	got, err := chained.CaptureChain(pt, testKey, batchCycles, count)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +251,7 @@ func TestCaptureChainMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay.Restore(start)
+	replay.restore(start)
 	again, err := replay.CaptureChain(pt, testKey, batchCycles, count)
 	if err != nil {
 		t.Fatal(err)
@@ -281,8 +273,8 @@ func TestCaptureChainMatchesSerial(t *testing.T) {
 
 // TestFixedPointMemo pins the dormant-chip fast path: from the second
 // identical capture on, CapturePT and CaptureIdle return the same
-// stable *Capture while still advancing the cycle counter, and a
-// different stimulus breaks the memo.
+// *Capture, Tiles included, while still advancing the cycle counter,
+// and a different stimulus breaks the replay.
 func TestFixedPointMemo(t *testing.T) {
 	c, err := golden(t).Clone()
 	if err != nil {
@@ -290,7 +282,7 @@ func TestFixedPointMemo(t *testing.T) {
 	}
 	pt := make([]byte, 16)
 	// Capture 1 moves the AES registers off the reset state; capture 2
-	// is the first fixed-point traversal and creates the memo.
+	// is the first fixed-point traversal and fills the slot.
 	if _, err := c.CapturePT(pt, testKey, batchCycles); err != nil {
 		t.Fatal(err)
 	}
@@ -310,16 +302,16 @@ func TestFixedPointMemo(t *testing.T) {
 		t.Fatalf("cycle = %d, want %d", got, cycle+2*batchCycles)
 	}
 	if len(c2.Tiles) == 0 {
-		t.Fatal("memoized capture lost its Tiles")
+		t.Fatal("replayed capture lost its Tiles")
 	}
 	// A replay must match what a fresh simulation of the same capture
-	// produces: clear the memo and re-simulate.
-	c.memoPT = nil
+	// produces: clear the slot and re-simulate.
+	c.fixed = nil
 	fresh, err := c.CapturePT(pt, testKey, batchCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameWave(t, "memo vs fresh", fresh, c2)
+	sameWave(t, "replay vs fresh", fresh, c2)
 
 	other := make([]byte, 16)
 	other[0] = 1
@@ -328,7 +320,7 @@ func TestFixedPointMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c4 == c3 {
-		t.Fatal("different plaintext replayed the memo")
+		t.Fatal("different plaintext replayed the fixed point")
 	}
 
 	if _, err := c.CaptureIdle(batchCycles); err != nil {
@@ -345,12 +337,59 @@ func TestFixedPointMemo(t *testing.T) {
 	if i2 != i3 {
 		t.Fatal("repeated idle captures returned distinct objects")
 	}
-	c.memoIdle = nil
+	c.fixed = nil
 	freshIdle, err := c.CaptureIdle(batchCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameWave(t, "idle memo vs fresh", freshIdle, i2)
+	sameWave(t, "idle replay vs fresh", freshIdle, i2)
+}
+
+// TestFixedPointSlotClearedBySimulation pins the slot's invariant: a
+// replayed capture's Tiles alias the chip's recorder, so no replay may
+// outlive a simulated capture that reuses it. A fixed-point CapturePT,
+// then a CaptureIdle (simulated, on the same recorder), then the same
+// CapturePT must return the Tiles a fresh clone's capture computes.
+func TestFixedPointSlotClearedBySimulation(t *testing.T) {
+	c, err := golden(t).Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := make([]byte, 16)
+	for i := 0; i < 2; i++ { // the second capture is a fixed point
+		if _, err := c.CapturePT(pt, testKey, batchCycles); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.fixed == nil || c.fixed.idle {
+		t.Fatal("fixed-point CapturePT did not fill the slot")
+	}
+	if _, err := c.CaptureIdle(batchCycles); err != nil {
+		t.Fatal(err)
+	}
+	clone, err := c.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clone.CapturePT(pt, testKey, batchCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.CapturePT(pt, testKey, batchCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameWave(t, "after idle", got, want)
+	if len(got.Tiles) == 0 || len(got.Tiles) != len(want.Tiles) {
+		t.Fatalf("Tiles: %d tiles, want %d", len(got.Tiles), len(want.Tiles))
+	}
+	for tile := range want.Tiles {
+		for i, v := range want.Tiles[tile] {
+			if got.Tiles[tile][i] != v {
+				t.Fatalf("tile %d sample %d: %v, fresh clone %v", tile, i, got.Tiles[tile][i], v)
+			}
+		}
+	}
 }
 
 // TestCaptureEdgeCases pins the degenerate-argument contract of every

@@ -191,12 +191,12 @@ func ResetCaptureCache() {
 }
 
 // captureCacheKey assembles the cache key for a capture from this
-// chip's current identity and the given stimulus. simHash must be the
-// ValueHash of the pre-state being keyed.
-func (c *Chip) captureCacheKey(pt, key [16]byte, cycles int, idle bool, a2 analog.A2, a2On bool, simHash uint64) captureKey {
+// chip's identity, the pre state and the given stimulus. simHash must
+// be the ValueHash of pre.sim.
+func (c *Chip) captureCacheKey(pt, key [16]byte, cycles int, idle bool, pre state, simHash uint64) captureKey {
 	return captureKey{
 		n: c.n, cfg: c.cfg,
 		pt: pt, key: key, cycles: cycles, idle: idle,
-		a2: a2, a2On: a2On, simHash: simHash,
+		a2: pre.a2, a2On: pre.a2On, simHash: simHash,
 	}
 }

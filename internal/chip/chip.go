@@ -151,37 +151,33 @@ type Chip struct {
 	wide *logic.WideState
 	recs []*power.Recorder
 	a2s  []analog.A2
-	a2on []bool
 
-	// Fixed-point capture memos: when a capture leaves the chip exactly
-	// where it started (a dormant chip under fixed stimulus), the next
-	// identical capture replays the memo instead of simulating.
-	memoPT   *captureMemo
-	memoIdle *captureMemo
+	// fixed is the fixed-point replay slot: the last simulated scalar
+	// capture that left the chip exactly where it started (a dormant chip
+	// under fixed stimulus). The next identical capture from that state
+	// replays it instead of simulating. Its Tiles alias rec, so capture
+	// clears the slot before the recorder is reused.
+	fixed *fixedPoint
 }
 
-// captureMemo is one memoized fixed-point capture: the pre-state it
-// applies to (which, being a fixed point, is also its post-state), the
-// stimulus, and the stable result with deep-copied Tiles.
-type captureMemo struct {
-	pre     *logic.State
-	a2      analog.A2
-	a2On    bool
+// fixedPoint is one replayable fixed-point capture: the state it starts
+// from (which, being a fixed point, is also its end state), the
+// stimulus, and the result.
+type fixedPoint struct {
+	pre     state
 	pt, key [16]byte
 	cycles  int
+	idle    bool
 	cap     *Capture
 }
 
-// matches reports whether the chip currently sits exactly on the memo's
-// fixed point with the same analog-Trojan state.
-func (m *captureMemo) matches(c *Chip, cycles int) bool {
-	if m == nil || m.cycles != cycles || m.a2On != c.a2Enabled {
-		return false
-	}
-	if c.a2 != nil && *c.a2 != m.a2 {
-		return false
-	}
-	return c.sim.State().ValuesEqual(m.pre)
+// state is the chip's mutable state: simulator net values and cycle
+// counter, the analog Trojan's charge-pump state, and whether it is
+// armed. Couplings, floorplan and netlist are immutable and shared.
+type state struct {
+	sim  *logic.State
+	a2   analog.A2
+	a2On bool
 }
 
 // New builds, places and couples a chip. Builds are memoized
@@ -352,33 +348,33 @@ func (c *Chip) SplitRand(stream, index uint64) *rand.Rand {
 // experiment gets a distinct stream no matter which chip handle runs it.
 func (c *Chip) NextStream() uint64 { return c.streams.Add(1) - 1 }
 
-// Snapshot captures the chip's mutable state: simulator net values and
-// cycle counter, the analog Trojan's charge-pump state, and whether it
-// is armed. Couplings, floorplan and netlist are immutable and shared.
-type Snapshot struct {
-	sim       *logic.State
-	a2        analog.A2
-	a2Enabled bool
-}
-
-// Snapshot returns a copy of the chip's current dynamic state.
-func (c *Chip) Snapshot() *Snapshot {
-	s := &Snapshot{sim: c.sim.State(), a2Enabled: c.a2Enabled}
+// snapshot copies the chip's current mutable state.
+func (c *Chip) snapshot() state {
+	s := state{sim: c.sim.State(), a2On: c.a2Enabled}
 	if c.a2 != nil {
 		s.a2 = *c.a2
 	}
 	return s
 }
 
-// Restore rewinds the chip to a snapshot taken on the same design. It
+// restore rewinds the chip to a snapshot taken on the same design. It
 // does not touch the chip's random stream: state and randomness are
 // deliberately decoupled so replayed captures can draw fresh noise.
-func (c *Chip) Restore(s *Snapshot) {
+func (c *Chip) restore(s state) {
 	c.sim.SetState(s.sim)
 	if c.a2 != nil {
 		*c.a2 = s.a2
 	}
-	c.a2Enabled = s.a2Enabled
+	c.a2Enabled = s.a2On
+}
+
+// at reports whether the chip sits exactly in state s: the same net
+// values and analog-Trojan state (the cycle counter may differ).
+func (c *Chip) at(s state) bool {
+	if c.a2Enabled != s.a2On || (c.a2 != nil && *c.a2 != s.a2) {
+		return false
+	}
+	return c.sim.State().ValuesEqual(s.sim)
 }
 
 // Clone returns an independent chip sharing c's immutable structure
@@ -407,14 +403,12 @@ func (c *Chip) Clone() (*Chip, error) {
 
 // resetPrivate detaches the per-handle lazy machinery after a shallow
 // chip copy: the wide engine wraps the source's simulator, the pooled
-// recorders and memos belong to the source handle.
+// recorders and the fixed-point slot belong to the source handle.
 func (c *Chip) resetPrivate() {
 	c.wide = nil
 	c.recs = nil
 	c.a2s = nil
-	c.a2on = nil
-	c.memoPT = nil
-	c.memoIdle = nil
+	c.fixed = nil
 }
 
 // SetTrojan switches a digital Trojan's external trigger and advances one
@@ -489,9 +483,9 @@ func (c *Chip) Capture(key []byte, cycles int) (*Capture, error) {
 //
 // Fixed-point fast path: when the chip is dormant (no active Trojan
 // state machine evolving), a fixed-stimulus capture returns the chip to
-// exactly its pre-capture state; such a capture is memoized and every
-// later identical capture replays the memo (same *Capture, deep-copied
-// Tiles) while only advancing the cycle counter. Replay is gated on
+// exactly its pre-capture state; the chip keeps the last such capture,
+// and an identical capture from that state replays it (the same
+// *Capture) while only advancing the cycle counter. Replay is gated on
 // exact state equality, so an active Trojan — whose state genuinely
 // evolves — never hits it.
 func (c *Chip) CapturePT(pt, key []byte, cycles int) (*Capture, error) {
@@ -521,24 +515,21 @@ func checkCycles(cycles int) error {
 }
 
 // capture is the scalar capture sequence behind CapturePT and
-// CaptureIdle: replay the matching fixed-point memo, or simulate the
-// window — for an encryption, an idle lead-in cycle, the plaintext, key
-// and start pulse, the load edge, then the remaining cycles — and
-// memoize it when it ends where it started.
+// CaptureIdle: replay the fixed-point slot when it holds this capture
+// from the chip's current state, or simulate the window — for an
+// encryption, an idle lead-in cycle, the plaintext, key and start
+// pulse, the load edge, then the remaining cycles — and keep it in the
+// slot when it ends where it started.
 func (c *Chip) capture(pt, key [16]byte, cycles int, idle bool) (*Capture, error) {
 	if err := checkCycles(cycles); err != nil {
 		return nil, err
 	}
-	memo := &c.memoPT
-	if idle {
-		memo = &c.memoIdle
-	}
-	if m := *memo; m.matches(c, cycles) && pt == m.pt && key == m.key {
+	if f := c.fixed; f != nil && f.pt == pt && f.key == key && f.cycles == cycles && f.idle == idle && c.at(f.pre) {
 		c.sim.SetCycle(c.sim.Cycle() + cycles)
-		return m.cap, nil
+		return f.cap, nil
 	}
-	pre := c.sim.State()
-	preA2, preOn := c.a2State()
+	pre := c.snapshot()
+	c.fixed = nil // its Tiles alias the recorder buffers Begin reuses
 	s := c.sim
 	c.rec.Begin(cycles)
 	// Batched toggle accounting: the engine accumulates toggle events per
@@ -585,45 +576,11 @@ func (c *Chip) capture(pt, key [16]byte, cycles int, idle bool) (*Capture, error
 		Probe:  c.probe.EMF(currents, dt),
 		Dt:     dt,
 		Tiles:  currents,
-		seq:    nextCaptureSeq(),
 	}
-	if m := c.tryMemo(pre, preA2, preOn, cycles, cap); m != nil {
-		m.pt, m.key = pt, key
-		*memo = m
-		return m.cap, nil
+	if c.at(pre) {
+		c.fixed = &fixedPoint{pre: pre, pt: pt, key: key, cycles: cycles, idle: idle, cap: cap}
 	}
 	return cap, nil
-}
-
-// a2State copies the analog Trojan's current state and armed flag.
-func (c *Chip) a2State() (analog.A2, bool) {
-	var a analog.A2
-	if c.a2 != nil {
-		a = *c.a2
-	}
-	return a, c.a2Enabled
-}
-
-// tryMemo builds a fixed-point memo when the capture that just finished
-// left the chip exactly where it started. The memoized capture deep-
-// copies Tiles (the live capture's alias the recorder's reusable
-// buffers) so the memo stays valid across later captures.
-func (c *Chip) tryMemo(pre *logic.State, preA2 analog.A2, preOn bool, cycles int, cap *Capture) *captureMemo {
-	if preOn != c.a2Enabled {
-		return nil
-	}
-	if c.a2 != nil && *c.a2 != preA2 {
-		return nil
-	}
-	if !c.sim.State().ValuesEqual(pre) {
-		return nil
-	}
-	tiles := make([][]float64, len(cap.Tiles))
-	for i, row := range cap.Tiles {
-		tiles[i] = append([]float64(nil), row...)
-	}
-	stable := &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt, Tiles: tiles, seq: cap.seq}
-	return &captureMemo{pre: pre, a2: preA2, a2On: preOn, cycles: cycles, cap: stable}
 }
 
 // tick advances one clock cycle inside a capture: gate-level simulation,
@@ -709,22 +666,12 @@ type Capture struct {
 	Dt     float64
 	// Tiles holds the per-tile supply-current waveforms behind the emf
 	// synthesis, indexed [tile][sample]. The slices alias the
-	// recorder's buffers and are only valid until the next capture on
-	// the same chip; consumers (like the ring-oscillator baseline)
-	// must read them immediately or copy.
+	// recorder's buffers and are only valid until the chip's next
+	// simulated capture — a replayed fixed-point capture's Tiles alias
+	// the recorder too, until then; consumers (like the ring-oscillator
+	// baseline) must read them before that or copy.
 	Tiles [][]float64
-
-	// seq is a process-unique identity for result caching: equal seq
-	// means the same capture result (replays of a memoized or cached
-	// capture return the same *Capture and hence the same seq). Zero on
-	// captures predating the counter (zero-value Captures in tests).
-	seq uint64
 }
-
-// Seq returns the capture's process-unique identity; downstream caches
-// (like the sensor array's EMF synthesis cache) key on it instead of
-// the pointer, which could be reused after garbage collection.
-func (cap *Capture) Seq() uint64 { return cap.seq }
 
 // Channels bundles the two acquisition channels of an experiment. The
 // fields are interfaces so a degradation wrapper (internal/degrade) can

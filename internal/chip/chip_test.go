@@ -374,13 +374,13 @@ func TestNextStreamSharedWithDerivedChips(t *testing.T) {
 
 func TestSnapshotRestoreReplaysCapture(t *testing.T) {
 	c := infected(t)
-	base := c.Snapshot()
+	base := c.snapshot()
 	cap1, err := c.CapturePT(make([]byte, 16), testKey, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := append([]float64(nil), cap1.Sensor...)
-	c.Restore(base)
+	c.restore(base)
 	cap2, err := c.CapturePT(make([]byte, 16), testKey, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -390,13 +390,13 @@ func TestSnapshotRestoreReplaysCapture(t *testing.T) {
 			t.Fatalf("sample %d differs after snapshot/restore replay", i)
 		}
 	}
-	c.Restore(base)
+	c.restore(base)
 }
 
 func TestCloneCapturesIdentically(t *testing.T) {
 	c := infected(t)
-	base := c.Snapshot()
-	defer c.Restore(base)
+	base := c.snapshot()
+	defer c.restore(base)
 	clone, err := c.Clone()
 	if err != nil {
 		t.Fatal(err)
@@ -424,8 +424,8 @@ func TestCloneCapturesIdentically(t *testing.T) {
 
 func TestChannelsAcquireDeterministic(t *testing.T) {
 	c := golden(t)
-	base := c.Snapshot()
-	defer c.Restore(base)
+	base := c.snapshot()
+	defer c.restore(base)
 	cap, err := c.CaptureIdle(16)
 	if err != nil {
 		t.Fatal(err)
@@ -526,10 +526,10 @@ func TestCompiledMatchesReferenceCaptures(t *testing.T) {
 	run("trojan+a2", func(c *Chip) (*Capture, error) { return c.CapturePT(pt, testKey, 16) })
 
 	// Snapshot/restore replay must stay identical across engines too.
-	snapC, snapR := compiled.Snapshot(), reference.Snapshot()
+	snapC, snapR := compiled.snapshot(), reference.snapshot()
 	run("pre-restore", func(c *Chip) (*Capture, error) { return c.CapturePT(pt, testKey, 16) })
-	compiled.Restore(snapC)
-	reference.Restore(snapR)
+	compiled.restore(snapC)
+	reference.restore(snapR)
 	run("post-restore", func(c *Chip) (*Capture, error) { return c.CapturePT(pt, testKey, 16) })
 
 	// Stuck-at mutants rebuild the simulator; the engines must agree there.

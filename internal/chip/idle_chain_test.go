@@ -15,14 +15,14 @@ func TestCaptureIdleChainMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EnableA2(true)
-	start := c.Snapshot()
+	start := c.snapshot()
 	const count = 5
 
 	serial, err := c.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial.Restore(start)
+	serial.restore(start)
 	want := make([]*Capture, count)
 	for j := range want {
 		cap, err := serial.CaptureIdle(batchCycles)
@@ -40,7 +40,7 @@ func TestCaptureIdleChainMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chained.Restore(start)
+	chained.restore(start)
 	got, err := chained.CaptureIdleChain(batchCycles, count)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestCaptureIdleChainMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay.Restore(start)
+	replay.restore(start)
 	again, err := replay.CaptureIdleChain(batchCycles, count)
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +89,8 @@ func TestCaptureIdleChainMatchesSerial(t *testing.T) {
 }
 
 // TestCaptureIdleChainDormant covers the golden chip: idling is a fixed
-// point, so the chain collapses to the memo while still advancing the
-// cycle counter exactly like serial CaptureIdle calls.
+// point, so the chain collapses to at most one simulation while still
+// advancing the cycle counter exactly like serial CaptureIdle calls.
 func TestCaptureIdleChainDormant(t *testing.T) {
 	resetCaptureCache()
 	c, err := golden(t).Clone()

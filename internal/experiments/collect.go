@@ -23,13 +23,15 @@ import (
 //     serial captures sample that state diversity and the n acquisitions
 //     round-robin over them.
 //   - captureRandomSet: for distinct-stimulus sets (random plaintexts).
-//     Every trace starts from the same base snapshot, so the set batches
-//     through the wide engine (chip.CaptureBatchFrom) on worker clones.
+//     Every trace starts from the chip's current state, so the set
+//     batches through the wide engine (chip.CaptureBatch) on worker
+//     clones.
 //
 // All derive per-trace randomness from (cfg.Seed, stream, index) via
-// chip.SplitRand, with one stream id reserved per set, so results are
-// bit-identical for any worker count and schedule, and the chip is left
-// in the same post-set state regardless of schedule.
+// chip.SplitRand, with one stream id reserved per set, and turn their
+// captures into traces through acquireSet, so results are bit-identical
+// for any worker count and schedule, and the chip is left in the same
+// post-set state regardless of schedule.
 
 // dualSet holds matched sensor/probe trace sets from the same captures.
 type dualSet struct {
@@ -99,48 +101,31 @@ func captureSet(c *chip.Chip, cfg Config, ch chip.Channels, n, cycles int) (*dua
 		return nil, err
 	}
 	caps := chain[1:] // chain[0] is the warm-up, discarded
-	sensors := make([]*trace.Trace, n)
-	probes := make([]*trace.Trace, n)
-	err = parallel.For(n, func(i int) error {
-		sensors[i], probes[i] = ch.Acquire(caps[i%k], c.SplitRand(stream, uint64(i)))
-		return nil
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) {
+		return caps[i%k], c.SplitRand(stream, uint64(i))
 	})
-	if err != nil {
-		return nil, err
-	}
-	var out dualSet
-	for i := range sensors {
-		out.Sensor.Add(sensors[i])
-		out.Probe.Add(probes[i])
-	}
-	return &out, nil
 }
 
 // captureRandomSet records n traces of encryptions of random plaintexts
 // (each drawn from the trace's private generator, so the plaintext
 // sequence is reproducible and order-independent). All n encryptions
-// start from the same base snapshot, so they batch through the wide
+// start from the chip's current state, so they batch through the wide
 // engine: workers × lanes, each worker clone fanning up to BatchLanes
-// plaintexts through one bit-parallel simulation. Plaintexts are drawn
-// from each trace's generator before its acquisition noise, exactly as
-// the old one-capture-per-trace loop did, so the output is byte-
-// identical at any worker or lane count.
+// plaintexts through one bit-parallel simulation, which leaves the chip
+// where it was. Plaintexts are drawn from each trace's generator before
+// its acquisition noise, exactly as the old one-capture-per-trace loop
+// did, so the output is byte-identical at any worker or lane count.
 func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, n, cycles int) (*dualSet, error) {
 	if n <= 0 {
 		return &dualSet{}, nil
 	}
 	stream := c.NextStream()
-	base := c.Snapshot()
-	defer c.Restore(base)
 	rngs := make([]*rand.Rand, n)
 	pts := make([][]byte, n)
-	snaps := make([]*chip.Snapshot, n)
 	for i := range rngs {
 		rngs[i] = c.SplitRand(stream, uint64(i))
-		pt := make([]byte, 16)
-		rngs[i].Read(pt)
-		pts[i] = pt
-		snaps[i] = base
+		pts[i] = make([]byte, 16)
+		rngs[i].Read(pts[i])
 	}
 	lanes := chip.BatchLanes()
 	chunks := (n + lanes - 1) / lanes
@@ -154,11 +139,8 @@ func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, n, cycles int)
 		},
 		func(w *chip.Chip, chunk int) error {
 			lo := chunk * lanes
-			hi := lo + lanes
-			if hi > n {
-				hi = n
-			}
-			got, err := w.CaptureBatchFrom(snaps[lo:hi], pts[lo:hi], key, cycles)
+			hi := min(lo+lanes, n)
+			got, err := w.CaptureBatch(pts[lo:hi], key, cycles)
 			if err != nil {
 				return err
 			}
@@ -168,21 +150,7 @@ func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, n, cycles int)
 	if err != nil {
 		return nil, err
 	}
-	sensors := make([]*trace.Trace, n)
-	probes := make([]*trace.Trace, n)
-	err = parallel.For(n, func(i int) error {
-		sensors[i], probes[i] = ch.Acquire(caps[i], rngs[i])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out dualSet
-	for i := range sensors {
-		out.Sensor.Add(sensors[i])
-		out.Probe.Add(probes[i])
-	}
-	return &out, nil
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) { return caps[i], rngs[i] })
 }
 
 // idleTraces records n dual-channel traces with no encryption running
@@ -202,21 +170,26 @@ func idleTraces(c *chip.Chip, ch chip.Channels, n, cycles int) (*dualSet, error)
 		return nil, err
 	}
 	cap := chain[1] // chain[0] is the warm-up, discarded
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) {
+		return cap, c.SplitRand(stream, uint64(i))
+	})
+}
+
+// acquireSet turns n clean captures into matched sensor/probe trace
+// sets: at(i) returns trace i's capture and its private generator. The
+// acquisitions fan out over the worker pool and each writes only its
+// own index, so the sets are identical at any worker count.
+func acquireSet(ch chip.Channels, n int, at func(i int) (*chip.Capture, *rand.Rand)) (*dualSet, error) {
 	sensors := make([]*trace.Trace, n)
 	probes := make([]*trace.Trace, n)
-	err = parallel.For(n, func(i int) error {
-		sensors[i], probes[i] = ch.Acquire(cap, c.SplitRand(stream, uint64(i)))
+	err := parallel.For(n, func(i int) error {
+		sensors[i], probes[i] = ch.Acquire(at(i))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out dualSet
-	for i := range sensors {
-		out.Sensor.Add(sensors[i])
-		out.Probe.Add(probes[i])
-	}
-	return &out, nil
+	return &dualSet{Sensor: trace.Set{Traces: sensors}, Probe: trace.Set{Traces: probes}}, nil
 }
 
 // infectedChip builds the chip carrying all Trojans, with everything

@@ -56,16 +56,10 @@ func newAggregator(cfg Config, dies []*Die) *aggregator {
 	}
 }
 
-// ingest folds one verdict in. Called only from the aggregator
-// goroutine; the mutex protects concurrent Status/Alarms readers.
-func (a *aggregator) ingest(v verdict) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ingestLocked(v)
-}
-
 // ingestBatch folds a drained queue batch in under one lock
 // acquisition — the aggregator-side half of the batched delivery path.
+// Called only from the aggregator goroutine; the mutex protects
+// concurrent Status/Alarms readers.
 func (a *aggregator) ingestBatch(vs []verdict) {
 	if len(vs) == 0 {
 		return

@@ -64,29 +64,11 @@ func (r *ring) pushBatch(vs []verdict) (shed int) {
 	return shed
 }
 
-// pop blocks until an element is available or the ring is closed and
-// drained; ok is false only in the latter case. A closed ring still
-// hands out its remaining elements — close-then-drain is the graceful
-// shutdown path.
-func (r *ring) pop() (verdict, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.n == 0 && !r.closed {
-		r.nonEmpty.Wait()
-	}
-	if r.n == 0 {
-		return verdict{}, false
-	}
-	v := r.buf[r.head]
-	r.buf[r.head] = verdict{} // drop references for the GC
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return v, true
-}
-
-// popBatch blocks like pop until something is available, then drains
-// up to len(buf) elements in one lock acquisition and returns how many
-// it wrote. Zero only when the ring is closed and drained.
+// popBatch blocks until an element is available or the ring is closed
+// and drained, then drains up to len(buf) elements in one lock
+// acquisition and returns how many it wrote. Zero only when the ring is
+// closed and drained: a closed ring still hands out its remaining
+// elements — close-then-drain is the graceful shutdown path.
 func (r *ring) popBatch(buf []verdict) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -17,11 +17,9 @@ func TestRingFIFOAndDropOldest(t *testing.T) {
 	if _, _, dropped := r.stats(); dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
 	}
-	for want := 2; want <= 4; want++ {
-		v, ok := r.pop()
-		if !ok || v.die != want {
-			t.Fatalf("pop = (%v, %v), want die %d", v.die, ok, want)
-		}
+	buf := make([]verdict, 4)
+	if n := r.popBatch(buf); n != 3 || buf[0].die != 2 || buf[1].die != 3 || buf[2].die != 4 {
+		t.Fatalf("popBatch = %d %v, want dies 2, 3, 4", n, buf[:n])
 	}
 }
 
@@ -30,15 +28,15 @@ func TestRingCloseDrains(t *testing.T) {
 	r.pushBatch([]verdict{{die: 1}, {die: 2}})
 	r.close()
 	// A closed ring still hands out its backlog...
-	if v, ok := r.pop(); !ok || v.die != 1 {
-		t.Fatalf("pop after close = (%v, %v)", v.die, ok)
-	}
-	if v, ok := r.pop(); !ok || v.die != 2 {
-		t.Fatalf("pop after close = (%v, %v)", v.die, ok)
+	buf := make([]verdict, 1)
+	for want := 1; want <= 2; want++ {
+		if n := r.popBatch(buf); n != 1 || buf[0].die != want {
+			t.Fatalf("popBatch after close = %d %v, want die %d", n, buf[:n], want)
+		}
 	}
 	// ...then reports exhaustion instead of blocking.
-	if _, ok := r.pop(); ok {
-		t.Fatal("pop on drained closed ring reported ok")
+	if n := r.popBatch(buf); n != 0 {
+		t.Fatalf("popBatch on drained closed ring = %d, want 0", n)
 	}
 	// Pushes after close are shed and counted, not leaked.
 	if shed := r.pushBatch([]verdict{{die: 3}}); shed != 1 {
@@ -58,13 +56,12 @@ func TestRingCapacityClamp(t *testing.T) {
 
 func TestRingUnblocksConsumerOnClose(t *testing.T) {
 	r := newRing(2)
-	done := make(chan bool)
+	done := make(chan int)
 	go func() {
-		_, ok := r.pop()
-		done <- ok
+		done <- r.popBatch(make([]verdict, 2))
 	}()
 	r.close()
-	if ok := <-done; ok {
-		t.Fatal("blocked pop returned ok after close of empty ring")
+	if n := <-done; n != 0 {
+		t.Fatalf("blocked popBatch returned %d after close of empty ring", n)
 	}
 }

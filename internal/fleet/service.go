@@ -187,25 +187,20 @@ func (s *Service) Start(ctx context.Context) error {
 	})
 	s.spawn(func() {
 		defer close(s.done)
-		if h := s.hooks.stallAggregator; h != nil {
-			// Chaos path: the stall hook wants per-verdict granularity so
-			// the queue saturates deterministically.
-			for {
-				v, ok := s.queue.pop()
-				if !ok {
-					return
-				}
-				if d := h(s.agg.processedApprox()); d > 0 {
-					time.Sleep(d)
-				}
-				s.agg.ingest(v)
-			}
-		}
 		buf := make([]verdict, aggBatch)
+		stall := s.hooks.stallAggregator
+		if stall != nil {
+			// Chaos path: the stall hook paces one verdict at a time so
+			// the queue saturates deterministically.
+			buf = buf[:1]
+		}
 		for {
 			n := s.queue.popBatch(buf)
 			if n == 0 {
 				return
+			}
+			if stall != nil {
+				time.Sleep(stall(s.agg.processedApprox()))
 			}
 			s.agg.ingestBatch(buf[:n])
 		}

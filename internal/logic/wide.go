@@ -89,15 +89,12 @@ type WideState struct {
 
 	cycle int
 
-	// OnWideToggle, when non-nil, receives every cell-output toggle as
-	// (cell, diff, nv): diff has a bit set for each lane that changed,
-	// nv is the new lane word. Lane l's scalar-equivalent event is
-	// (cell, nv>>l&1) for each set bit l of diff, and callbacks arrive
-	// in the scalar toggle order of every lane simultaneously. While
-	// set, per-lane event buffers are not filled.
+	// OnWideToggle receives every cell-output toggle as (cell, diff,
+	// nv): diff has a bit set for each lane that changed, nv is the new
+	// lane word. Lane l's scalar-equivalent event is (cell, nv>>l&1) for
+	// each set bit l of diff, and callbacks arrive in the scalar toggle
+	// order of every lane simultaneously. Nil drops the toggles.
 	OnWideToggle func(cell int32, diff, nv uint64)
-
-	events [MaxLanes][]ToggleEvent
 }
 
 // Wide creates a bit-parallel lane engine over the simulator's compiled
@@ -123,8 +120,8 @@ func (s *Simulator) Wide() (*WideState, error) {
 
 // LoadStates loads one scalar snapshot per lane (1 to MaxLanes lanes)
 // and schedules a full first settle, exactly like restoring a snapshot
-// into a scalar simulator. Pending per-lane toggle buffers are
-// discarded and the cycle counter restarts at the first lane's.
+// into a scalar simulator. The cycle counter restarts at the first
+// lane's.
 func (w *WideState) LoadStates(sts []*State) error {
 	if len(sts) == 0 || len(sts) > MaxLanes {
 		return fmt.Errorf("logic: wide load of %d lanes (want 1..%d)", len(sts), MaxLanes)
@@ -155,7 +152,6 @@ func (w *WideState) LoadStates(sts []*State) error {
 	}
 	w.markAll()
 	w.cycle = sts[0].cycle
-	w.ResetToggles()
 	return nil
 }
 
@@ -168,13 +164,6 @@ func (w *WideState) LaneState(lane int) *State {
 		v[i] = uint8(word >> uint(lane) & 1)
 	}
 	return &State{values: v, cycle: w.cycle}
-}
-
-// ResetToggles clears every lane's accumulated toggle buffer.
-func (w *WideState) ResetToggles() {
-	for l := range w.events {
-		w.events[l] = w.events[l][:0]
-	}
 }
 
 func (w *WideState) markAll() {
@@ -314,12 +303,6 @@ func (w *WideState) SetPortLanesBits(name string, laneBits [][]uint8) error {
 func (w *WideState) emit(cell int32, diff, nv uint64) {
 	if w.OnWideToggle != nil {
 		w.OnWideToggle(cell, diff, nv)
-		return
-	}
-	for diff != 0 {
-		l := bits.TrailingZeros64(diff)
-		diff &= diff - 1
-		w.events[l] = append(w.events[l], ToggleEvent(cell)<<1|ToggleEvent(nv>>uint(l)&1))
 	}
 }
 

@@ -3,6 +3,7 @@ package logic
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -11,12 +12,6 @@ import (
 
 // Cycle returns the number of Tick calls since the last LoadStates.
 func (w *WideState) Cycle() int { return w.cycle }
-
-// LaneToggles returns the toggle events accumulated for one lane since
-// the last ResetToggles/LoadStates, in scalar occurrence order. The
-// slice aliases the internal buffer; it is valid until the buffers are
-// reset. Empty while OnWideToggle is installed.
-func (w *WideState) LaneToggles(lane int) []ToggleEvent { return w.events[lane] }
 
 // SetPortLaneUint drives up to 64 bits of a named input port on a
 // single lane, leaving the other lanes' values unchanged.
@@ -39,14 +34,16 @@ func (w *WideState) SetPortLaneUint(name string, lane int, v uint64) error {
 // wideHarness runs one WideState against per-lane scalar pairs — a
 // reference-engine and a compiled simulator per lane — so every check
 // is a three-way differential: wide vs compiled vs reference, per lane,
-// including toggle streams in order.
+// including toggle streams in order. The wide engine's toggles reach
+// wideLog through OnWideToggle, split into per-lane scalar events.
 type wideHarness struct {
-	n      *netlist.Netlist
-	lanes  int
-	ref    []*Simulator
-	cmp    []*Simulator
-	refLog [][]toggleRec
-	w      *WideState
+	n       *netlist.Netlist
+	lanes   int
+	ref     []*Simulator
+	cmp     []*Simulator
+	refLog  [][]toggleRec
+	wideLog [][]ToggleEvent
+	w       *WideState
 }
 
 func newWideHarness(t testing.TB, n *netlist.Netlist, lanes int) *wideHarness {
@@ -66,7 +63,14 @@ func newWideHarness(t testing.TB, n *netlist.Netlist, lanes int) *wideHarness {
 	if err := w.LoadStates(sts); err != nil {
 		t.Fatalf("LoadStates: %v", err)
 	}
-	h := &wideHarness{n: n, lanes: lanes, w: w, refLog: make([][]toggleRec, lanes)}
+	h := &wideHarness{n: n, lanes: lanes, w: w, refLog: make([][]toggleRec, lanes), wideLog: make([][]ToggleEvent, lanes)}
+	w.OnWideToggle = func(cell int32, diff, nv uint64) {
+		for diff != 0 {
+			l := bits.TrailingZeros64(diff)
+			diff &= diff - 1
+			h.wideLog[l] = append(h.wideLog[l], ToggleEvent(cell)<<1|ToggleEvent(nv>>uint(l)&1))
+		}
+	}
 	for l := 0; l < lanes; l++ {
 		ref, err := New(n, WithReferenceEngine())
 		if err != nil {
@@ -103,7 +107,7 @@ func (h *wideHarness) check(t testing.TB, step string) {
 			t.Fatalf("%s: lane word has bits above the %d-lane mask: %#x", step, h.lanes, hi)
 		}
 		evC := h.cmp[l].TakeToggles()
-		evW := h.w.LaneToggles(l)
+		evW := h.wideLog[l]
 		if len(evC) != len(evW) || len(evC) != len(h.refLog[l]) {
 			t.Fatalf("%s: lane %d: %d wide toggles vs %d compiled vs %d reference",
 				step, l, len(evW), len(evC), len(h.refLog[l]))
@@ -121,8 +125,8 @@ func (h *wideHarness) check(t testing.TB, step string) {
 				step, l, h.ref[l].Cycle(), h.cmp[l].Cycle(), h.w.Cycle())
 		}
 		h.refLog[l] = h.refLog[l][:0]
+		h.wideLog[l] = h.wideLog[l][:0]
 	}
-	h.w.ResetToggles()
 }
 
 func (h *wideHarness) settleAll() {
@@ -275,11 +279,11 @@ func TestWideZeroActivityLanes(t *testing.T) {
 	}
 	h.settleAll()
 	for l := 0; l < MaxLanes; l++ {
-		if l != active && len(h.w.LaneToggles(l)) != 0 {
-			t.Fatalf("inactive lane %d reported %d toggles", l, len(h.w.LaneToggles(l)))
+		if l != active && len(h.wideLog[l]) != 0 {
+			t.Fatalf("inactive lane %d reported %d toggles", l, len(h.wideLog[l]))
 		}
 	}
-	if len(h.w.LaneToggles(active)) == 0 {
+	if len(h.wideLog[active]) == 0 {
 		t.Fatal("active lane reported no toggles")
 	}
 	h.check(t, "single-lane settle")
@@ -307,7 +311,7 @@ func TestWideAllLanesToggle(t *testing.T) {
 	}
 	h.tickAll()
 	for l := 0; l < MaxLanes; l++ {
-		if len(h.w.LaneToggles(l)) == 0 {
+		if len(h.wideLog[l]) == 0 {
 			t.Fatalf("lane %d missed the all-lane flip-flop toggle", l)
 		}
 	}

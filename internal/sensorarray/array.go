@@ -78,17 +78,14 @@ type Array struct {
 	Coils     []*emfield.Coil
 	Couplings []*emfield.Coupling
 
-	// emfMu guards emfCache: per-capture-identity coil emf waveforms,
-	// keyed by Capture.Seq. Replayed captures (the chip memoizes
-	// fixed-point windows, so a dormant chip hands every mux window the
-	// same capture) skip the per-coil emf synthesis entirely. Synthesis
-	// is pure, so caching cannot change results.
-	emfMu    sync.Mutex
-	emfCache map[uint64][][]float64
+	// emfMu guards the emf slot: the per-coil emf waveforms (emfs) of
+	// the last capture scanned (emfCap). A replayed capture skips the
+	// per-coil synthesis of the coils already synthesized for it (see
+	// windowEMFs). Synthesis is pure, so the slot cannot change results.
+	emfMu  sync.Mutex
+	emfCap *chip.Capture
+	emfs   [][]float64
 }
-
-// maxEMFCaptures bounds the emf cache; eviction is a wholesale drop.
-const maxEMFCaptures = 64
 
 // New builds the array coils over the floorplan and precomputes their
 // couplings. Coupling computation fans out over tiles through

@@ -200,3 +200,99 @@ func TestScanFrameWorkerIndependence(t *testing.T) {
 		t.Errorf("unexpected window assignment: %v", serial.Window)
 	}
 }
+
+// TestScanFrameEMFSlot pins the array's emf reuse: a CaptureFunc that
+// hands every window of two frames one chip *Capture scans exactly like
+// one that hands each window its own deep copy (no reuse possible), and
+// switching to a different capture re-synthesizes every coil.
+func TestScanFrameEMFSlot(t *testing.T) {
+	cfg := chip.DefaultConfig()
+	cfg.WithTrojans = false
+	cfg.WithA2 = false
+	c, err := chip.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := make([]byte, 16)
+	key := make([]byte, 16)
+	enc, err := c.CapturePT(pt, key, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc = deepCopy(enc) // the next capture reuses the recorder
+	idle, err := c.CaptureIdle(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acfg := ConfigFor(cfg, 2)
+	acfg.Channels = 2 // two mux windows per frame
+	a, err := New(c.Floorplan(), acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// scan runs two frames on a fresh chip handle, so every call draws
+	// the same acquisition streams.
+	scan := func(a *Array, capture CaptureFunc) []*Frame {
+		t.Helper()
+		sc, err := chip.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames []*Frame
+		for i := 0; i < 2; i++ {
+			f, err := a.ScanFrame(sc, DefaultChannel(), capture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, f)
+		}
+		return frames
+	}
+	same := func(step string, got, want []*Frame) {
+		t.Helper()
+		for i := range want {
+			for k, tr := range want[i].Traces {
+				for j, v := range tr.Samples {
+					if got[i].Traces[k].Samples[j] != v {
+						t.Fatalf("%s: frame %d coil %d sample %d: %g, want %g", step, i, k, j, got[i].Traces[k].Samples[j], v)
+					}
+				}
+			}
+		}
+	}
+	// copies scans a fresh array with a deep copy of cap per window.
+	copies := func(cap *chip.Capture) []*Frame {
+		fresh, err := New(c.Floorplan(), acfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scan(fresh, func(int) (*chip.Capture, error) { return deepCopy(cap), nil })
+	}
+
+	same("shared capture", scan(a, func(int) (*chip.Capture, error) { return idle, nil }), copies(idle))
+	if a.emfCap != idle {
+		t.Fatal("emf slot does not hold the scanned capture")
+	}
+	old := append([][]float64(nil), a.emfs...)
+	same("switched capture", scan(a, func(int) (*chip.Capture, error) { return enc, nil }), copies(enc))
+	for k, emf := range a.emfs {
+		if emf == nil || &emf[0] == &old[k][0] {
+			t.Fatalf("coil %d was not re-synthesized for the new capture", k)
+		}
+	}
+}
+
+// deepCopy returns a capture whose waveforms share no memory with cap.
+func deepCopy(cap *chip.Capture) *chip.Capture {
+	out := &chip.Capture{
+		Sensor: append([]float64(nil), cap.Sensor...),
+		Probe:  append([]float64(nil), cap.Probe...),
+		Dt:     cap.Dt,
+		Tiles:  make([][]float64, len(cap.Tiles)),
+	}
+	for i, w := range cap.Tiles {
+		out.Tiles[i] = append([]float64(nil), w...)
+	}
+	return out
+}

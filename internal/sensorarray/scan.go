@@ -109,44 +109,28 @@ func (a *Array) ScanFrame(c *chip.Chip, ch trace.Channel, capture CaptureFunc) (
 	return f, nil
 }
 
-// windowEMFs synthesizes (or replays from the per-array cache) the emf
-// waveform of each listed coil for one capture. The capture is keyed by
-// its process-unique Seq — equal Seq means the same waveforms, so
-// re-presenting a replayed capture (the chip's fixed-point memo) skips
-// the synthesis. A zero Seq (hand-built captures) bypasses the cache.
-// Cache access is mutex-guarded; the parallel fan-out writes only a
-// window-local slice, so concurrent frames on one array stay race-free.
+// windowEMFs synthesizes (or reuses from the array's emf slot) the emf
+// waveform of each listed coil for one capture. The slot holds the
+// per-coil waveforms of the last capture scanned: a dormant chip hands
+// every mux window its replayed fixed-point capture, the same *Capture,
+// so later windows skip the synthesis. Holding that pointer keeps its
+// memory from being reused by another capture. Slot access is
+// mutex-guarded; the parallel fan-out writes only a window-local slice,
+// so concurrent frames on one array stay race-free.
 func (a *Array) windowEMFs(cap *chip.Capture, coils []int) ([][]float64, error) {
+	a.emfMu.Lock()
+	if a.emfCap != cap {
+		a.emfCap, a.emfs = cap, make([][]float64, a.NumCoils())
+	}
+	slot := a.emfs
 	emfs := make([][]float64, len(coils))
-	seq := cap.Seq()
-	var entry [][]float64
-	missing := make([]int, 0, len(coils))
-	if seq != 0 {
-		a.emfMu.Lock()
-		if a.emfCache == nil {
-			a.emfCache = make(map[uint64][][]float64)
-		}
-		entry = a.emfCache[seq]
-		if entry == nil {
-			if len(a.emfCache) >= maxEMFCaptures {
-				a.emfCache = make(map[uint64][][]float64)
-			}
-			entry = make([][]float64, a.NumCoils())
-			a.emfCache[seq] = entry
-		}
-		for i, cell := range coils {
-			if entry[cell] != nil {
-				emfs[i] = entry[cell]
-			} else {
-				missing = append(missing, i)
-			}
-		}
-		a.emfMu.Unlock()
-	} else {
-		for i := range coils {
+	var missing []int
+	for i, cell := range coils {
+		if emfs[i] = slot[cell]; emfs[i] == nil {
 			missing = append(missing, i)
 		}
 	}
+	a.emfMu.Unlock()
 	err := parallel.For(len(missing), func(j int) error {
 		i := missing[j]
 		emfs[i] = a.Couplings[coils[i]].EMF(cap.Tiles, cap.Dt)
@@ -155,15 +139,13 @@ func (a *Array) windowEMFs(cap *chip.Capture, coils []int) ([][]float64, error) 
 	if err != nil {
 		return nil, err
 	}
-	if seq != 0 && len(missing) > 0 {
-		a.emfMu.Lock()
-		for _, i := range missing {
-			if entry[coils[i]] == nil {
-				entry[coils[i]] = emfs[i]
-			}
+	a.emfMu.Lock()
+	for _, i := range missing {
+		if slot[coils[i]] == nil {
+			slot[coils[i]] = emfs[i]
 		}
-		a.emfMu.Unlock()
 	}
+	a.emfMu.Unlock()
 	return emfs, nil
 }
 

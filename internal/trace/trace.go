@@ -223,6 +223,3 @@ func quantize(x []float64, bits int, fullScale float64) {
 type Set struct {
 	Traces []*Trace
 }
-
-// Add appends a trace.
-func (s *Set) Add(t *Trace) { s.Traces = append(s.Traces, t) }
