@@ -13,6 +13,7 @@ import (
 	mathbits "math/bits"
 	"math/rand"
 	"testing"
+	"time"
 
 	"emtrust/internal/aes"
 	"emtrust/internal/campaign"
@@ -512,8 +513,11 @@ func BenchmarkArrayCapture(b *testing.B) {
 	b.ReportMetric(float64(arr.NumCoils()*b.N)/b.Elapsed().Seconds(), "coils_per_s")
 }
 
-// BenchmarkCleanCapture measures one 32-cycle fixed-stimulus capture on
-// a prebuilt chip — the unit of work the capture engine shards.
+// BenchmarkCleanCapture times repeated 32-cycle fixed-stimulus captures
+// on a prebuilt dormant chip. From the second iteration on the chip sits
+// at the capture's fixed point, so the chip replays its fixed-point slot
+// instead of simulating: this is the cost of a replayed capture, not of
+// a simulated one (BenchmarkBatchLane times simulation).
 func BenchmarkCleanCapture(b *testing.B) {
 	cfg := benchConfig()
 	c, err := chip.New(cfg.Chip)
@@ -525,6 +529,67 @@ func BenchmarkCleanCapture(b *testing.B) {
 		if _, err := c.CapturePT(cfg.Plaintext, cfg.Key, cfg.CaptureCycles); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBatchLane times simulated captures at 16, 32 and 512 cycles:
+// one CaptureBatch of BatchLanes random plaintexts, then a ResetState and
+// scalar CapturePT for each of the first batchLaneScalars of them, all
+// from the reset state of the dormant chip with the capture cache
+// emptied, so every lane and every scalar capture simulates. It reports
+// the cost per batched lane, per scalar ResetState+CapturePT and their
+// ratio, and the ResetState share of the scalar cost.
+func BenchmarkBatchLane(b *testing.B) {
+	const batchLaneScalars = 8
+	cfg := benchConfig()
+	c, err := chip.New(cfg.Chip)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.DeactivateAll(); err != nil {
+		b.Fatal(err)
+	}
+	c.EnableA2(false)
+	rng := rand.New(rand.NewSource(1))
+	pts := make([][]byte, chip.BatchLanes())
+	for i := range pts {
+		pts[i] = make([]byte, 16)
+	}
+	if _, err := c.CaptureBatch(pts, cfg.Key, 16); err != nil { // builds the wide engine
+		b.Fatal(err)
+	}
+	for _, cycles := range []int{16, 32, 512} {
+		b.Run(fmt.Sprintf("cycles=%d", cycles), func(b *testing.B) {
+			var laneNS, scalarNS, resetNS time.Duration
+			for i := 0; i < b.N; i++ {
+				for _, pt := range pts {
+					rng.Read(pt)
+				}
+				chip.ResetCaptureCache()
+				c.ResetState()
+				start := time.Now()
+				if _, err := c.CaptureBatch(pts, cfg.Key, cycles); err != nil {
+					b.Fatal(err)
+				}
+				laneNS += time.Since(start)
+				start = time.Now()
+				for _, pt := range pts[:batchLaneScalars] {
+					t := time.Now()
+					c.ResetState()
+					resetNS += time.Since(t)
+					if _, err := c.CapturePT(pt, cfg.Key, cycles); err != nil {
+						b.Fatal(err)
+					}
+				}
+				scalarNS += time.Since(start)
+			}
+			lane := laneNS.Seconds() * 1e6 / float64(b.N*len(pts))
+			scalar := scalarNS.Seconds() * 1e6 / float64(b.N*batchLaneScalars)
+			b.ReportMetric(lane, "lane_us")
+			b.ReportMetric(scalar, "scalar_us")
+			b.ReportMetric(resetNS.Seconds()*1e6/float64(b.N*batchLaneScalars), "reset_us")
+			b.ReportMetric(lane/scalar, "lane/scalar")
+		})
 	}
 }
 

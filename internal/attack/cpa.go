@@ -88,8 +88,12 @@ func hypothesis(model string, p, k byte) float64 {
 }
 
 // Run collects traces from the chip (which must be Trojan-free and use a
-// fixed key) and mounts the CPA. The chip's state is reset before every
-// capture so the load-edge Hamming model holds.
+// fixed key) and mounts the CPA. Every trace is captured from the chip's
+// reset state so the load-edge Hamming model holds: Run draws all the
+// plaintexts from rng, resets the chip once, captures them in batches of
+// chip.BatchLanes from that state and acquires the traces in order, so
+// the chip's noise stream is drawn exactly as by one reset and capture
+// per trace. The chip ends in the reset state.
 func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *rand.Rand) (*Result, error) {
 	if len(key) != 16 {
 		return nil, fmt.Errorf("attack: need a 16-byte key")
@@ -105,24 +109,28 @@ func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *rand.Rand) (*Result, erro
 	w := cfg.WindowEnd - cfg.WindowStart
 	n := cfg.Traces
 	pts := make([][]byte, n)
+	for t := range pts {
+		pts[t] = make([]byte, 16)
+		rng.Read(pts[t])
+	}
+	c.ResetState()
 	samples := make([][]float64, n) // [trace][windowSample]
-	for t := 0; t < n; t++ {
-		pt := make([]byte, 16)
-		rng.Read(pt)
-		pts[t] = pt
-		c.ResetState()
-		cap, err := c.CapturePT(pt, key, cfg.Cycles)
+	lanes := chip.BatchLanes()
+	for lo := 0; lo < n; lo += lanes {
+		caps, err := c.CaptureBatch(pts[lo:min(lo+lanes, n)], key, cfg.Cycles)
 		if err != nil {
 			return nil, err
 		}
-		s, _ := c.Acquire(cap, rx)
-		if cfg.WindowEnd > len(s.Samples) {
-			return nil, fmt.Errorf("attack: window [%d,%d) exceeds trace of %d samples",
-				cfg.WindowStart, cfg.WindowEnd, len(s.Samples))
+		for i, cap := range caps {
+			s, _ := c.Acquire(cap, rx)
+			if cfg.WindowEnd > len(s.Samples) {
+				return nil, fmt.Errorf("attack: window [%d,%d) exceeds trace of %d samples",
+					cfg.WindowStart, cfg.WindowEnd, len(s.Samples))
+			}
+			row := make([]float64, w)
+			copy(row, s.Samples[cfg.WindowStart:cfg.WindowEnd])
+			samples[lo+i] = row
 		}
-		row := make([]float64, w)
-		copy(row, s.Samples[cfg.WindowStart:cfg.WindowEnd])
-		samples[t] = row
 	}
 
 	// Per-sample means and standard deviations, shared by every

@@ -7,6 +7,7 @@ import (
 
 	"emtrust/internal/aes"
 	"emtrust/internal/analog"
+	"emtrust/internal/emfield"
 	"emtrust/internal/logic"
 	"emtrust/internal/power"
 	"emtrust/internal/trojan"
@@ -16,17 +17,20 @@ import (
 // current state run through one bit-parallel wide simulation instead of
 // N scalar ones. The pipeline deduplicates identical plaintexts, replays
 // lanes the process-wide capture cache has seen before, and simulates
-// only the remainder, one uint64 word per net, with per-lane toggle
-// extraction feeding per-lane power recorders so every lane's waveform
-// is bit-identical to an independent scalar capture (pinned by the
-// batch and determinism tests at every worker/lane count).
+// only the remainder, one uint64 word per net. Per-lane toggle
+// extraction books each toggle word on flux-mode lane recorders that
+// share the chip recorder's charge tables, and each lane streams its
+// per-tile currents straight into sensor and probe flux cycle by cycle,
+// so every lane's emf is bit-identical to an independent scalar capture
+// (pinned by the batch and determinism tests at every worker/lane
+// count).
 //
 // Batch captures are side-effect-free on the chip: the wide engine is
 // separate simulation state, so the chip's own simulator, recorder and
 // analog Trojan stay where they were. Returned captures carry no Tiles
-// (per-tile current waveforms) — lanes share pooled recorder buffers
-// and cached captures have none to give; consumers that need Tiles use
-// the scalar CapturePT/CaptureIdle.
+// (per-tile current waveforms): lanes never build them and cached
+// captures have none to give; consumers that need Tiles use the scalar
+// CapturePT/CaptureIdle.
 
 // batchLanes caps how many lanes one wide simulation carries; 0 (the
 // default) means logic.MaxLanes.
@@ -119,10 +123,9 @@ func (c *Chip) CaptureBatch(pts [][]byte, key []byte, cycles int) ([]*Capture, e
 }
 
 // ensureWide lazily builds the chip's wide engine and grows the pooled
-// per-lane recorders and analog-Trojan scratch to the given lane count.
-// Pooled recorders are built from the same configuration and floorplan
-// as the chip's own, so their per-cell charge tables are identical and
-// lane waveforms match scalar captures bit for bit.
+// flux-mode lane recorders and analog-Trojan scratch to the given lane
+// count. The lanes share the chip recorder's per-cell charge and tile
+// tables, so they book exactly the charges a scalar capture does.
 func (c *Chip) ensureWide(lanes int) error {
 	if c.wide == nil {
 		w, err := c.sim.Wide()
@@ -132,11 +135,7 @@ func (c *Chip) ensureWide(lanes int) error {
 		c.wide = w
 	}
 	for len(c.recs) < lanes {
-		r, err := power.NewRecorder(c.cfg.Power, c.fp)
-		if err != nil {
-			return err
-		}
-		c.recs = append(c.recs, r)
+		c.recs = append(c.recs, c.rec.FluxLane(c.sensor.M, c.probe.M))
 	}
 	if len(c.a2s) < lanes {
 		c.a2s = make([]analog.A2, lanes)
@@ -174,13 +173,7 @@ func (c *Chip) runWide(groups []*batchGroup, pre state, key [16]byte, cycles int
 	// Per-lane toggle extraction: diff = old^new marks the lanes that
 	// changed; each set bit books the cell's switching charge on that
 	// lane's recorder, in the same order a scalar capture would.
-	w.OnWideToggle = func(cell int32, diff, nv uint64) {
-		for diff != 0 {
-			l := bits.TrailingZeros64(diff)
-			diff &= diff - 1
-			recs[l].OnToggle(int(cell), nv>>uint(l)&1 == 1)
-		}
-	}
+	w.OnWideToggle = power.WideToggles(recs)
 	defer func() { w.OnWideToggle = nil }()
 
 	t2, hasT2 := c.trojans[trojan.T2LeakageCurrent]
@@ -247,9 +240,9 @@ func (c *Chip) runWide(groups []*batchGroup, pre state, key [16]byte, cycles int
 		}
 	}
 
-	dt := recs[0].Dt()
+	dt := c.rec.Dt()
 	for l, g := range groups {
-		currents := recs[l].Currents()
+		flux := recs[l].Flux() // sensor, probe: ensureWide's weight order
 		post := w.LaneState(l)
 		var postA2 analog.A2
 		if c.a2 != nil {
@@ -258,8 +251,8 @@ func (c *Chip) runWide(groups []*batchGroup, pre state, key [16]byte, cycles int
 		e := &captureEntry{
 			pre: pre.sim,
 			cap: &Capture{
-				Sensor: c.sensor.EMF(currents, dt),
-				Probe:  c.probe.EMF(currents, dt),
+				Sensor: emfield.FluxToEMF(flux[0], dt),
+				Probe:  emfield.FluxToEMF(flux[1], dt),
 				Dt:     dt,
 			},
 			post: post, postA2: postA2, postHash: post.ValueHash(),

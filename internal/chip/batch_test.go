@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"fmt"
 	"testing"
 
 	"emtrust/internal/trojan"
@@ -99,6 +100,54 @@ func TestCaptureBatchMatchesScalar(t *testing.T) {
 			sameWave(t, "lane", caps[i], want)
 		}
 	})
+}
+
+// TestCaptureBatchFiringA2MatchesScalar covers what the 16-cycle
+// differential above cannot reach: each digital Trojan active (T2's
+// crowbar current included) next to an armed A2 that is firing, its
+// pump charged by a long idle capture, so its fast-toggle pulses carry
+// across cycle boundaries. At 16, 33 and 512 cycles every lane must
+// be bit-identical to a scalar capture from the same state.
+func TestCaptureBatchFiringA2MatchesScalar(t *testing.T) {
+	pts := make([][]byte, 5)
+	for i := range pts {
+		pt := make([]byte, 16)
+		pt[2] = byte(53 * i)
+		pt[9] = byte(i + 1)
+		pts[i] = pt
+	}
+	for _, kind := range trojan.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			resetCaptureCache()
+			c := activeClone(t, kind)
+			c.EnableA2(true)
+			if _, err := c.CaptureIdle(600); err != nil {
+				t.Fatal(err)
+			}
+			if !c.a2.Firing() {
+				t.Fatal("A2 is not firing after the 600-cycle charge-up")
+			}
+			scalar, err := c.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cycles := range []int{16, 33, 512} {
+				before := c.snapshot()
+				caps, err := c.CaptureBatch(pts, testKey, cycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range pts {
+					scalar.restore(before)
+					want, err := scalar.CapturePT(pts[i], testKey, cycles)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameWave(t, fmt.Sprintf("%d cycles, lane %d", cycles, i), caps[i], want)
+				}
+			}
+		})
+	}
 }
 
 // TestCaptureBatchLaneCountInvariance pins the determinism contract:

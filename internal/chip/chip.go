@@ -145,9 +145,10 @@ type Chip struct {
 	// same sequence as the chip they derive from.
 	streams *atomic.Uint64
 
-	// Lazy batch-capture machinery (batch.go): the wide engine and its
-	// pooled per-lane recorders and analog-Trojan scratch. Private to this
-	// chip handle — Clone and WithStuckAt reset them.
+	// Lazy batch-capture machinery (batch.go): the wide engine, its
+	// pooled flux-mode lane recorders (sharing rec's tables) and
+	// analog-Trojan scratch. Private to this chip handle — Clone and
+	// WithStuckAt reset them.
 	wide *logic.WideState
 	recs []*power.Recorder
 	a2s  []analog.A2

@@ -308,17 +308,27 @@ func (cp *Coupling) emfInto(dst []float64, currents [][]float64, dt float64, gai
 		dst[i] = 0
 	}
 	accumulateFlux(dst, currents, cp.M, gains)
-	// In-place backward differentiation: index i needs flux[i] and
-	// flux[i-1], both still intact when walking from the top down.
+	return FluxToEMF(dst, dt)
+}
+
+// FluxToEMF turns a coil's flux waveform (webers, dt seconds apart)
+// into its induced emf, emf = -dflux/dt, in place and returns it. It is
+// the differentiation step of EMFInto, shared with callers that
+// accumulate the flux themselves (power's flux lanes).
+func FluxToEMF(flux []float64, dt float64) []float64 {
+	// Backward difference: index i needs flux[i] and flux[i-1], both
+	// still intact when walking from the top down.
+	n := len(flux)
 	for i := n - 1; i >= 1; i-- {
-		dst[i] = -(dst[i] - dst[i-1]) / dt
+		flux[i] = -(flux[i] - flux[i-1]) / dt
 	}
-	if n > 1 {
-		dst[0] = dst[1]
-	} else {
-		dst[0] = 0
+	switch {
+	case n > 1:
+		flux[0] = flux[1]
+	case n == 1:
+		flux[0] = 0
 	}
-	return dst
+	return flux
 }
 
 // accumulateFlux adds every tile's effective coupling times its

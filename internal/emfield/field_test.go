@@ -484,6 +484,11 @@ func TestEMFIntoSkipsShortWaveforms(t *testing.T) {
 	if len(out) != 8 {
 		t.Fatalf("got %d samples, want 8", len(out))
 	}
+	// An empty first waveform makes an empty emf.
+	currents[0] = nil
+	if out := cp.EMF(currents, 1e-9); len(out) != 0 {
+		t.Fatalf("got %d samples from an empty window, want 0", len(out))
+	}
 }
 
 func TestCachedCouplingMemoizes(t *testing.T) {

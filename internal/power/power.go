@@ -4,11 +4,20 @@
 // switching charge as a sub-cycle current pulse at the cell's tile, the
 // clock tree draws a charge per flip-flop every cycle, and static
 // injections model the T2 crowbar leakage and the A2 charge pump.
+//
+// A Recorder keeps the whole capture's per-tile waveforms, which the
+// scalar captures hand out as Capture.Tiles. Its flux lanes (FluxLane)
+// record the lanes of a bit-parallel capture, whose callers want only
+// the coils' emfs: they keep one cycle's block of per-tile samples and
+// fold it into each coil's flux after every cycle, with the same
+// per-sample additions in the same order, so the flux and the emf
+// derived from it are bit-identical to the full-waveform path.
 package power
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"emtrust/internal/layout"
@@ -84,9 +93,20 @@ type Recorder struct {
 	cycleCharge []float64 // per-tile charge accumulated this cycle
 	static      []float64 // per-tile static current this cycle (amps)
 	sub         []subEvent
-	currents    [][]float64 // per-tile waveform
-	cycle       int
-	numCycles   int
+	// currents holds the per-tile waveforms; in flux mode, each tile's
+	// block of the current cycle's samples followed by the samples
+	// sub-cycle pulses carry past it.
+	currents  [][]float64
+	cycle     int
+	numCycles int
+
+	// Flux mode (FluxLane): coils[k][tile] is coil k's flux per ampere
+	// of tile current, flux[k] its flux waveform, and written[tile] the
+	// length of the tile's block prefix that activity reached. Samples
+	// at or past written[tile] are zero.
+	coils   [][]float64
+	flux    [][]float64
+	written []int
 }
 
 type subEvent struct {
@@ -172,26 +192,84 @@ func pulseShape(cfg Config) []float64 {
 	return shape
 }
 
+// FluxLane returns a flux-mode recorder for one lane of a bit-parallel
+// capture. It shares r's per-cell charge, tile and clock tables, so it
+// books the same charges r would, but it keeps only the current cycle's
+// block of per-tile samples: each EndCycle folds the block into one
+// flux waveform per coil, weights[k][tile] being coil k's flux per
+// ampere of tile current, and clears it. Flux returns the waveforms;
+// Currents holds no capture waveforms in this mode.
+func (r *Recorder) FluxLane(weights ...[]float64) *Recorder {
+	tiles, s := r.grid.NumTiles(), r.cfg.SamplesPerCycle
+	l := &Recorder{
+		cfg: r.cfg, grid: r.grid, charge: r.charge, clockCharge: r.clockCharge, pulse: r.pulse,
+		cycleCharge: make([]float64, tiles),
+		static:      make([]float64, tiles),
+		currents:    make([][]float64, tiles),
+		coils:       weights,
+		flux:        make([][]float64, len(weights)),
+		written:     make([]int, tiles),
+	}
+	block := make([]float64, tiles*s)
+	for t := range l.currents {
+		l.currents[t] = block[t*s : (t+1)*s : (t+1)*s]
+	}
+	return l
+}
+
+// WideToggles returns a logic.WideState.OnWideToggle hook that books
+// the toggle words of a bit-parallel capture on its lanes, which must
+// be FluxLanes of one recorder: it loads the toggled cell's tile and
+// charge once per word and adds the charge on every lane whose bit is
+// set in diff. Each lane receives its toggles in its scalar order, so
+// it accumulates exactly what DrainToggles would.
+func WideToggles(lanes []*Recorder) func(cell int32, diff, nv uint64) {
+	tile, charge := lanes[0].grid.CellTile, lanes[0].charge
+	cc := make([][]float64, len(lanes))
+	for l, r := range lanes {
+		cc[l] = r.cycleCharge
+	}
+	return func(cell int32, diff, _ uint64) {
+		t, q := tile[cell], charge[cell]
+		for diff != 0 {
+			l := bits.TrailingZeros64(diff)
+			diff &= diff - 1
+			cc[l][t] += q
+		}
+	}
+}
+
 // Begin starts a capture of numCycles clock cycles. Waveform buffers are
 // reused across captures when the dimensions still fit, which is why
 // Capture.Tiles documents its slices as valid only until the next
-// capture on the same chip.
+// capture on the same chip. In flux mode Begin allocates new flux
+// waveforms, so those Flux returned stay with the caller.
 func (r *Recorder) Begin(numCycles int) {
 	r.numCycles = numCycles
 	r.cycle = 0
 	total := numCycles * r.cfg.SamplesPerCycle
-	if len(r.currents) != r.grid.NumTiles() {
-		r.currents = make([][]float64, r.grid.NumTiles())
-	}
-	for t := range r.currents {
-		if cap(r.currents[t]) >= total {
-			w := r.currents[t][:total]
-			for i := range w {
-				w[i] = 0
+	if r.coils != nil {
+		for k := range r.flux {
+			r.flux[k] = make([]float64, total)
+		}
+		for t, n := range r.written { // left by an unfinished capture
+			clear(r.currents[t][:n])
+			r.written[t] = 0
+		}
+	} else {
+		if len(r.currents) != r.grid.NumTiles() {
+			r.currents = make([][]float64, r.grid.NumTiles())
+		}
+		for t := range r.currents {
+			if cap(r.currents[t]) >= total {
+				w := r.currents[t][:total]
+				for i := range w {
+					w[i] = 0
+				}
+				r.currents[t] = w
+			} else {
+				r.currents[t] = make([]float64, total)
 			}
-			r.currents[t] = w
-		} else {
-			r.currents[t] = make([]float64, total)
 		}
 	}
 	for t := range r.cycleCharge {
@@ -201,17 +279,11 @@ func (r *Recorder) Begin(numCycles int) {
 	r.sub = r.sub[:0]
 }
 
-// OnToggle is the logic.Simulator callback: it books the toggling cell's
-// switching charge at its tile for the current cycle.
-func (r *Recorder) OnToggle(cell int, _ bool) {
-	r.cycleCharge[r.grid.CellTile[cell]] += r.charge[cell]
-}
-
 // DrainToggles books a batch of toggle events (logic.Simulator.TakeToggles)
 // for the current cycle. It walks the batch in occurrence order, adding
-// each cell's charge exactly as the per-event OnToggle path would, so the
-// accumulated waveforms are bit-identical to per-callback recording while
-// paying one call per cycle instead of one per toggle.
+// each cell's charge exactly as booking every toggle as it happens
+// would, so the accumulated waveforms are bit-identical to per-callback
+// recording while paying one call per cycle instead of one per toggle.
 func (r *Recorder) DrainToggles(events []logic.ToggleEvent) {
 	cycleCharge, tile, charge := r.cycleCharge, r.grid.CellTile, r.charge
 	for _, e := range events {
@@ -237,20 +309,26 @@ func (r *Recorder) AddFastToggles(tile int, count int, charge float64) {
 }
 
 // EndCycle flushes the cycle's booked activity into the waveforms and
-// advances to the next cycle. Calling it more than numCycles times is an
-// error.
+// advances to the next cycle; in flux mode it then folds the cycle's
+// samples into the coils' flux. Calling it more than numCycles times is
+// an error.
 func (r *Recorder) EndCycle() error {
 	if r.cycle >= r.numCycles {
 		return fmt.Errorf("power: EndCycle past the %d-cycle capture", r.numCycles)
 	}
 	s := r.cfg.SamplesPerCycle
-	base := r.cycle * s
+	// base is the cycle's first sample and end the window's end, as
+	// waveform indices or, in flux mode, relative to the cycle's block.
+	base, end := r.cycle*s, r.numCycles*s
+	if r.coils != nil {
+		base, end = 0, end-base
+	}
 	// Clock tree: every flip-flop's clock pin draws charge each cycle
 	// (pre-summed per tile in clockCharge), on top of the cycle's
 	// switching charge.
 	for tile, q := range r.cycleCharge {
 		if tq := q + r.clockCharge[tile]; tq != 0 {
-			r.deposit(tile, base, tq)
+			r.deposit(tile, base, end, tq)
 		}
 		if q != 0 {
 			r.cycleCharge[tile] = 0
@@ -258,10 +336,12 @@ func (r *Recorder) EndCycle() error {
 	}
 	for tile, amps := range r.static {
 		if amps != 0 {
-			w := r.currents[tile]
-			for k := 0; k < s && base+k < len(w); k++ {
-				w[base+k] += amps
+			e := min(base+s, end)
+			w := r.currents[tile][base:e]
+			for k := range w {
+				w[k] += amps
 			}
+			r.wrote(tile, e)
 			r.static[tile] = 0
 		}
 	}
@@ -270,32 +350,93 @@ func (r *Recorder) EndCycle() error {
 		if stride < 1 {
 			stride = 1
 		}
+		if r.coils != nil { // the burst may carry further past the cycle than any before
+			r.grow(ev.tile, min(base+(ev.count-1)*stride+stride/2+len(r.pulse), end))
+		}
 		// Center each pulse in its sub-interval so the injected tones
 		// sit in quadrature with the cycle-aligned clock pulses and
 		// always add energy instead of sometimes cancelling.
 		for j := 0; j < ev.count; j++ {
-			r.deposit(ev.tile, base+j*stride+stride/2, ev.charge)
+			r.deposit(ev.tile, base+j*stride+stride/2, end, ev.charge)
 		}
 	}
 	r.sub = r.sub[:0]
+	if r.coils != nil {
+		r.fold()
+	}
 	r.cycle++
 	return nil
 }
 
-// deposit adds a charge pulse starting at sample index start.
-func (r *Recorder) deposit(tile, start int, q float64) {
-	w := r.currents[tile]
-	for k, p := range r.pulse {
-		i := start + k
-		if i >= len(w) {
-			break
+// deposit adds a charge pulse starting at sample index start, dropping
+// the samples at or past end.
+func (r *Recorder) deposit(tile, start, end int, q float64) {
+	end = min(end, start+len(r.pulse))
+	if start >= end {
+		return
+	}
+	w := r.currents[tile][start:end]
+	for k, p := range r.pulse[:len(w)] {
+		w[k] += q * p
+	}
+	r.wrote(tile, end)
+}
+
+// wrote records, in flux mode, that tile's block holds activity up to
+// sample n.
+func (r *Recorder) wrote(tile, n int) {
+	if r.written != nil {
+		r.written[tile] = max(r.written[tile], n)
+	}
+}
+
+// grow extends tile's flux-mode block to at least n samples.
+func (r *Recorder) grow(tile, n int) {
+	if w := r.currents[tile]; n > len(w) {
+		r.currents[tile] = append(w, make([]float64, n-len(w))...)
+	}
+}
+
+// fold adds the cycle's block of every written tile into each coil's
+// flux, visiting tiles in ascending order so every flux sample receives
+// its tile terms in accumulateFlux's order and with its x += m*w
+// expression (internal/emfield). Skipping the unwritten samples and the
+// zero-weight tiles drops only terms m·(±0), which leave a sum that
+// starts at +0 unchanged. The block is then cleared and the samples
+// carried past the cycle move to its start.
+func (r *Recorder) fold() {
+	s := r.cfg.SamplesPerCycle
+	base := r.cycle * s
+	for tile, n := range r.written {
+		if n == 0 {
+			continue
 		}
-		w[i] += q * p
+		w := r.currents[tile]
+		blk := w[:min(n, s)]
+		for k, m := range r.coils {
+			if mt := m[tile]; mt != 0 {
+				f := r.flux[k][base : base+len(blk)]
+				for i, v := range blk {
+					f[i] += mt * v
+				}
+			}
+		}
+		clear(blk)
+		r.written[tile] = max(n-s, 0)
+		if n > s {
+			copy(w, w[s:n])
+			clear(w[max(s, n-s):n])
+		}
 	}
 }
 
 // Currents returns the per-tile waveforms captured so far.
 func (r *Recorder) Currents() [][]float64 { return r.currents }
+
+// Flux returns a flux-mode recorder's per-coil flux waveforms, in
+// FluxLane's weight order. They stay with the caller: the next Begin
+// allocates new ones.
+func (r *Recorder) Flux() [][]float64 { return r.flux }
 
 // Dt returns the waveform sample spacing in seconds.
 func (r *Recorder) Dt() float64 { return r.cfg.Dt() }

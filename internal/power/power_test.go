@@ -2,12 +2,21 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"emtrust/internal/emfield"
 	"emtrust/internal/layout"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
 )
+
+// OnToggle is the logic.Simulator callback form of DrainToggles: it
+// books the toggling cell's switching charge at its tile for the
+// current cycle.
+func (r *Recorder) OnToggle(cell int, _ bool) {
+	r.cycleCharge[r.grid.CellTile[cell]] += r.charge[cell]
+}
 
 // Cycle returns how many cycles have been flushed.
 func (r *Recorder) Cycle() int { return r.cycle }
@@ -355,6 +364,103 @@ func TestDrainTogglesMatchesOnToggle(t *testing.T) {
 		for i := range wa[tile] {
 			if wa[tile][i] != wb[tile][i] {
 				t.Fatalf("tile %d sample %d: callback %v != drained %v", tile, i, wa[tile][i], wb[tile][i])
+			}
+		}
+	}
+}
+
+// TestFluxLaneMatchesEMFInto is the flux-mode property test: under
+// random per-cycle toggles, static currents and fast-toggle events, a
+// flux lane's emf must equal Coupling.EMFInto over the full waveforms
+// of a recorder fed the same activity, bit for bit. The events include
+// counts above 2×SamplesPerCycle (pulses carried several cycles on),
+// events in the last cycle truncated at the window end, windows of 1
+// and 2 cycles, and captures abandoned halfway, whose leftovers the
+// next Begin must clear.
+func TestFluxLaneMatchesEMFInto(t *testing.T) {
+	fp, n := smallPlan(t)
+	cfg := DefaultConfig()
+	rec, err := NewRecorder(cfg, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	tiles, s := fp.Grid.NumTiles(), cfg.SamplesPerCycle
+	coils := make([]*emfield.Coupling, 2)
+	weights := make([][]float64, len(coils))
+	for k := range coils {
+		m := make([]float64, tiles)
+		for tile := range m {
+			if rng.Intn(5) > 0 { // some tiles do not couple at all
+				m[tile] = (rng.Float64() - 0.3) * 1e-9
+			}
+		}
+		coils[k], weights[k] = &emfield.Coupling{M: m}, m
+	}
+	lane := rec.FluxLane(weights...)
+	wide := WideToggles([]*Recorder{lane})
+	// activity books one random cycle on both recorders; last marks the
+	// window's final cycle, which always gets a long fast-toggle burst.
+	activity := func(last bool) {
+		var batch []logic.ToggleEvent
+		for k := rng.Intn(12); k > 0; k-- {
+			batch = append(batch, logic.ToggleEvent(rng.Intn(len(n.Cells)))<<1)
+		}
+		rec.DrainToggles(batch)
+		for _, e := range batch {
+			wide(int32(e.Cell()), 1, 0)
+		}
+		if rng.Intn(3) == 0 {
+			tile, amps := rng.Intn(tiles), rng.Float64()*1e-6
+			rec.AddStaticCurrent(tile, amps)
+			lane.AddStaticCurrent(tile, amps)
+		}
+		events := rng.Intn(3)
+		if last {
+			events++
+		}
+		for k := 0; k < events; k++ {
+			tile, q := rng.Intn(tiles), rng.Float64()*1e-12
+			count := 1 + rng.Intn(3*s)
+			if last && k == 0 {
+				count = 2*s + 1 + rng.Intn(s)
+			}
+			rec.AddFastToggles(tile, count, q)
+			lane.AddFastToggles(tile, count, q)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		cycles := []int{1, 2, 3, 4, 7, 33}[trial%6]
+		if trial%5 == 4 { // abandon a capture with pulses carried past its cycles
+			lane.Begin(3)
+			rec.Begin(3)
+			activity(true)
+			if err := lane.EndCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec.Begin(cycles)
+		lane.Begin(cycles)
+		for c := 0; c < cycles; c++ {
+			activity(c == cycles-1)
+			if err := rec.EndCycle(); err != nil {
+				t.Fatal(err)
+			}
+			if err := lane.EndCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flux := lane.Flux()
+		for k, cp := range coils {
+			want := cp.EMFInto(nil, rec.Currents(), rec.Dt())
+			got := emfield.FluxToEMF(flux[k], lane.Dt())
+			if len(got) != len(want) {
+				t.Fatalf("trial %d coil %d: %d samples, want %d", trial, k, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d (%d cycles) coil %d sample %d: flux lane %v, EMFInto %v", trial, cycles, k, i, got[i], want[i])
+				}
 			}
 		}
 	}
