@@ -31,8 +31,8 @@ go test -run 'Differential|CompiledVsReference|Wide' -count=1 ./internal/logic/.
 echo "== RNG stream differential (bulk draws vs math/rand, fast path vs fallback) =="
 go test -run 'MatchesMathRand|Bulk|Parity' -count=1 ./internal/frand/ ./internal/trace/ ./internal/degrade/
 
-echo "== capture replay differential (batch, chain, fixed-point slot, caches, array emf slot, flux lanes) =="
-go test -run 'Batch|Chain|FixedPoint|Memo|Cache|ScanFrame|FluxLane' -count=1 ./internal/chip/ ./internal/sensorarray/ ./internal/power/
+echo "== capture replay differential (batch, chain, fixed-point slot, caches, cross-seed capture sets, array emf slot, flux lanes) =="
+go test -run 'Batch|Chain|FixedPoint|Memo|Cache|ScanFrame|FluxLane' -count=1 ./internal/chip/ ./internal/sensorarray/ ./internal/power/ ./internal/experiments/
 
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...

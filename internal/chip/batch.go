@@ -329,37 +329,53 @@ func (c *Chip) CaptureIdleChain(cycles, count int) ([]*Capture, error) {
 }
 
 // chain is the replay loop behind CaptureChain and CaptureIdleChain:
-// each step replays its capture-cache entry, advancing the chip to the
-// entry's post state, or runs the scalar capture and stores it.
+// each step replays its capture-cache entry or runs the scalar capture
+// and stores it. Every step starts from the previous entry's post
+// state, so a run of replays touches no simulator state; the chip
+// takes the run's end once, before the next simulated step or at the
+// end of the chain.
 func (c *Chip) chain(pt, key [16]byte, cycles, count int, idle bool) ([]*Capture, error) {
 	if count <= 0 {
 		return nil, nil
 	}
 	caps := make([]*Capture, count)
-	var hash uint64
+	pre := c.snapshot()
+	hash := pre.sim.ValueHash()
+	cyc := c.sim.Cycle()
+	var pending *captureEntry // the last replay the chip has not taken
 	for j := range caps {
-		pre := c.snapshot()
-		if j == 0 {
-			hash = pre.sim.ValueHash()
-		}
 		ck := c.captureCacheKey(pt, key, cycles, idle, pre, hash)
 		e := lookupCapture(ck, pre.sim)
 		if e != nil {
-			cyc := c.sim.Cycle()
-			c.sim.SetState(e.post)
-			c.sim.SetCycle(cyc + cycles)
-			if c.a2 != nil {
-				*c.a2 = e.postA2
-			}
+			pending = e
 		} else {
+			if pending != nil {
+				c.takeReplay(pending, cyc)
+				pending = nil
+			}
 			cap, err := c.capture(pt, key, cycles, idle)
 			if err != nil {
 				return nil, err
 			}
 			e = storeCapture(ck, c.cacheEntry(pre.sim, cap))
 		}
+		cyc += cycles
 		caps[j] = e.cap
+		pre = state{sim: e.post, a2: e.postA2, a2On: pre.a2On}
 		hash = e.postHash
 	}
+	if pending != nil {
+		c.takeReplay(pending, cyc)
+	}
 	return caps, nil
+}
+
+// takeReplay moves the chip to a replayed entry's post state, with the
+// cycle counter at cyc.
+func (c *Chip) takeReplay(e *captureEntry, cyc int) {
+	c.sim.SetState(e.post)
+	c.sim.SetCycle(cyc)
+	if c.a2 != nil {
+		*c.a2 = e.postA2
+	}
 }

@@ -318,6 +318,9 @@ func TestCaptureChainMatchesSerial(t *testing.T) {
 	if !replay.sim.State().ValuesEqual(serial.sim.State()) {
 		t.Fatal("replayed chain ends in a different state")
 	}
+	if replay.sim.Cycle() != serial.sim.Cycle() {
+		t.Fatalf("replayed chain cycle %d != serial cycle %d", replay.sim.Cycle(), serial.sim.Cycle())
+	}
 }
 
 // TestFixedPointMemo pins the dormant-chip fast path: from the second

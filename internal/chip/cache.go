@@ -15,12 +15,13 @@ import (
 
 // Two process-wide replay caches complement the bit-parallel capture
 // engine (batch.go). Both exploit the same fact the determinism
-// contract rests on: a capture is a pure function of (design, config,
-// pre-capture state, stimulus), so replaying one is indistinguishable
-// from re-simulating it. Caches therefore never change results — they
-// only short-circuit identical computations — and worker/lane counts
-// cannot influence outputs through them. Entries are verified by exact
-// state comparison (ValuesEqual), never by hash alone.
+// contract rests on: a capture is a pure function of (design,
+// pre-capture state, stimulus) — never of the chip's seed; see
+// captureKey — so replaying one is indistinguishable from
+// re-simulating it. Caches therefore never change results — they only
+// short-circuit identical computations — and worker/lane counts cannot
+// influence outputs through them. Entries are verified by exact state
+// comparison (ValuesEqual), never by hash alone.
 
 // buildKey identifies one immutable chip structure: the full build
 // configuration with the random seed zeroed, since Seed feeds only the
@@ -33,8 +34,10 @@ type buildKey struct {
 // built holds the immutable parts of a chip build, shared by every chip
 // constructed with an equivalent configuration. The template simulator
 // is never ticked; chips fork it, which shares the compiled program and
-// levelization while giving each chip private mutable state.
+// levelization while giving each chip private mutable state. id is the
+// build's design id (see captureKey).
 type built struct {
+	id       uint64
 	n        *netlist.Netlist
 	core     *aes.Core
 	fp       *layout.Floorplan
@@ -56,30 +59,39 @@ var buildCache = struct {
 // configurations per process, so eviction is a wholesale drop.
 const maxBuilds = 8
 
+// designIDs hands out design ids: one per chip build and per stuck-at
+// variant, unique for the process lifetime.
+var designIDs atomic.Uint64
+
 // Cache traffic counters. Monotonic over the process lifetime (resets
 // drop entries, not counters), so concurrent readers can difference
 // before/after snapshots without racing a zeroing write.
 var cacheStats struct {
 	buildHits, buildMisses     atomic.Uint64
 	captureHits, captureMisses atomic.Uint64
+	captureEvictions           atomic.Uint64
 }
 
 // CacheStats is a point-in-time snapshot of the replay caches' traffic.
-// A "miss" is a lookup that found no usable entry — including the
-// deliberate misses after a wholesale eviction — so hits+misses equals
-// the number of lookups, not the number of simulations.
+// A "miss" is a lookup that found no usable entry, whether that capture
+// never ran or its entry was evicted, so hits+misses equals the number
+// of lookups, not the number of simulations. CaptureEvictions counts
+// the entries overflow sweeps dropped (ResetCaptureCache is not
+// counted).
 type CacheStats struct {
 	BuildHits, BuildMisses     uint64
 	CaptureHits, CaptureMisses uint64
+	CaptureEvictions           uint64
 }
 
 // Stats returns the current process-wide cache counters.
 func Stats() CacheStats {
 	return CacheStats{
-		BuildHits:     cacheStats.buildHits.Load(),
-		BuildMisses:   cacheStats.buildMisses.Load(),
-		CaptureHits:   cacheStats.captureHits.Load(),
-		CaptureMisses: cacheStats.captureMisses.Load(),
+		BuildHits:        cacheStats.buildHits.Load(),
+		BuildMisses:      cacheStats.buildMisses.Load(),
+		CaptureHits:      cacheStats.captureHits.Load(),
+		CaptureMisses:    cacheStats.captureMisses.Load(),
+		CaptureEvictions: cacheStats.captureEvictions.Load(),
 	}
 }
 
@@ -104,14 +116,18 @@ func storeBuild(key buildKey, b *built) {
 	buildCache.m[key] = b
 }
 
-// captureKey identifies one capture as a pure function: the design (by
-// identity — stuck-at variants get fresh netlists), the build
-// configuration, the stimulus, the window length, and the analog-Trojan
-// state. The gate-level pre-state rides as a hash here and is verified
-// exactly against each candidate entry.
+// captureKey identifies one capture as a pure function: the design id,
+// the stimulus, the window length, and the analog-Trojan state. The
+// design id stands for everything a capture reads that is fixed per
+// build (netlist, recorder configuration and floorplan, couplings,
+// Trojan instances and tiles, A2 configuration): New and Clone carry
+// their build's id and WithStuckAt takes a fresh one. Chips at any seed
+// share entries, since no capture reads the chip's random stream, and
+// an entry holds no reference to its design. The gate-level pre-state
+// rides as a hash here and is verified exactly against each candidate
+// entry.
 type captureKey struct {
-	n       *netlist.Netlist
-	cfg     Config
+	design  uint64
 	pt      [16]byte
 	key     [16]byte
 	cycles  int
@@ -125,13 +141,17 @@ type captureKey struct {
 // to, the clean waveforms, a stable *Capture handle (Tiles nil — batch
 // and replayed captures do not carry per-tile currents), and the
 // post-capture state so a replay can advance a chip without
-// simulating.
+// simulating. Every field but replayed is immutable once stored, so a
+// chain can start its next step from post without copying it.
+// replayed marks an entry a lookup returned since the last overflow
+// sweep; it is read and written under the cache lock only.
 type captureEntry struct {
 	pre      *logic.State
 	cap      *Capture
 	post     *logic.State
 	postA2   analog.A2
 	postHash uint64
+	replayed bool
 }
 
 var captureCache = struct {
@@ -141,18 +161,20 @@ var captureCache = struct {
 }{m: make(map[captureKey][]*captureEntry)}
 
 // maxCaptureEntries bounds the capture cache (an entry holds two state
-// snapshots and two waveforms, ~100 KB on the default design). Eviction
-// is a wholesale drop: correctness never depends on residency.
+// snapshots and two waveforms, ~100 KB on the default design). A store
+// into a full cache sweeps it (evictCaptures); correctness never
+// depends on residency.
 const maxCaptureEntries = 256
 
 // lookupCapture returns the entry matching key with an exactly equal
-// pre-state, or nil.
+// pre-state, marked as replayed, or nil.
 func lookupCapture(key captureKey, pre *logic.State) *captureEntry {
 	captureCache.Lock()
 	defer captureCache.Unlock()
 	for _, e := range captureCache.m[key] {
 		if e.pre.ValuesEqual(pre) {
 			cacheStats.captureHits.Add(1)
+			e.replayed = true
 			return e
 		}
 	}
@@ -172,12 +194,35 @@ func storeCapture(key captureKey, e *captureEntry) *captureEntry {
 		}
 	}
 	if captureCache.count >= maxCaptureEntries {
-		captureCache.m = make(map[captureKey][]*captureEntry)
-		captureCache.count = 0
+		evictCaptures()
 	}
 	captureCache.m[key] = append(captureCache.m[key], e)
 	captureCache.count++
 	return e
+}
+
+// evictCaptures makes room in the full cache; the caller holds the
+// lock. The entries a lookup returned since the last sweep stay, with
+// their marks cleared, when they fill at most half the cache: a seed
+// sweep replays the same fixed-stimulus captures at every seed, while
+// its random-plaintext lanes never replay. Otherwise every entry goes.
+func evictCaptures() {
+	kept := make(map[captureKey][]*captureEntry)
+	n := 0
+	for k, es := range captureCache.m {
+		for _, e := range es {
+			if e.replayed {
+				e.replayed = false
+				kept[k] = append(kept[k], e)
+				n++
+			}
+		}
+	}
+	if n > maxCaptureEntries/2 {
+		kept, n = make(map[captureKey][]*captureEntry), 0
+	}
+	cacheStats.captureEvictions.Add(uint64(captureCache.count - n))
+	captureCache.m, captureCache.count = kept, n
 }
 
 // ResetCaptureCache drops every memoized capture result. Outputs never
@@ -191,12 +236,11 @@ func ResetCaptureCache() {
 }
 
 // captureCacheKey assembles the cache key for a capture from this
-// chip's identity, the pre state and the given stimulus. simHash must
+// chip's design id, the pre state and the given stimulus. simHash must
 // be the ValueHash of pre.sim.
 func (c *Chip) captureCacheKey(pt, key [16]byte, cycles int, idle bool, pre state, simHash uint64) captureKey {
 	return captureKey{
-		n: c.n, cfg: c.cfg,
-		pt: pt, key: key, cycles: cycles, idle: idle,
+		design: c.design, pt: pt, key: key, cycles: cycles, idle: idle,
 		a2: pre.a2, a2On: pre.a2On, simHash: simHash,
 	}
 }

@@ -71,6 +71,22 @@ func TestCacheStressConcurrent(t *testing.T) {
 			ResetCaptureCache()
 		}
 	}()
+	// Concurrent overflow sweeps: batch lanes that never replay fill the
+	// cache past its cap while the workers' lookups mark entries.
+	overflow, err := infected(t).Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for lo := 0; lo <= maxCaptureEntries; lo += 64 {
+			if _, err := overflow.CaptureBatch(laneTexts(lo, 64), testKey, batchCycles); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	for w, got := range results {
 		if got != want {

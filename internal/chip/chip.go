@@ -26,9 +26,9 @@ import (
 // core and the clock divider are generated (a campaign-generated Trojan,
 // an instrumentation block). Implementations must be deterministic —
 // the same inserter value must always build the same cells — and must
-// be comparable pointer types: chip builds and captures are memoized in
-// maps keyed on Config, so the dynamic value participates in map-key
-// comparison (identity, for a pointer).
+// be comparable pointer types: chip builds are memoized in a map keyed
+// on Config, so the dynamic value participates in map-key comparison
+// (identity, for a pointer).
 type Inserter interface {
 	// InsertName tags the built netlist (and the build-cache key); two
 	// inserters that build different logic must report different names.
@@ -123,6 +123,8 @@ type Chip struct {
 	fp   *layout.Floorplan
 	rec  *power.Recorder
 	core *aes.Core
+	// design is the capture cache's design id (see captureKey).
+	design uint64
 
 	sensor *emfield.Coupling
 	probe  *emfield.Coupling
@@ -202,7 +204,7 @@ func New(cfg Config) (*Chip, error) {
 		return nil, err
 	}
 	c := &Chip{
-		cfg: cfg, n: b.n, sim: b.template.Fork(), fp: b.fp, rec: rec, core: b.core,
+		cfg: cfg, design: b.id, n: b.n, sim: b.template.Fork(), fp: b.fp, rec: rec, core: b.core,
 		sensor: b.sensor, probe: b.probe,
 		trojans: b.trojans,
 		t2Tile:  b.t2Tile,
@@ -263,7 +265,7 @@ func buildChip(cfg Config) (*built, error) {
 	}
 
 	out := &built{
-		n: n, core: core, fp: fp,
+		id: designIDs.Add(1), n: n, core: core, fp: fp,
 		sensor: sensor, probe: probe,
 		trojans: trojans, template: template,
 	}
@@ -615,7 +617,8 @@ func (c *Chip) tick() error {
 // fault on the given net (a fabrication defect or a crude tampering
 // attempt). Floorplan and coil couplings are shared — the die geometry
 // does not change — but the gate-level simulator and activity recorder
-// are rebuilt for the mutated netlist.
+// are rebuilt for the mutated netlist, and the variant takes a fresh
+// design id so it never replays its parent's captures.
 func (c *Chip) WithStuckAt(net netlist.Net, value bool) (*Chip, error) {
 	mutated, err := c.n.StuckAt(net, value)
 	if err != nil {
@@ -630,6 +633,7 @@ func (c *Chip) WithStuckAt(net netlist.Net, value bool) (*Chip, error) {
 		return nil, err
 	}
 	out := *c
+	out.design = designIDs.Add(1)
 	out.n = mutated
 	out.sim = sim
 	out.rec = rec

@@ -83,6 +83,9 @@ func TestCaptureIdleChainMatchesSerial(t *testing.T) {
 	if !replay.sim.State().ValuesEqual(serial.sim.State()) {
 		t.Fatal("replayed idle chain ends in a different state")
 	}
+	if replay.sim.Cycle() != serial.sim.Cycle() {
+		t.Fatalf("replayed idle chain cycle %d != serial cycle %d", replay.sim.Cycle(), serial.sim.Cycle())
+	}
 	if *replay.a2 != *serial.a2 {
 		t.Fatal("replayed idle chain left the A2 in a different state")
 	}

@@ -14,26 +14,29 @@ import (
 // sample. Each worker count gets a freshly built chip so stream ids and
 // simulator state line up exactly.
 
-func captureAllSets(t *testing.T, cfg Config) (*dualSet, *dualSet, *dualSet) {
+// captureAllSets captures the fixed, random and idle sets on a fresh
+// infected chip, and the capture-cache misses each set recorded.
+func captureAllSets(t *testing.T, cfg Config) (fixed, random, idle *dualSet, misses [3]uint64) {
 	t.Helper()
 	c, err := infectedChip(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ch := chip.SimulationChannels()
-	fixed, err := captureSet(c, cfg, ch, 12, cfg.CaptureCycles)
-	if err != nil {
-		t.Fatal(err)
+	sets := []func() (*dualSet, error){
+		func() (*dualSet, error) { return captureSet(c, cfg, ch, 12, cfg.CaptureCycles) },
+		func() (*dualSet, error) { return captureRandomSet(c, cfg.Key, ch, 12, cfg.CaptureCycles) },
+		func() (*dualSet, error) { return idleTraces(c, ch, 12, cfg.CaptureCycles) },
 	}
-	random, err := captureRandomSet(c, cfg.Key, ch, 12, cfg.CaptureCycles)
-	if err != nil {
-		t.Fatal(err)
+	out := make([]*dualSet, len(sets))
+	for i, capture := range sets {
+		before := chip.Stats().CaptureMisses
+		if out[i], err = capture(); err != nil {
+			t.Fatal(err)
+		}
+		misses[i] = chip.Stats().CaptureMisses - before
 	}
-	idle, err := idleTraces(c, ch, 12, cfg.CaptureCycles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fixed, random, idle
+	return out[0], out[1], out[2], misses
 }
 
 func assertSetsEqual(t *testing.T, label string, workers int, want, got *dualSet) {
@@ -65,12 +68,12 @@ func TestCaptureSetsDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := testConfig()
 
 	restore := parallel.SetMaxWorkers(1)
-	serialFixed, serialRandom, serialIdle := captureAllSets(t, cfg)
+	serialFixed, serialRandom, serialIdle, _ := captureAllSets(t, cfg)
 	restore()
 
 	for _, workers := range []int{2, 8} {
 		restore := parallel.SetMaxWorkers(workers)
-		fixed, random, idle := captureAllSets(t, cfg)
+		fixed, random, idle, _ := captureAllSets(t, cfg)
 		restore()
 		assertSetsEqual(t, "fixed", workers, serialFixed, fixed)
 		assertSetsEqual(t, "random", workers, serialRandom, random)
@@ -92,7 +95,8 @@ func TestCaptureSetsDeterministicAcrossLaneCounts(t *testing.T) {
 		defer restoreW()
 		restoreL := chip.SetBatchLanes(lanes)
 		defer restoreL()
-		return captureAllSets(t, cfg)
+		fixed, random, idle, _ := captureAllSets(t, cfg)
+		return fixed, random, idle
 	}
 
 	oneFixed, oneRandom, oneIdle := capture(1, 1)
@@ -103,6 +107,29 @@ func TestCaptureSetsDeterministicAcrossLaneCounts(t *testing.T) {
 			assertSetsEqual(t, "random", workers*1000+lanes, oneRandom, random)
 			assertSetsEqual(t, "idle", workers*1000+lanes, oneIdle, idle)
 		}
+	}
+}
+
+// Fixed-stimulus captures never read the chip seed, so a seed sweep
+// replays them from the capture cache: seed 2's sets captured after
+// seed 1 warmed the cache equal seed 2's sets on a reset cache sample
+// for sample, and only the random-plaintext set simulates.
+func TestCaptureSetsCacheSharedAcrossSeeds(t *testing.T) {
+	seed2 := testConfig()
+	seed2.Chip.Seed = 2
+	seed1 := testConfig()
+	seed1.Chip.Seed = 1
+
+	chip.ResetCaptureCache()
+	coldFixed, coldRandom, coldIdle, _ := captureAllSets(t, seed2)
+	chip.ResetCaptureCache()
+	captureAllSets(t, seed1)
+	fixed, random, idle, misses := captureAllSets(t, seed2)
+	assertSetsEqual(t, "warm fixed", 0, coldFixed, fixed)
+	assertSetsEqual(t, "warm random", 0, coldRandom, random)
+	assertSetsEqual(t, "warm idle", 0, coldIdle, idle)
+	if misses[0] != 0 || misses[2] != 0 {
+		t.Fatalf("seed 2 after seed 1: fixed set missed %d times, idle set %d times, want 0", misses[0], misses[2])
 	}
 }
 

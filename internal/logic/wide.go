@@ -121,7 +121,7 @@ func (s *Simulator) Wide() (*WideState, error) {
 // LoadStates loads one scalar snapshot per lane (1 to MaxLanes lanes)
 // and schedules a full first settle, exactly like restoring a snapshot
 // into a scalar simulator. The cycle counter restarts at the first
-// lane's.
+// lane's. Lanes that pass the first lane's *State cost no comparison.
 func (w *WideState) LoadStates(sts []*State) error {
 	if len(sts) == 0 || len(sts) > MaxLanes {
 		return fmt.Errorf("logic: wide load of %d lanes (want 1..%d)", len(sts), MaxLanes)
@@ -133,13 +133,20 @@ func (w *WideState) LoadStates(sts []*State) error {
 	}
 	w.lanes = len(sts)
 	w.mask = ^uint64(0) >> uint(64-w.lanes)
+	var others uint64 // lanes loading a snapshot other than sts[0]
+	for l := 1; l < len(sts); l++ {
+		if sts[l] != sts[0] {
+			others |= 1 << uint(l)
+		}
+	}
 	base := sts[0].values
 	for i := range w.values {
 		var word uint64
 		if base[i] != 0 {
 			word = w.mask
 		}
-		for l := 1; l < len(sts); l++ {
+		for m := others; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
 			if sts[l].values[i] != base[i] {
 				word ^= 1 << uint(l)
 			}

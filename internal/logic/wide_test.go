@@ -438,3 +438,38 @@ func FuzzWideVsCompiled(f *testing.F) {
 		driveWideDifferential(t, n, lanes, stim)
 	})
 }
+
+// TestWideLoadStatesSharedAndDistinct pins LoadStates' lane packing
+// when some lanes pass the first lane's *State and others load their
+// own snapshots: every lane must read back exactly the snapshot it was
+// given.
+func TestWideLoadStatesSharedAndDistinct(t *testing.T) {
+	b := netlist.NewBuilder("ctr")
+	b.Output("q", b.Counter(4, netlist.InvalidNet))
+	sim, err := New(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := make([]*State, 4)
+	for i := range snaps {
+		snaps[i] = sim.State()
+		sim.Tick()
+	}
+	base := snaps[0]
+	sts := []*State{base, snaps[2], base, base, snaps[1], snaps[3], base, snaps[2], sim.State()}
+	w, err := sim.Wide()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadStates(sts); err != nil {
+		t.Fatal(err)
+	}
+	for l, st := range sts {
+		if !w.LaneState(l).ValuesEqual(st) {
+			t.Fatalf("lane %d does not hold the snapshot it loaded", l)
+		}
+	}
+	if snaps[0].ValuesEqual(snaps[1]) || snaps[1].ValuesEqual(snaps[2]) {
+		t.Fatal("counter snapshots do not differ; the test loads nothing distinct")
+	}
+}
