@@ -464,7 +464,7 @@ func BenchmarkDegradedMonitor(b *testing.B) {
 	var falseAlarms float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewMonitorWith(fp, nil, core.HardenedOptions(health))
+		m, err := core.NewMonitor(fp, nil, core.HardenedOptions(health))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,8 +25,8 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== engine differential (wide vs compiled vs reference) =="
-go test -run 'Differential|CompiledVsReference|Wide' -count=1 ./internal/logic/...
+echo "== engine differential (wide vs compiled vs reference, S-box toggle profile) =="
+go test -run 'Differential|CompiledVsReference|Wide|SBoxToggleCharge' -count=1 ./internal/logic/ ./internal/aes/
 
 echo "== RNG stream differential (bulk draws vs math/rand, fast path vs fallback) =="
 go test -run 'MatchesMathRand|Bulk|Parity' -count=1 ./internal/frand/ ./internal/trace/ ./internal/degrade/

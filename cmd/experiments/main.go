@@ -103,7 +103,11 @@ func main() {
 // run executes the selected experiments and returns the process exit
 // code, so main can flush profiles on every path.
 func run(runID string, scale float64, seed int64, htmlOut string) int {
-	cfg := experiments.DefaultConfig().Scaled(scale)
+	cfg, err := experiments.DefaultConfig().Scaled(scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	cfg.Chip.Seed = seed
 
 	ran := 0

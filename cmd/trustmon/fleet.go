@@ -103,7 +103,7 @@ func runFleet(f fleetFlags) {
 	fmt.Printf("supervision: %d crashes, %d restarts, %d/%d shards live; %d capture timeouts, %d dies quarantined\n",
 		st.Crashes, st.Restarts, st.LiveShards, st.Shards, st.Timeouts, st.Quarantined)
 	alarms := s.Alarms()
-	fmt.Printf("alarm list (FDR %.0f%%): %d dies flagged\n", 100*s.Config().FDR, len(alarms))
+	fmt.Printf("alarm list (FDR %.0f%%): %d dies flagged\n", 100*st.FDR, len(alarms))
 	for i, a := range alarms {
 		if i >= 10 {
 			fmt.Printf("  ... and %d more\n", len(alarms)-i)

@@ -167,9 +167,9 @@ func main() {
 		}
 		ch.Sensor = degrade.Wrap(ch.Sensor, prof.Stages()...)
 		log.Printf("injecting acquisition-chain faults at severity %.1fx; hardened monitor engaged", *inject)
-		mon, err2 = core.NewMonitorWith(fp, sd, core.HardenedOptions(health))
+		mon, err2 = core.NewMonitor(fp, sd, core.HardenedOptions(health))
 	} else {
-		mon, err2 = core.NewMonitor(fp, sd, 8)
+		mon, err2 = core.NewMonitor(fp, sd, core.MonitorOptions{Buffer: 8})
 	}
 	if err2 != nil {
 		log.Fatal(err2)

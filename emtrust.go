@@ -260,7 +260,7 @@ func (det *Detector) Evaluate(t *Trace) Verdict {
 
 // NewMonitor starts a runtime monitor over the fitted detectors.
 func (det *Detector) NewMonitor(buffer int) (*Monitor, error) {
-	return core.NewMonitor(det.Fingerprint, det.Spectral, buffer)
+	return core.NewMonitor(det.Fingerprint, det.Spectral, core.MonitorOptions{Buffer: buffer})
 }
 
 // Describe returns a short human-readable summary of a Trojan.

@@ -47,9 +47,10 @@ type Driver struct {
 func NewDriver(sim *logic.Simulator) *Driver { return &Driver{Sim: sim} }
 
 // Encrypt runs one complete encryption (Latency cycles plus the handshake
-// cycle) and returns the ciphertext. Trojan control and activity
-// recording happen through the simulator's callbacks; Encrypt only drives
-// the protocol.
+// cycle) and returns the ciphertext. Encrypt only drives the protocol:
+// Trojan triggers are the caller's port writes, and toggles are
+// recorded only if the caller turned on the simulator's batched
+// accounting (and drains it).
 func (d *Driver) Encrypt(pt, key []byte) ([]byte, error) {
 	if len(pt) != 16 || len(key) != 16 {
 		return nil, fmt.Errorf("aes: Encrypt needs 16-byte pt and key, got %d/%d", len(pt), len(key))

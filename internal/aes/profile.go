@@ -36,17 +36,19 @@ func buildProfile() {
 	for i, c := range n.Cells {
 		charge[i] = c.Type.SwitchingCharge()
 	}
-	var total float64
-	sim.OnToggle = func(cell int, _ bool) { total += charge[cell] }
 	for x := 0; x < 256; x++ {
-		// Settle at zero without counting, then transition to x.
-		sim.OnToggle = nil
+		// Settle at zero without counting, then transition to x and sum
+		// the toggles' charge in occurrence order.
+		sim.BatchToggles(false)
 		sim.SetPortUint("x", 0)
 		sim.Settle()
-		total = 0
-		sim.OnToggle = func(cell int, _ bool) { total += charge[cell] }
+		sim.BatchToggles(true)
 		sim.SetPortUint("x", uint64(x))
 		sim.Settle()
+		var total float64
+		for _, e := range sim.TakeToggles() {
+			total += charge[e.Cell()]
+		}
 		sboxProfile[x] = total
 	}
 }

@@ -67,7 +67,7 @@ type batchGroup struct {
 // It returns one *Capture per lane without advancing the chip's state;
 // lanes with equal plaintexts share one. Lanes the capture cache has
 // not seen simulate in wide chunks of BatchLanes, or as scalar captures
-// when the chip runs the reference engine.
+// when the netlist is too wide to compile.
 func (c *Chip) CaptureBatch(pts [][]byte, key []byte, cycles int) ([]*Capture, error) {
 	if len(pts) == 0 {
 		return nil, nil
@@ -262,10 +262,11 @@ func (c *Chip) runWide(groups []*batchGroup, pre state, key [16]byte, cycles int
 	return nil
 }
 
-// runScalarBatch is the reference-engine fallback (and the batch
-// layer's semantic ground truth, which the batch tests pin the wide
-// path against): each miss group runs a plain scalar capture from the
-// pre state, and the chip is rewound to it afterwards.
+// runScalarBatch is the fallback for netlists too wide to compile (and
+// the batch layer's semantic ground truth, which the batch tests pin
+// the wide path against on a reference-engine chip): each miss group
+// runs a plain scalar capture from the pre state, and the chip is
+// rewound to it afterwards.
 func (c *Chip) runScalarBatch(groups []*batchGroup, pre state, key [16]byte, cycles int) error {
 	defer c.restore(pre)
 	for _, g := range groups {

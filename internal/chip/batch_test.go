@@ -187,12 +187,11 @@ func TestCaptureBatchLaneCountInvariance(t *testing.T) {
 // its waveforms match the compiled chip's wide-engine batch.
 func TestCaptureBatchReferenceFallback(t *testing.T) {
 	resetCaptureCache()
-	cfg := DefaultConfig()
-	cfg.ReferenceSim = true
-	ref, err := New(cfg)
+	ref, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	useReferenceEngine(t, ref)
 	if err := ref.SetTrojan(trojan.T2LeakageCurrent, true); err != nil {
 		t.Fatal(err)
 	}

@@ -75,20 +75,6 @@ type Config struct {
 	// Seed drives every stochastic element (plaintexts, noise) so
 	// experiments are reproducible.
 	Seed int64
-
-	// ReferenceSim selects logic's reference full-cone evaluator instead
-	// of the default compiled event-driven engine. Both produce
-	// bit-identical captures (pinned by the differential tests); the
-	// reference engine exists as ground truth and for benchmarking.
-	ReferenceSim bool
-}
-
-// simOptions translates the config into logic.New options.
-func (cfg Config) simOptions() []logic.Option {
-	if cfg.ReferenceSim {
-		return []logic.Option{logic.WithReferenceEngine()}
-	}
-	return nil
 }
 
 // DefaultConfig returns the experiment configuration: 12 MHz clock,
@@ -245,7 +231,7 @@ func buildChip(cfg Config) (*built, error) {
 		}
 	}
 	n := b.Build()
-	template, err := logic.New(n, cfg.simOptions()...)
+	template, err := logic.New(n)
 	if err != nil {
 		return nil, err
 	}
@@ -537,7 +523,7 @@ func (c *Chip) capture(pt, key [16]byte, cycles int, idle bool) (*Capture, error
 	c.rec.Begin(cycles)
 	// Batched toggle accounting: the engine accumulates toggle events per
 	// cycle and tick() drains them into the recorder in occurrence order,
-	// keeping rec.Currents() bit-identical to per-callback recording.
+	// so rec.Currents() is bit-identical under either engine.
 	s.BatchToggles(true)
 	defer s.BatchToggles(false)
 
@@ -624,7 +610,7 @@ func (c *Chip) WithStuckAt(net netlist.Net, value bool) (*Chip, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := logic.New(mutated, c.cfg.simOptions()...)
+	sim, err := logic.New(mutated)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"emtrust/internal/aes"
 	"emtrust/internal/dsp"
+	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
 	"emtrust/internal/trojan"
 )
@@ -451,6 +452,24 @@ func TestChannelsAcquireDeterministic(t *testing.T) {
 	}
 }
 
+// useReferenceEngine moves c onto logic's reference full-cone evaluator,
+// starting from c's current state, under a fresh design id so c never
+// replays the compiled engine's capture-cache entries.
+func useReferenceEngine(t *testing.T, c *Chip) {
+	t.Helper()
+	sim, err := logic.New(c.n, logic.WithReferenceEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SetState(c.sim.State())
+	c.sim = sim
+	c.design = designIDs.Add(1)
+	c.resetPrivate()
+	if c.sim.Compiled() {
+		t.Fatal("chip still runs the compiled engine")
+	}
+}
+
 // TestCompiledMatchesReferenceCaptures pins the perf-critical contract
 // of the compiled event-driven simulator at the chip level: every
 // capture output — sensor and probe waveforms and the per-tile current
@@ -458,16 +477,15 @@ func TestChannelsAcquireDeterministic(t *testing.T) {
 // across encryption captures, idle captures, active Trojans, the A2
 // analog path, and a stuck-at mutant.
 func TestCompiledMatchesReferenceCaptures(t *testing.T) {
-	cfg := DefaultConfig()
-	compiled, err := New(cfg)
+	compiled, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ReferenceSim = true
-	reference, err := New(cfg)
+	reference, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	useReferenceEngine(t, reference)
 
 	compare := func(step string, a, b *Capture) {
 		t.Helper()
@@ -542,6 +560,7 @@ func TestCompiledMatchesReferenceCaptures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	useReferenceEngine(t, saR)
 	capC, err := saC.CapturePT(pt, testKey, 16)
 	if err != nil {
 		t.Fatal(err)

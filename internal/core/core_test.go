@@ -251,7 +251,7 @@ func TestMonitorPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(fp, sd, 4)
+	m, err := NewMonitor(fp, sd, MonitorOptions{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestMonitorMatchesEvaluator(t *testing.T) {
 		{"hardened", HardenedOptions(h)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := NewMonitorWith(fp, sd, tc.opts)
+			m, err := NewMonitor(fp, sd, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -397,7 +397,7 @@ func countAlarms(vs []Verdict) int {
 }
 
 func TestMonitorNeedsADetector(t *testing.T) {
-	if _, err := NewMonitor(nil, nil, 0); err == nil {
+	if _, err := NewMonitor(nil, nil, MonitorOptions{}); err == nil {
 		t.Fatal("nil detectors must error")
 	}
 }
@@ -408,7 +408,7 @@ func TestMonitorTimeOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(fp, nil, -1) // negative buffer clamps to 0
+	m, err := NewMonitor(fp, nil, MonitorOptions{Buffer: -1}) // negative buffer clamps to 0
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestMonitorStatsZeroTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(fp, nil, 4)
+	m, err := NewMonitor(fp, nil, MonitorOptions{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type Evaluator struct {
 }
 
 // NewEvaluator builds the synchronous pipeline from fitted detectors.
-// Options are interpreted as in NewMonitorWith; Buffer is ignored
+// Options are interpreted as in NewMonitor; Buffer is ignored
 // (there are no channels — the caller is the worker).
 func NewEvaluator(fp *Fingerprint, sd *SpectralDetector, opts MonitorOptions) (*Evaluator, error) {
 	if fp == nil && sd == nil {

@@ -86,7 +86,7 @@ func TestMonitorOptionValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewMonitorWith(fp, nil, tc.opts); err == nil {
+			if _, err := NewMonitor(fp, nil, tc.opts); err == nil {
 				t.Fatal("want a configuration error")
 			}
 		})
@@ -96,7 +96,7 @@ func TestMonitorOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMonitorWith(nil, sd, MonitorOptions{Rebaseline: RebaselineConfig{Alpha: 0.1}}); err == nil {
+	if _, err := NewMonitor(nil, sd, MonitorOptions{Rebaseline: RebaselineConfig{Alpha: 0.1}}); err == nil {
 		t.Fatal("rebaseline without fingerprint must error")
 	}
 }
@@ -230,7 +230,7 @@ func TestMonitorRejectsUnhealthyTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitorWith(fp, nil, HardenedOptions(h))
+	m, err := NewMonitor(fp, nil, HardenedOptions(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestRebaselineTracksSlowDrift(t *testing.T) {
 	}
 	const n, span = 120, 120
 	run := func(opts MonitorOptions) (alarms int) {
-		m, err := NewMonitorWith(fp, nil, opts)
+		m, err := NewMonitor(fp, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestRebaselineFreezesOnTrojanStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitorWith(fp, nil, MonitorOptions{
+	m, err := NewMonitor(fp, nil, MonitorOptions{
 		Buffer:     4,
 		Debounce:   DebounceConfig{M: 2, N: 5},
 		Rebaseline: RebaselineConfig{Alpha: 0.2}, // aggressive: absorb fast if unguarded

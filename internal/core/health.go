@@ -18,54 +18,40 @@ import (
 
 // HealthConfig tunes the pre-check thresholds.
 type HealthConfig struct {
-	// FlatlineFraction flags a dead channel: peak-to-peak below this
-	// fraction of the golden mean peak-to-peak. Default 0.02.
-	FlatlineFraction float64
 	// MaxClippedRatio flags saturation: more than this fraction of
 	// samples pinned at the record's extreme rails. Default 0.01 — a
 	// healthy noisy record touches its exact maximum once or twice; a
 	// saturating converter (or a burst clipped at the rail) parks there
 	// for whole runs.
 	MaxClippedRatio float64
-	// RMSFactor bounds the plausible energy envelope: accept RMS within
-	// [golden/RMSFactor, golden*RMSFactor]. Default 4.
-	RMSFactor float64
-	// SpikeFactor flags physically impossible samples: anything beyond
-	// SpikeFactor times the golden peak amplitude cannot have come from
-	// the chip and must be interference in the readout chain. Default
-	// 1.5 — generous against aging gain drift, far below any burst.
-	SpikeFactor float64
-	// MaxSpikeRatio is the tolerated fraction of spike samples before
-	// the trace is rejected as burst interference. Default 0.005.
-	MaxSpikeRatio float64
 }
+
+// Fixed pre-check thresholds.
+const (
+	// flatlineFraction flags a dead channel: peak-to-peak below this
+	// fraction of the golden mean peak-to-peak.
+	flatlineFraction = 0.02
+	// rmsFactor bounds the plausible energy envelope: accept RMS within
+	// [golden/rmsFactor, golden*rmsFactor].
+	rmsFactor = 4
+	// spikeFactor flags physically impossible samples: anything beyond
+	// spikeFactor times the golden peak amplitude cannot have come from
+	// the chip and must be interference in the readout chain. 1.5 is
+	// generous against aging gain drift, far below any burst.
+	spikeFactor = 1.5
+	// maxSpikeRatio is the tolerated fraction of spike samples before
+	// the trace is rejected as burst interference.
+	maxSpikeRatio = 0.005
+)
 
 // DefaultHealthConfig returns the tuning used by the experiments.
 func DefaultHealthConfig() HealthConfig {
-	return HealthConfig{
-		FlatlineFraction: 0.02,
-		MaxClippedRatio:  0.01,
-		RMSFactor:        4,
-		SpikeFactor:      1.5,
-		MaxSpikeRatio:    0.005,
-	}
+	return HealthConfig{MaxClippedRatio: 0.01}
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
-	if c.FlatlineFraction <= 0 {
-		c.FlatlineFraction = 0.02
-	}
 	if c.MaxClippedRatio <= 0 {
 		c.MaxClippedRatio = 0.01
-	}
-	if c.RMSFactor <= 1 {
-		c.RMSFactor = 4
-	}
-	if c.SpikeFactor <= 1 {
-		c.SpikeFactor = 1.5
-	}
-	if c.MaxSpikeRatio <= 0 {
-		c.MaxSpikeRatio = 0.005
 	}
 	return c
 }
@@ -134,7 +120,7 @@ func (h *ChannelHealth) Check(t *trace.Trace) HealthVerdict {
 	}
 	v.RMS = dsp.RMS(t.Samples)
 	lo, hi := minMax(t.Samples)
-	if hi-lo < h.cfg.FlatlineFraction*h.GoldenPTP {
+	if hi-lo < flatlineFraction*h.GoldenPTP {
 		v.Rejected, v.Flatline, v.Reason = true, true, "flatline"
 		return v
 	}
@@ -157,7 +143,7 @@ func (h *ChannelHealth) Check(t *trace.Trace) HealthVerdict {
 	// golden peak bounds what the die radiates; anything well past it is
 	// the readout chain picking up the environment, and the detectors
 	// must not be asked to vote on it.
-	limit := h.cfg.SpikeFactor * h.GoldenPeak
+	limit := spikeFactor * h.GoldenPeak
 	spikes := 0
 	for _, s := range t.Samples {
 		if math.Abs(s) > limit {
@@ -165,11 +151,11 @@ func (h *ChannelHealth) Check(t *trace.Trace) HealthVerdict {
 		}
 	}
 	v.Spikes = float64(spikes) / float64(len(t.Samples))
-	if v.Spikes > h.cfg.MaxSpikeRatio {
+	if v.Spikes > maxSpikeRatio {
 		v.Rejected, v.Reason = true, "burst"
 		return v
 	}
-	if v.RMS > h.GoldenRMS*h.cfg.RMSFactor || v.RMS < h.GoldenRMS/h.cfg.RMSFactor {
+	if v.RMS > h.GoldenRMS*rmsFactor || v.RMS < h.GoldenRMS/rmsFactor {
 		v.Rejected, v.Reason = true, "rms"
 		return v
 	}
@@ -188,11 +174,11 @@ func (h *ChannelHealth) Confidence(v HealthVerdict) float64 {
 	}
 	c := 1.0
 	c -= 0.5 * v.Clipped / h.cfg.MaxClippedRatio
-	c -= 0.5 * v.Spikes / h.cfg.MaxSpikeRatio
+	c -= 0.5 * v.Spikes / maxSpikeRatio
 	if v.RMS > 0 {
 		// Log-space distance to the envelope edge: 0 at golden RMS, 1 at
 		// the rejection boundary.
-		dev := math.Abs(math.Log(v.RMS/h.GoldenRMS)) / math.Log(h.cfg.RMSFactor)
+		dev := math.Abs(math.Log(v.RMS/h.GoldenRMS)) / math.Log(rmsFactor)
 		c -= 0.5 * dev
 	}
 	if c < 0.05 {

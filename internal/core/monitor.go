@@ -85,14 +85,9 @@ type Monitor struct {
 }
 
 // NewMonitor builds a runtime monitor from fitted detectors. Either
-// detector may be nil to run the other alone.
-func NewMonitor(fp *Fingerprint, sd *SpectralDetector, buffer int) (*Monitor, error) {
-	return NewMonitorWith(fp, sd, MonitorOptions{Buffer: buffer})
-}
-
-// NewMonitorWith builds a monitor with explicit options (see
-// MonitorOptions; the zero value reproduces the paper's monitor).
-func NewMonitorWith(fp *Fingerprint, sd *SpectralDetector, opts MonitorOptions) (*Monitor, error) {
+// detector may be nil to run the other alone. See MonitorOptions; the
+// zero value reproduces the paper's monitor.
+func NewMonitor(fp *Fingerprint, sd *SpectralDetector, opts MonitorOptions) (*Monitor, error) {
 	ev, err := NewEvaluator(fp, sd, opts)
 	if err != nil {
 		return nil, err

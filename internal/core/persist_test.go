@@ -108,7 +108,7 @@ func TestMonitorWithLoadedModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := NewMonitor(loaded, nil, 1)
+	mon, err := NewMonitor(loaded, nil, MonitorOptions{Buffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

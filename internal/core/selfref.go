@@ -18,36 +18,33 @@ import "fmt"
 
 // SelfReferenceConfig tunes the array detector.
 type SelfReferenceConfig struct {
-	// Threshold is the robust z-score above which a sensor is anomalous.
-	Threshold float64
 	// Alpha is the EWMA weight of the guarded per-sensor baseline update
 	// on quiet frames (0 freezes the baseline at calibration).
 	Alpha float64
-	// MinSigma floors the per-sensor spread estimate, in relative-change
-	// units. Calibration frames of a steady chip differ only by
-	// acquisition noise, and on a nearly noise-free channel the measured
-	// spread collapses toward zero; without a floor any benign
-	// fluctuation would then score as anomalous.
-	MinSigma float64
 }
 
+// SelfReferenceThreshold is the robust z-score above which a sensor is
+// anomalous. With the minSigma floor, a sensor must move at least
+// SelfReferenceThreshold×minSigma (≈4%) relative to its neighbors before
+// it is called anomalous, however quiet the calibration was.
+const SelfReferenceThreshold = 8.0
+
+// minSigma floors the per-sensor spread estimate, in relative-change
+// units. Calibration frames of a steady chip differ only by acquisition
+// noise, and on a nearly noise-free channel the measured spread
+// collapses toward zero; without a floor any benign fluctuation would
+// then score as anomalous.
+const minSigma = 0.005
+
 // DefaultSelfReferenceConfig returns the tuning used by the
-// localization experiments: a sensor must move at least Threshold×
-// MinSigma (≈4%) relative to its neighbors before it is called
-// anomalous, however quiet the calibration was.
+// localization experiments.
 func DefaultSelfReferenceConfig() SelfReferenceConfig {
-	return SelfReferenceConfig{Threshold: 8, Alpha: 0.1, MinSigma: 0.005}
+	return SelfReferenceConfig{Alpha: 0.1}
 }
 
 func (c SelfReferenceConfig) withDefaults() SelfReferenceConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 8
-	}
 	if c.Alpha < 0 || c.Alpha >= 1 {
 		c.Alpha = 0.1
-	}
-	if c.MinSigma <= 0 {
-		c.MinSigma = 0.005
 	}
 	return c
 }
@@ -61,7 +58,7 @@ type SelfReference struct {
 	// then EWMA-tracked on quiet frames).
 	base []float64
 	// sigma is the per-sensor robust spread of the spatial residual over
-	// the calibration frames, floored at cfg.MinSigma.
+	// the calibration frames, floored at minSigma.
 	sigma []float64
 	// baseFloor guards the relative-change division against dead sensors.
 	baseFloor float64
@@ -131,8 +128,8 @@ func CalibrateSelfReference(frames [][]float64, neighbors [][]int, cfg SelfRefer
 			col[i] = abs(col[i] - m)
 		}
 		d.sigma[s] = 1.4826 * median(col)
-		if d.sigma[s] < d.cfg.MinSigma {
-			d.sigma[s] = d.cfg.MinSigma
+		if d.sigma[s] < minSigma {
+			d.sigma[s] = minSigma
 		}
 	}
 	return d, nil
@@ -196,7 +193,7 @@ func (d *SelfReference) Evaluate(frame []float64) (ArrayVerdict, error) {
 			v.Max, v.ArgMax = r[s], s
 		}
 	}
-	v.Alarm = v.Max > d.cfg.Threshold
+	v.Alarm = v.Max > SelfReferenceThreshold
 	if !v.Alarm && d.cfg.Alpha > 0 {
 		for s := range d.base {
 			d.base[s] = (1-d.cfg.Alpha)*d.base[s] + d.cfg.Alpha*frame[s]
@@ -204,9 +201,6 @@ func (d *SelfReference) Evaluate(frame []float64) (ArrayVerdict, error) {
 	}
 	return v, nil
 }
-
-// Threshold returns the effective alarm threshold.
-func (d *SelfReference) Threshold() float64 { return d.cfg.Threshold }
 
 func abs(x float64) float64 {
 	if x < 0 {

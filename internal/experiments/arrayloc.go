@@ -82,7 +82,7 @@ type LocalizationResult struct {
 // 1×1 (the paper's whole-die coil) through 8×8, then the channel-budget
 // tradeoff at 4×4.
 func Localization(cfg Config) (*LocalizationResult, error) {
-	res := &LocalizationResult{Threshold: core.DefaultSelfReferenceConfig().Threshold}
+	res := &LocalizationResult{Threshold: core.SelfReferenceThreshold}
 	for _, n := range []int{1, 2, 4, 8} {
 		g, err := localizeGrid(cfg, n, 0, locCalFrames, locEvalFrames)
 		if err != nil {

@@ -266,7 +266,7 @@ func campaignMember(cfg Config, goldenCfg chip.Config, m *campaign.Member) (Camp
 	out.Detection = rateAbove(out.ActiveRel, 1)
 	out.FalseAlarm = rateAbove(out.DormantRel, 1)
 
-	hardened, err := core.NewMonitorWith(fp, nil, core.HardenedOptions(health))
+	hardened, err := core.NewMonitor(fp, nil, core.HardenedOptions(health))
 	if err != nil {
 		return out, err
 	}

@@ -8,6 +8,9 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
+
 	"emtrust/internal/chip"
 	"emtrust/internal/core"
 )
@@ -79,16 +82,21 @@ func DefaultConfig() Config {
 
 // Scaled returns a copy of the configuration with trace counts multiplied
 // by f (at least 2 traces); used by the benchmark harness to approach the
-// paper's 2x10^4-count histograms.
-func (c Config) Scaled(f float64) Config {
-	scale := func(n int) int {
-		v := int(float64(n) * f)
-		if v < 2 {
-			v = 2
-		}
-		return v
+// paper's 2x10^4-count histograms. It fails when f is NaN or infinite or
+// a scaled count exceeds math.MaxInt32.
+func (c Config) Scaled(f float64) (Config, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return Config{}, fmt.Errorf("experiments: scale %v is not a finite number", f)
 	}
-	c.GoldenTraces = scale(c.GoldenTraces)
-	c.TestTraces = scale(c.TestTraces)
-	return c
+	for _, n := range []*int{&c.GoldenTraces, &c.TestTraces} {
+		switch v := float64(*n) * f; {
+		case v > math.MaxInt32:
+			return Config{}, fmt.Errorf("experiments: scale %g asks for %.3g traces (at most %d)", f, v, math.MaxInt32)
+		case v < 2:
+			*n = 2
+		default:
+			*n = int(v)
+		}
+	}
+	return c, nil
 }

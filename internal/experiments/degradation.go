@@ -195,12 +195,12 @@ func Degradation(cfg Config) (*DegradationResult, error) {
 		}
 
 		degClean := degradeReplay(c, clean.Sensor.Traces, stages, 0)
-		naive, err := core.NewMonitor(fp, nil, 8)
+		naive, err := core.NewMonitor(fp, nil, core.MonitorOptions{Buffer: 8})
 		if err != nil {
 			return nil, err
 		}
 		p.FalseAlarmNaive = confirmedRate(runStream(naive, degClean))
-		hardened, err := core.NewMonitorWith(fp, nil, core.HardenedOptions(health))
+		hardened, err := core.NewMonitor(fp, nil, core.HardenedOptions(health))
 		if err != nil {
 			return nil, err
 		}
@@ -210,12 +210,12 @@ func Degradation(cfg Config) (*DegradationResult, error) {
 
 		for _, k := range trojan.Kinds() {
 			deg := degradeReplay(c, trojanSets[k].Sensor.Traces, stages, 0)
-			naive, err := core.NewMonitor(fp, nil, 8)
+			naive, err := core.NewMonitor(fp, nil, core.MonitorOptions{Buffer: 8})
 			if err != nil {
 				return nil, err
 			}
 			p.DetectionNaive[k] = confirmedRate(runStream(naive, deg))
-			hardened, err := core.NewMonitorWith(fp, nil, core.HardenedOptions(health))
+			hardened, err := core.NewMonitor(fp, nil, core.HardenedOptions(health))
 			if err != nil {
 				return nil, err
 			}
@@ -225,14 +225,14 @@ func Degradation(cfg Config) (*DegradationResult, error) {
 		// A2: idle-window spectra, scaled to the idle channel's RMS.
 		a2Stages := degrade.Profile{Severity: sev, RefRMS: a2Health.GoldenRMS, RefPeak: a2Health.GoldenPeak, Span: res.Span}.Stages()
 		degA2 := degradeReplay(a2Chip, a2On, a2Stages, 0)
-		a2Naive, err := core.NewMonitor(nil, sd, 8)
+		a2Naive, err := core.NewMonitor(nil, sd, core.MonitorOptions{Buffer: 8})
 		if err != nil {
 			return nil, err
 		}
 		p.A2Naive = confirmedRate(runStream(a2Naive, degA2))
 		a2Opts := core.HardenedOptions(a2Health)
 		a2Opts.Rebaseline = core.RebaselineConfig{} // no time-domain fingerprint here
-		a2Hardened, err := core.NewMonitorWith(nil, sd, a2Opts)
+		a2Hardened, err := core.NewMonitor(nil, sd, a2Opts)
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +247,7 @@ func Degradation(cfg Config) (*DegradationResult, error) {
 	stages := degrade.Profile{Severity: moderateSeverity, RefRMS: health.GoldenRMS, RefPeak: health.GoldenPeak, Span: res.Span}.Stages()
 	prefix := degradeReplay(c, clean.Sensor.Traces, stages, 0)
 	active := degradeReplay(c, trojanSets[trojan.T4PowerHog].Sensor.Traces, stages, len(prefix))
-	m, err := core.NewMonitorWith(fp, nil, core.HardenedOptions(health))
+	m, err := core.NewMonitor(fp, nil, core.HardenedOptions(health))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -247,13 +248,20 @@ func TestLayoutReport(t *testing.T) {
 
 func TestConfigScaled(t *testing.T) {
 	cfg := DefaultConfig()
-	big := cfg.Scaled(2)
-	if big.GoldenTraces != 2*cfg.GoldenTraces || big.TestTraces != 2*cfg.TestTraces {
-		t.Fatal("Scaled broken")
+	big, err := cfg.Scaled(2)
+	if err != nil || big.GoldenTraces != 2*cfg.GoldenTraces || big.TestTraces != 2*cfg.TestTraces {
+		t.Fatalf("Scaled broken (err %v)", err)
 	}
-	tiny := cfg.Scaled(0)
-	if tiny.GoldenTraces < 2 {
-		t.Fatal("Scaled must clamp to 2")
+	tiny, err := cfg.Scaled(0)
+	if err != nil || tiny.GoldenTraces < 2 {
+		t.Fatalf("Scaled must clamp to 2 (err %v)", err)
+	}
+	// Counts an int cannot hold (or that are no number at all) fail
+	// instead of converting to an implementation-dependent int.
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e17, 1e300} {
+		if _, err := cfg.Scaled(f); err == nil {
+			t.Errorf("Scaled(%g) did not fail", f)
+		}
 	}
 }
 

@@ -83,18 +83,18 @@ func (a *aggregator) ingestLocked(v verdict) {
 		// ranking, while a single surviving burst can only buy a
 		// bounded, fast-decaying bump.
 		z := v.z
-		if cap := 4 * a.cfg.ThresholdK; z > cap {
+		if cap := 4 * thresholdK; z > cap {
 			z = cap
 		}
 		if !st.seen {
 			st.ewma, st.seen = z, true
 		} else {
-			st.ewma = (1-a.cfg.EWMAAlpha)*st.ewma + a.cfg.EWMAAlpha*z
+			st.ewma = (1-ewmaAlpha)*st.ewma + ewmaAlpha*z
 		}
 		st.count++
 		st.distance = v.v.Time.Distance
 		st.lastZ = v.z
-		if v.z > a.cfg.ThresholdK {
+		if v.z > thresholdK {
 			st.confirmed++
 			a.confirmed.Add(1)
 		}
@@ -125,9 +125,9 @@ func (a *aggregator) rerankLocked() {
 	}
 	a.fleetSig = a.fleetSigmaLocked(n)
 	pr := core.NewPopulationReference(core.PopulationConfig{
-		MinCohort: a.cfg.MinCohort,
+		MinCohort: minCohort,
 		Sigma:     a.fleetSig,
-		FDR:       a.cfg.FDR,
+		FDR:       fdr,
 	})
 	a.rank = pr.Rank(a.scores, a.eligible)
 }
@@ -137,7 +137,7 @@ func (a *aggregator) rerankLocked() {
 // fleet does not turn numerical dust into alarms. Robust, so the
 // infected tail barely moves it.
 func (a *aggregator) fleetSigmaLocked(n int) float64 {
-	if n < a.cfg.MinCohort {
+	if n < minCohort {
 		return 1
 	}
 	vals := make([]float64, 0, n)
@@ -221,7 +221,7 @@ func (a *aggregator) alarms() []Alarm {
 		// deliberately redundant with the count ratio: shedding drops
 		// confirmed and unconfirmed verdicts alike, but at tiny counts
 		// the ratio is coarse while the EWMA still integrates level.
-		if st.confirmed < 2 || 3*st.confirmed < 2*st.count || st.ewma < a.cfg.ThresholdK/2 {
+		if st.confirmed < 2 || 3*st.confirmed < 2*st.count || st.ewma < thresholdK/2 {
 			continue
 		}
 		out = append(out, Alarm{

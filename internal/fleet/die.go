@@ -28,7 +28,7 @@ type Population struct {
 	dt       float64
 	coupling *emfield.Coupling
 	// dormant is the deep-copied per-tile current waveform of the
-	// Trojan-free steady state; active[k] are TrojanStates captured
+	// Trojan-free steady state; active[k] are trojanStates captured
 	// states of the planted Trojan.
 	dormant [][]float64
 	active  [][][]float64
@@ -69,23 +69,23 @@ func newPopulation(cfg Config) (*Population, error) {
 	}
 
 	if cfg.Prevalence > 0 {
-		if c.Trojan(cfg.Trojan) == nil {
-			return nil, fmt.Errorf("fleet: chip build carries no %v Trojan", cfg.Trojan)
+		if c.Trojan(plantedTrojan) == nil {
+			return nil, fmt.Errorf("fleet: chip build carries no %v Trojan", plantedTrojan)
 		}
-		if err := c.SetTrojan(cfg.Trojan, true); err != nil {
+		if err := c.SetTrojan(plantedTrojan, true); err != nil {
 			return nil, err
 		}
 		if _, err := capture(); err != nil { // trigger transient, discarded
 			return nil, err
 		}
-		for k := 0; k < cfg.TrojanStates; k++ {
+		for k := 0; k < trojanStates; k++ {
 			tiles, err := capture()
 			if err != nil {
 				return nil, err
 			}
 			p.active = append(p.active, tiles)
 		}
-		if err := c.SetTrojan(cfg.Trojan, false); err != nil {
+		if err := c.SetTrojan(plantedTrojan, false); err != nil {
 			return nil, err
 		}
 	}
@@ -96,7 +96,7 @@ func newPopulation(cfg Config) (*Population, error) {
 // identical on every die, which is exactly what the cross-die reference
 // must cancel.
 func (p *Population) commonGain(round int) float64 {
-	return 1 + p.cfg.CommonModeAmp*math.Sin(2*math.Pi*float64(round)/float64(p.cfg.CommonModePeriod))
+	return 1 + commonModeAmp*math.Sin(2*math.Pi*float64(round)/commonModePeriod)
 }
 
 // Die is one deployed device: a variation sibling of the shared build
@@ -203,13 +203,13 @@ func (p *Population) spawn(id int) (*Die, error) {
 	// (per-cell variation averages out within a tile; the corner is
 	// what distinguishes dies macroscopically).
 	prng := frand.NewRand(dieSeed(cfg.Seed, id, purposeParams, 0))
-	corner := 1 + cfg.CornerSigma*prng.NormFloat64()
+	corner := 1 + cornerSigma*prng.NormFloat64()
 	if corner < 0.1 {
 		corner = 0.1
 	}
 	gains := make([]float64, len(p.coupling.M))
 	for t := range gains {
-		g := corner * (1 + cfg.VariationSigma*prng.NormFloat64())
+		g := corner * (1 + variationSigma*prng.NormFloat64())
 		if g < 0.1 {
 			g = 0.1
 		}
@@ -398,7 +398,7 @@ func (p *Population) spawn(id int) (*Die, error) {
 		// than a ramp from zero (a ramp's MAD wildly understates the
 		// steady-state fluctuation, leaving z hair-triggered).
 		reseed()
-		capR := medR0 + cfg.ThresholdK*sigmaR0
+		capR := medR0 + thresholdK*sigmaR0
 		for i := 0; i < cfg.NullTraces; i++ {
 			y := feats[i]
 			if y == nil {
@@ -422,7 +422,7 @@ func (p *Population) spawn(id int) (*Die, error) {
 			rn := d.residNorm(y)
 			nullRes = append(nullRes, rn)
 			nullInt = append(nullInt, d.integrate(rn, capR))
-			if (rn-medR0)/sigmaR0 > cfg.ThresholdK {
+			if (rn-medR0)/sigmaR0 > thresholdK {
 				d.coast()
 			} else {
 				d.track(y)
@@ -741,8 +741,8 @@ func (d *Die) tick(round int) verdict {
 	} else {
 		rn := d.residNorm(score)
 		zi := (rn - d.medR) / d.sigmaR
-		z = (d.integrate(rn, d.medR+cfg.ThresholdK*d.sigmaR) - d.med) / d.sigma
-		if zi > d.pop.cfg.ThresholdK {
+		z = (d.integrate(rn, d.medR+thresholdK*d.sigmaR) - d.med) / d.sigma
+		if zi > thresholdK {
 			// Frozen: this round's residual is beyond anything aging
 			// produces, so don't learn from it — coast on the held trend
 			// while the integrator accumulates the step. The gate is the

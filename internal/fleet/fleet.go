@@ -60,26 +60,9 @@ type Config struct {
 	// Prevalence is the fraction of dies fabricated with the Trojan
 	// (each die draws independently, so the realized count is binomial).
 	Prevalence float64
-	// Trojan is the payload planted in infected dies. Default
-	// T1AMLeaker: its emission delta is the largest of the four stock
-	// payloads while its amplitude stays inside a degraded ADC rail
-	// (T4PowerHog's sustained draw clips a severity-2 converter, which
-	// the health gate reads as a dying sensor, not a Trojan).
-	Trojan trojan.Kind
 	// ActivationRound is the monitored round at which infected dies'
 	// Trojans trigger (fingerprints are always enrolled pre-activation).
 	ActivationRound int
-	// TrojanStates is how many captured states of the active Trojan the
-	// infected dies cycle through (Trojans with internal counters evolve
-	// across captures). Default 4.
-	TrojanStates int
-
-	// VariationSigma and CornerSigma follow power.Config's process
-	// model, applied per tile: each die's tile currents are scaled by
-	// corner * (1 + VariationSigma*N(0,1)) with the corner shared
-	// across the die. Defaults 0.05 each.
-	VariationSigma float64
-	CornerSigma    float64
 
 	// Severity scales every die's degrade.Profile; each die draws a
 	// personal factor in [0.5, 1.5) on top. <= 0 leaves channels
@@ -92,12 +75,6 @@ type Config struct {
 	// partway through the run (graceful-degradation fodder: they must
 	// end up quarantined, not in the alarm list).
 	FlatlineRate float64
-	// CommonModeAmp and CommonModePeriod shape a fleet-wide sinusoidal
-	// gain wobble (ambient temperature, supply season) that every die
-	// sees identically — the signal the cross-die reference must
-	// cancel. Defaults 0.01 and 200 rounds.
-	CommonModeAmp    float64
-	CommonModePeriod int
 
 	// CaptureCycles is the capture window; GoldenTraces fit each die's
 	// fingerprint and health envelope; NullTraces calibrate its null
@@ -138,29 +115,57 @@ type Config struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 
-	// ThresholdK is each die's alarm threshold in null-calibrated sigma
-	// units, and doubles as the drift tracker's freeze guard: a residual
-	// beyond ThresholdK sigmas stops the tracker from learning (it
-	// coasts on the trend it already holds), so smooth aging is tracked
-	// away while a Trojan's activation step stays visible instead of
-	// being absorbed into the baseline. Default 6.
-	ThresholdK float64
-	// EWMAAlpha smooths each die's z-score stream in the aggregator.
-	// Default 0.15.
-	EWMAAlpha float64
 	// MinSamples is the verdict count before a die joins the
 	// false-discovery family. Default 8.
 	MinSamples int
 	// RankEvery re-ranks the fleet every that many aggregated verdicts
 	// (status requests also re-rank on demand). Default max(64, Dies).
 	RankEvery int
-	// FDR is the Benjamini-Hochberg false discovery rate of the alarm
-	// list. Default 0.05.
-	FDR float64
-	// MinCohort gates common-mode cancellation (see
-	// core.PopulationConfig). Default 8.
-	MinCohort int
 }
+
+// Fixed fleet tuning.
+const (
+	// plantedTrojan is the payload planted in infected dies:
+	// T1AMLeaker's emission delta is the largest of the four stock
+	// payloads while its amplitude stays inside a degraded ADC rail
+	// (T4PowerHog's sustained draw clips a severity-2 converter, which
+	// the health gate reads as a dying sensor, not a Trojan).
+	plantedTrojan = trojan.T1AMLeaker
+	// trojanStates is how many captured states of the active Trojan the
+	// infected dies cycle through (Trojans with internal counters evolve
+	// across captures).
+	trojanStates = 4
+
+	// variationSigma and cornerSigma follow power.Config's process
+	// model, applied per tile: each die's tile currents are scaled by
+	// corner * (1 + variationSigma*N(0,1)) with the corner shared
+	// across the die.
+	variationSigma = 0.05
+	cornerSigma    = 0.05
+
+	// commonModeAmp and commonModePeriod (rounds) shape a fleet-wide
+	// sinusoidal gain wobble (ambient temperature, supply season) that
+	// every die sees identically — the signal the cross-die reference
+	// must cancel.
+	commonModeAmp    = 0.01
+	commonModePeriod = 200
+
+	// thresholdK is each die's alarm threshold in null-calibrated sigma
+	// units, and doubles as the drift tracker's freeze guard: a residual
+	// beyond thresholdK sigmas stops the tracker from learning (it
+	// coasts on the trend it already holds), so smooth aging is tracked
+	// away while a Trojan's activation step stays visible instead of
+	// being absorbed into the baseline.
+	thresholdK = 6.0
+	// ewmaAlpha smooths each die's z-score stream in the aggregator.
+	ewmaAlpha = 0.15
+	// fdr is the Benjamini-Hochberg false discovery rate of the alarm
+	// list.
+	fdr = 0.05
+	// minCohort gates common-mode cancellation (see
+	// core.PopulationConfig).
+	minCohort = 8
+)
 
 // DefaultConfig returns a small but fully-featured fleet: 64 dies on 4
 // shards at 1% prevalence, severity-1 aging, and the default chip
@@ -197,26 +202,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Shards > c.Dies {
 		c.Shards = c.Dies
 	}
-	if c.Trojan == 0 {
-		c.Trojan = trojan.T1AMLeaker
-	}
-	if c.TrojanStates <= 0 {
-		c.TrojanStates = 4
-	}
-	if c.VariationSigma == 0 {
-		c.VariationSigma = 0.05
-	}
-	if c.CornerSigma == 0 {
-		c.CornerSigma = 0.05
-	}
 	if c.DriftSpan <= 0 {
 		c.DriftSpan = 400
-	}
-	if c.CommonModeAmp == 0 {
-		c.CommonModeAmp = 0.01
-	}
-	if c.CommonModePeriod <= 0 {
-		c.CommonModePeriod = 200
 	}
 	if c.CaptureCycles <= 0 {
 		c.CaptureCycles = 32
@@ -247,12 +234,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 2 * time.Second
 	}
-	if c.ThresholdK <= 0 {
-		c.ThresholdK = 6
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.15
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 8
 	}
@@ -261,12 +242,6 @@ func (c Config) withDefaults() (Config, error) {
 		if c.Dies > c.RankEvery {
 			c.RankEvery = c.Dies
 		}
-	}
-	if c.FDR <= 0 || c.FDR >= 1 {
-		c.FDR = 0.05
-	}
-	if c.MinCohort <= 0 {
-		c.MinCohort = 8
 	}
 	return c, nil
 }

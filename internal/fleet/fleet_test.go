@@ -189,9 +189,31 @@ func TestSupervisorRestartBudgetExhausted(t *testing.T) {
 	waitNoGoroutines(t, s)
 }
 
+// healthyTickBudget returns a watchdog timeout no healthy tick of cfg
+// comes near on this host: 20 times the slowest TickOnce over every die
+// and round of a throwaway service built from cfg, and at least 5 ms. A
+// fixed budget trips healthy dies when the host is loaded (or runs the
+// race detector).
+func healthyTickBudget(t *testing.T, cfg Config) time.Duration {
+	t.Helper()
+	probe, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slowest time.Duration
+	for round := 0; round < cfg.Rounds; round++ {
+		for die := 0; die < cfg.Dies; die++ {
+			start := time.Now()
+			probe.TickOnce(die, round)
+			slowest = max(slowest, time.Since(start))
+		}
+	}
+	return max(20*slowest, 5*time.Millisecond)
+}
+
 func TestTickTimeoutQuarantinesStalledDie(t *testing.T) {
 	cfg := cheapConfig(4, 2, 10)
-	cfg.TickTimeout = 5 * time.Millisecond
+	cfg.TickTimeout = healthyTickBudget(t, cfg)
 	cfg.QuarantineAfter = 3
 	s, err := New(cfg)
 	if err != nil {
@@ -200,9 +222,10 @@ func TestTickTimeoutQuarantinesStalledDie(t *testing.T) {
 	// Die 2's capture wedges on every round — in deployment, a hung
 	// sensor readout. Its shard must keep servicing its other dies and
 	// the die must end up quarantined, not retried forever.
+	stall := 10 * cfg.TickTimeout
 	s.hooks.stallDie = func(die, round int) time.Duration {
 		if die == 2 {
-			return 50 * time.Millisecond
+			return stall
 		}
 		return 0
 	}

@@ -518,7 +518,7 @@ func (s *Service) Status() Status {
 		Eligible:   rank.Eligible,
 		CommonMode: rank.CommonMode,
 		FleetSigma: fleetSig,
-		FDR:        s.cfg.FDR,
+		FDR:        fdr,
 		PThreshold: rank.Threshold,
 	}
 	if !s.start.IsZero() {

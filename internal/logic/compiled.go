@@ -265,6 +265,13 @@ const denseDivisor = 32
 // compare goes through the rank-indexed ov cache rather than the
 // net-value array: same result, but the load is near-sequential in scan
 // order instead of a random access per evaluation.
+//
+// The sparse scan compiles the toggle test to straight-line code: the
+// event append is speculative (written then kept only when the output
+// changed) and the fanout loop runs over a zero-masked-length segment
+// when nothing toggled, so the data-dependent "did it toggle" branch —
+// mispredicted on a third of evaluations under real workloads — stays
+// out of the hot path.
 func (s *Simulator) settleCompiled() {
 	if s.maxW < s.minW {
 		return
@@ -277,119 +284,6 @@ func (s *Simulator) settleCompiled() {
 		s.settleSweep()
 		return
 	}
-	if s.batch {
-		s.settleBatch()
-		return
-	}
-	p := s.prog
-	ins := p.ins
-	v := s.values
-	ov := s.ov
-	d := s.dirty
-	lut := &evalLUT
-	for w := s.minW; w <= s.maxW; w++ {
-		// Snapshot the word into a register and clear it once: the scan
-		// then pops bits without re-reading d[w], and fanout marks
-		// landing in the current word (always the first entry of a
-		// fanout segment, since segment words are sorted and >= the
-		// driver's own word) fold into the register instead of the
-		// store-to-load chain through memory.
-		cur := d[w]
-		if cur == 0 {
-			continue
-		}
-		d[w] = 0
-		for cur != 0 {
-			t := bits.TrailingZeros64(cur)
-			cur &^= 1 << uint(t)
-			r := w<<6 | t
-			it := ins[r]
-			nv := lut[uint32(it.outOp)>>netBits][uint(v[it.in0])|uint(v[it.in1])<<1|uint(v[it.in2])<<2]
-			if nv == ov[r] {
-				continue
-			}
-			ov[r] = nv
-			v[it.outOp&netMask] = nv
-			if s.OnToggle != nil {
-				s.OnToggle(int(p.cellOf[r]), nv == 1)
-			}
-			start, end := p.fanCum[r], p.fanCum[r+1]
-			j := start
-			if j < end && int(p.fanW[j]) == w {
-				cur |= p.fanM[j]
-				j++
-			}
-			for ; j < end; j++ {
-				d[p.fanW[j]] |= p.fanM[j]
-			}
-			if end > start {
-				if fw := int(p.fanW[end-1]); fw > s.maxW {
-					s.maxW = fw
-				}
-			}
-		}
-	}
-	s.minW, s.maxW = len(d), -1
-}
-
-// settleSweep is the dense settle: one linear pass over the whole
-// instruction stream in rank order, the reference algorithm run on the
-// compiled layout (16-byte streamed instructions, branchless LUT
-// evaluation, rank-indexed output cache). Clean cells evaluate to their
-// cached value and report nothing, so the toggle stream is identical to
-// both the sparse path and the reference engine. No fanout marking
-// happens — every rank after a toggling cell is visited anyway — and
-// the schedule bitset is simply cleared. In batch mode the whole loop
-// body is branch-free (speculative event append, unconditional value
-// stores): at round-cycle toggle rates the data-dependent toggle test
-// mispredicts constantly, and removing it is worth more than the stores
-// it saves.
-func (s *Simulator) settleSweep() {
-	p := s.prog
-	ins := p.ins
-	v := s.values
-	ov := s.ov
-	lut := &evalLUT
-	if s.batch {
-		ev := s.events
-		for r := range ins {
-			it := ins[r]
-			nv := lut[uint32(it.outOp)>>netBits][uint(v[it.in0])|uint(v[it.in1])<<1|uint(v[it.in2])<<2]
-			chg := int(nv ^ ov[r])
-			ov[r] = nv
-			v[it.outOp&netMask] = nv
-			ev = append(ev, ToggleEvent(p.cellOf[r])<<1|ToggleEvent(nv))
-			ev = ev[:len(ev)-1+chg]
-		}
-		s.events = ev
-	} else {
-		for r := range ins {
-			it := ins[r]
-			nv := lut[uint32(it.outOp)>>netBits][uint(v[it.in0])|uint(v[it.in1])<<1|uint(v[it.in2])<<2]
-			if nv == ov[r] {
-				continue
-			}
-			ov[r] = nv
-			v[it.outOp&netMask] = nv
-			if s.OnToggle != nil {
-				s.OnToggle(int(p.cellOf[r]), nv == 1)
-			}
-		}
-	}
-	for w := range s.dirty {
-		s.dirty[w] = 0
-	}
-	s.minW, s.maxW = len(s.dirty), -1
-}
-
-// settleBatch is the batched-accounting settle: identical semantics to
-// the generic loop above, but with the toggle test compiled to straight
-// line code. The event append is speculative (written then kept only
-// when the output changed) and the fanout loop runs over a
-// zero-masked-length segment when nothing toggled, so the data-dependent
-// "did it toggle" branch — mispredicted on a third of evaluations under
-// real workloads — disappears from the hot path.
-func (s *Simulator) settleBatch() {
 	p := s.prog
 	ins := p.ins
 	v := s.values
@@ -398,7 +292,12 @@ func (s *Simulator) settleBatch() {
 	lut := &evalLUT
 	ev := s.events
 	for w := s.minW; w <= s.maxW; w++ {
-		// Same register-resident word scan as the generic loop above.
+		// Snapshot the word into a register and clear it once: the scan
+		// then pops bits without re-reading d[w], and fanout marks
+		// landing in the current word (always the first entry of a
+		// fanout segment, since segment words are sorted and >= the
+		// driver's own word) fold into the register instead of the
+		// store-to-load chain through memory.
 		cur := d[w]
 		if cur == 0 {
 			continue
@@ -436,6 +335,41 @@ func (s *Simulator) settleBatch() {
 	s.minW, s.maxW = len(d), -1
 }
 
+// settleSweep is the dense settle: one linear pass over the whole
+// instruction stream in rank order, the reference algorithm run on the
+// compiled layout (16-byte streamed instructions, branchless LUT
+// evaluation, rank-indexed output cache). Clean cells evaluate to their
+// cached value and report nothing, so the toggle stream is identical to
+// both the sparse scan and the reference engine. No fanout marking
+// happens — every rank after a toggling cell is visited anyway — and
+// the schedule bitset is simply cleared. The whole loop body is
+// branch-free (speculative event append, unconditional value stores):
+// at round-cycle toggle rates the data-dependent toggle test
+// mispredicts constantly, and removing it is worth more than the stores
+// it saves.
+func (s *Simulator) settleSweep() {
+	p := s.prog
+	ins := p.ins
+	v := s.values
+	ov := s.ov
+	lut := &evalLUT
+	ev := s.events
+	for r := range ins {
+		it := ins[r]
+		nv := lut[uint32(it.outOp)>>netBits][uint(v[it.in0])|uint(v[it.in1])<<1|uint(v[it.in2])<<2]
+		chg := int(nv ^ ov[r])
+		ov[r] = nv
+		v[it.outOp&netMask] = nv
+		ev = append(ev, ToggleEvent(p.cellOf[r])<<1|ToggleEvent(nv))
+		ev = ev[:len(ev)-1+chg]
+	}
+	s.events = ev
+	for w := range s.dirty {
+		s.dirty[w] = 0
+	}
+	s.minW, s.maxW = len(s.dirty), -1
+}
+
 // tickCompiled is the compiled engine's clock edge: the same two-phase
 // flip-flop update as the reference, plus fanout scheduling for every Q
 // that moved, then a selective settle.
@@ -456,12 +390,8 @@ func (s *Simulator) tickCompiled() {
 			continue
 		}
 		v[q] = nv
-		if s.batch {
-			s.events = append(s.events, ToggleEvent(ci)<<1|ToggleEvent(nv))
-		} else if s.OnToggle != nil {
-			s.OnToggle(int(ci), nv == 1)
-		}
+		s.events = append(s.events, ToggleEvent(ci)<<1|ToggleEvent(nv))
 		s.markFanout(q)
 	}
-	s.settleCompiled()
+	s.settle()
 }

@@ -79,18 +79,12 @@ func randomNetlist(rng *rand.Rand) *netlist.Netlist {
 	return b.Build()
 }
 
-type toggleRec struct {
-	cell int
-	rise bool
-}
-
 // differentialPair wires up a reference and a compiled simulator over
-// the same netlist, with the compiled one running batched toggle
-// accounting so the batch path is what the differential checks pin.
+// the same netlist, both running batched toggle accounting so the
+// differential checks compare their drained streams.
 type differentialPair struct {
 	n        *netlist.Netlist
 	ref, cmp *Simulator
-	refLog   []toggleRec
 }
 
 func newDifferentialPair(t testing.TB, n *netlist.Netlist) *differentialPair {
@@ -106,14 +100,13 @@ func newDifferentialPair(t testing.TB, n *netlist.Netlist) *differentialPair {
 	if ref.Compiled() || !cmp.Compiled() {
 		t.Fatal("engine selection broken")
 	}
-	d := &differentialPair{n: n, ref: ref, cmp: cmp}
-	ref.OnToggle = func(cell int, rise bool) { d.refLog = append(d.refLog, toggleRec{cell, rise}) }
+	ref.BatchToggles(true)
 	cmp.BatchToggles(true)
-	return d
+	return &differentialPair{n: n, ref: ref, cmp: cmp}
 }
 
-// check compares net values and the step's toggle streams (reference
-// callback order vs compiled batched order, including directions).
+// check compares net values and the step's drained toggle streams
+// (order and directions included).
 func (d *differentialPair) check(t testing.TB, step string) {
 	t.Helper()
 	for net := netlist.Net(1); int(net) < d.n.NumNets(); net++ {
@@ -121,20 +114,19 @@ func (d *differentialPair) check(t testing.TB, step string) {
 			t.Fatalf("%s: net %d: reference=%d compiled=%d", step, net, rv, cv)
 		}
 	}
-	events := d.cmp.TakeToggles()
-	if len(events) != len(d.refLog) {
-		t.Fatalf("%s: %d compiled toggles vs %d reference toggles", step, len(events), len(d.refLog))
+	events, want := d.cmp.TakeToggles(), d.ref.TakeToggles()
+	if len(events) != len(want) {
+		t.Fatalf("%s: %d compiled toggles vs %d reference toggles", step, len(events), len(want))
 	}
 	for i, e := range events {
-		if e.Cell() != d.refLog[i].cell || e.Rise() != d.refLog[i].rise {
+		if e.Cell() != want[i].Cell() || e.Rise() != want[i].Rise() {
 			t.Fatalf("%s: toggle %d: compiled (cell %d, rise %v) vs reference (cell %d, rise %v)",
-				step, i, e.Cell(), e.Rise(), d.refLog[i].cell, d.refLog[i].rise)
+				step, i, e.Cell(), e.Rise(), want[i].Cell(), want[i].Rise())
 		}
 	}
 	if d.ref.Cycle() != d.cmp.Cycle() {
 		t.Fatalf("%s: cycle %d vs %d", step, d.ref.Cycle(), d.cmp.Cycle())
 	}
-	d.refLog = d.refLog[:0]
 }
 
 // driveDifferential replays a stimulus byte stream against both engines,
@@ -175,7 +167,7 @@ func driveDifferential(t testing.TB, n *netlist.Netlist, stimulus []byte) {
 				d.ref.SetState(refSnap)
 				d.cmp.SetState(cmpSnap)
 				refSnap, cmpSnap = nil, nil
-				d.refLog = d.refLog[:0]
+				d.ref.TakeToggles()
 				d.cmp.TakeToggles()
 				d.ref.Tick()
 				d.cmp.Tick()
@@ -183,7 +175,7 @@ func driveDifferential(t testing.TB, n *netlist.Netlist, stimulus []byte) {
 			}
 		case 6: // fork both and continue on the forks
 			ref, cmp := d.ref.Fork(), d.cmp.Fork()
-			ref.OnToggle = func(cell int, rise bool) { d.refLog = append(d.refLog, toggleRec{cell, rise}) }
+			ref.BatchToggles(true)
 			cmp.BatchToggles(true)
 			d.ref, d.cmp = ref, cmp
 			d.ref.Tick()
@@ -244,7 +236,7 @@ func TestDifferentialCrossEngineState(t *testing.T) {
 		d.ref.Tick()
 		d.cmp.Tick()
 	}
-	d.refLog = d.refLog[:0]
+	d.ref.TakeToggles()
 	d.cmp.TakeToggles()
 	// A reference snapshot carries no scheduling info; the compiled
 	// engine must still replay identically from it.

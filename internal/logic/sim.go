@@ -4,9 +4,9 @@
 // topological order (glitch-free zero-delay semantics), and the default
 // compiled engine (see compiled.go) evaluates the same cone
 // event-driven — only cells whose inputs changed — with bit-identical
-// net values and toggle streams. Every output toggle is reported either
-// through an optional callback or, batched, through TakeToggles; the
-// power model turns the reports into switching current.
+// net values and toggle streams. While batched accounting is on
+// (BatchToggles), every output toggle is reported through TakeToggles;
+// the power model turns the reports into switching current.
 package logic
 
 import (
@@ -37,19 +37,11 @@ type Simulator struct {
 	ov         []uint8
 	minW, maxW int
 
-	// Batched toggle accounting (see BatchToggles/TakeToggles). When
-	// batch is set, toggles are appended to events instead of invoking
-	// OnToggle.
+	// Batched toggle accounting (see BatchToggles/TakeToggles). Every
+	// engine appends each toggle to events; when batch is off, settle
+	// empties the buffer again (keeping its capacity).
 	batch  bool
 	events []ToggleEvent
-
-	// OnToggle, when non-nil, is invoked for every cell output toggle
-	// with the cell index and the new output value's direction
-	// (rise=true for a 0->1 transition). Flip-flop toggles fire at the
-	// clock edge, combinational toggles during settling; both belong to
-	// the cycle reported by Cycle() at callback time. While batched
-	// accounting is enabled (BatchToggles), the callback is not invoked.
-	OnToggle func(cell int, rise bool)
 }
 
 // Option configures a Simulator at construction time.
@@ -168,14 +160,13 @@ func levelize(n *netlist.Netlist) ([]int, error) {
 // Netlist returns the design under simulation.
 func (s *Simulator) Netlist() *netlist.Netlist { return s.n }
 
-// BatchToggles switches toggle reporting into batched accounting: the
-// engine appends every toggle to an internal flat buffer instead of
-// invoking OnToggle per event, and TakeToggles drains the buffer. The
-// event order is exactly the OnToggle invocation order, so an
-// order-preserving consumer (power.Recorder.DrainToggles) reproduces the
-// per-callback results bit-identically while paying one call per cycle
-// instead of one per toggle. Turning batching off discards any pending
-// events.
+// BatchToggles switches batched toggle accounting on or off. While it
+// is on, the engine appends every toggle to an internal flat buffer in
+// occurrence order — flip-flop commits at the clock edge, then
+// combinational toggles in settle order — and TakeToggles drains it, so
+// an order-preserving consumer (power.Recorder.DrainToggles) pays one
+// call per cycle instead of one per toggle. Accounting starts off (New,
+// Fork); turning it off discards any pending events.
 func (s *Simulator) BatchToggles(on bool) {
 	s.batch = on
 	if !on {
@@ -275,11 +266,11 @@ func (s *Simulator) SetState(st *State) {
 // with s; values and scratch buffers are copied, so the fork can run on
 // another goroutine.
 //
-// Fork intentionally does NOT copy the OnToggle callback or the batched
-// toggle mode: a closure captured for one simulator (e.g. a
-// power.Recorder bound to another chip) would silently misattribute the
-// fork's activity. The fork starts with nil OnToggle and batching off;
-// callers that want the fork's toggles must attach their own sink.
+// Fork intentionally does NOT copy the batched toggle mode or pending
+// events: they belong to whoever drains s (e.g. a power.Recorder bound
+// to another chip), which would otherwise misattribute the fork's
+// activity. The fork starts with accounting off; callers that want its
+// toggles turn on its own BatchToggles and drain it.
 func (s *Simulator) Fork() *Simulator {
 	f := &Simulator{
 		n:      s.n,
@@ -302,23 +293,22 @@ func (s *Simulator) Fork() *Simulator {
 // Cycle returns the number of completed Tick calls since the last Reset.
 func (s *Simulator) Cycle() int { return s.cycle }
 
-// Reset zeroes all state and re-settles the combinational logic. Toggle
-// callbacks are suppressed during reset and pending batched events are
-// discarded.
+// Reset zeroes all state and re-settles the combinational logic with
+// accounting off: the reset's toggles and any pending batched events
+// are discarded.
 func (s *Simulator) Reset() {
 	for i := range s.values {
 		s.values[i] = 0
 	}
 	s.cycle = 0
-	s.events = s.events[:0]
-	saved, savedBatch := s.OnToggle, s.batch
-	s.OnToggle, s.batch = nil, false
+	saved := s.batch
+	s.batch = false
 	if s.prog != nil {
 		s.syncOV()
 		s.markAll()
 	}
 	s.settle()
-	s.OnToggle, s.batch = saved, savedBatch
+	s.batch = saved
 }
 
 // Net returns the current value (0 or 1) of a net.
@@ -447,11 +437,7 @@ func (s *Simulator) Tick() {
 		nv := s.newQ[k]
 		if nv != old {
 			s.values[out] = nv
-			if s.batch {
-				s.events = append(s.events, ToggleEvent(ci)<<1|ToggleEvent(nv))
-			} else if s.OnToggle != nil {
-				s.OnToggle(ci, nv == 1)
-			}
+			s.events = append(s.events, ToggleEvent(ci)<<1|ToggleEvent(nv))
 		}
 	}
 	s.settle()
@@ -464,11 +450,21 @@ func (s *Simulator) Run(n int) {
 	}
 }
 
+// settle propagates pending changes through the engine in use, then,
+// with accounting off, drops the events it appended.
 func (s *Simulator) settle() {
 	if s.prog != nil {
 		s.settleCompiled()
-		return
+	} else {
+		s.settleReference()
 	}
+	if !s.batch {
+		s.events = s.events[:0]
+	}
+}
+
+// settleReference is the reference full-cone sweep in topological order.
+func (s *Simulator) settleReference() {
 	v := s.values
 	for _, ci := range s.order {
 		c := &s.n.Cells[ci]
@@ -503,11 +499,7 @@ func (s *Simulator) settle() {
 		}
 		if old := v[c.Output]; nv != old {
 			v[c.Output] = nv
-			if s.batch {
-				s.events = append(s.events, ToggleEvent(ci)<<1|ToggleEvent(nv))
-			} else if s.OnToggle != nil {
-				s.OnToggle(ci, nv == 1)
-			}
+			s.events = append(s.events, ToggleEvent(ci)<<1|ToggleEvent(nv))
 		}
 	}
 }

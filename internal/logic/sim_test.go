@@ -193,26 +193,22 @@ func TestToggleCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type event struct {
-		cell int
-		rise bool
-	}
-	var events []event
-	sim.OnToggle = func(cell int, rise bool) { events = append(events, event{cell, rise}) }
+	sim.BatchToggles(true)
 
 	// After New, inv output settled to 1 (input 0). Driving in=1 makes
 	// the inverter fall; the DFF then captures the old value 1 on the
 	// next tick and rises.
 	sim.SetPortUint("in", 1)
 	sim.Tick()
+	events := sim.TakeToggles()
 	if len(events) != 2 {
-		t.Fatalf("events = %+v, want 2 (DFF rise, INV fall)", events)
+		t.Fatalf("events = %v, want 2 (DFF rise, INV fall)", events)
 	}
-	if !events[0].rise { // DFF captures the previously settled 1
-		t.Fatalf("first event should be the DFF rising, got %+v", events[0])
+	if !events[0].Rise() { // DFF captures the previously settled 1
+		t.Fatalf("first event should be the DFF rising, got cell %d fall", events[0].Cell())
 	}
-	if events[1].rise { // inverter falls after the new input propagates
-		t.Fatalf("second event should be the inverter falling, got %+v", events[1])
+	if events[1].Rise() { // inverter falls after the new input propagates
+		t.Fatalf("second event should be the inverter falling, got cell %d rise", events[1].Cell())
 	}
 }
 
@@ -224,12 +220,11 @@ func TestResetSuppressesTogglesAndZeroes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(7)
-	count := 0
-	sim.OnToggle = func(int, bool) { count++ }
+	sim.BatchToggles(true)
+	sim.Run(7) // leaves pending events for Reset to discard
 	sim.Reset()
-	if count != 0 {
-		t.Fatal("Reset must not fire toggle callbacks")
+	if got := len(sim.TakeToggles()); got != 0 {
+		t.Fatalf("Reset left %d toggle events", got)
 	}
 	if got, _ := sim.PortUint("q"); got != 0 {
 		t.Fatalf("counter after reset = %d", got)
@@ -237,10 +232,12 @@ func TestResetSuppressesTogglesAndZeroes(t *testing.T) {
 	if sim.Cycle() != 0 {
 		t.Fatalf("cycle after reset = %d", sim.Cycle())
 	}
-	sim.OnToggle = nil
 	sim.Run(2)
 	if got, _ := sim.PortUint("q"); got != 2 {
 		t.Fatalf("counter after reset+2 = %d", got)
+	}
+	if len(sim.TakeToggles()) == 0 {
+		t.Fatal("Reset did not restore batched accounting")
 	}
 }
 
@@ -385,11 +382,27 @@ func engines(t *testing.T, f func(t *testing.T, opts ...Option)) {
 	t.Run("reference", func(t *testing.T) { f(t, WithReferenceEngine()) })
 }
 
+// drainToggles drains sim's batched toggles, stamping each with the
+// cycle in which its step ended.
+func drainToggles(sim *Simulator) []cycleToggle {
+	var out []cycleToggle
+	for _, e := range sim.TakeToggles() {
+		out = append(out, cycleToggle{e.Cell(), e.Rise(), sim.Cycle()})
+	}
+	return out
+}
+
+type cycleToggle struct {
+	cell  int
+	rise  bool
+	cycle int
+}
+
 // TestDFFEEnableToggleReporting exercises the DFFE enable path in both
 // engines: a disabled flip-flop must neither capture nor report a
 // toggle, an enabled one must do both, and the toggle must be reported
-// at the clock edge (Cycle() already advanced) rather than during
-// settling.
+// at the clock edge (ahead of the settle it causes, in the cycle the
+// Tick advanced to).
 func TestDFFEEnableToggleReporting(t *testing.T) {
 	engines(t, func(t *testing.T, opts ...Option) {
 		b := netlist.NewBuilder("dffe_tgl")
@@ -403,31 +416,23 @@ func TestDFFEEnableToggleReporting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		type ev struct {
-			cell  int
-			rise  bool
-			cycle int
-		}
-		var events []ev
-		sim.OnToggle = func(cell int, rise bool) {
-			events = append(events, ev{cell, rise, sim.Cycle()})
-		}
+		sim.BatchToggles(true)
 		regCell := sim.Netlist().Driver(q)
 		invCell := sim.Netlist().Driver(inv)
 
 		// Enable low: D changes must not reach Q and no toggles fire at
-		// the edge (the inverter settled to 1 at New, before the hook).
+		// the edge (the inverter settled to 1 at New, with accounting
+		// off).
 		sim.SetPortUint("d", 1)
 		sim.Tick()
 		if v, _ := sim.PortUint("q"); v != 0 {
 			t.Fatal("DFFE captured with enable low")
 		}
-		for _, e := range events {
+		for _, e := range drainToggles(sim) {
 			if e.cell == regCell {
 				t.Fatalf("disabled DFFE reported a toggle: %+v", e)
 			}
 		}
-		events = events[:0]
 
 		// Enable high: Q rises at the edge of cycle 2 and the inverter
 		// falls during the same cycle's settling.
@@ -436,7 +441,8 @@ func TestDFFEEnableToggleReporting(t *testing.T) {
 		if v, _ := sim.PortUint("q"); v != 1 {
 			t.Fatal("DFFE did not capture with enable high")
 		}
-		want := []ev{{regCell, true, 2}, {invCell, false, 2}}
+		events := drainToggles(sim)
+		want := []cycleToggle{{regCell, true, 2}, {invCell, false, 2}}
 		if len(events) != len(want) {
 			t.Fatalf("events = %+v, want %+v", events, want)
 		}
@@ -445,7 +451,6 @@ func TestDFFEEnableToggleReporting(t *testing.T) {
 				t.Fatalf("event %d = %+v, want %+v", i, events[i], want[i])
 			}
 		}
-		events = events[:0]
 
 		// Enable low again with D low: Q holds, no register toggle.
 		sim.SetPortUint("d", 0)
@@ -454,7 +459,7 @@ func TestDFFEEnableToggleReporting(t *testing.T) {
 		if v, _ := sim.PortUint("q"); v != 1 {
 			t.Fatal("DFFE did not hold with enable low")
 		}
-		if len(events) != 0 {
+		if events := drainToggles(sim); len(events) != 0 {
 			t.Fatalf("holding DFFE produced events %+v", events)
 		}
 	})
@@ -477,15 +482,7 @@ func TestMux2SelectToggles(t *testing.T) {
 			t.Fatal(err)
 		}
 		muxCell := sim.Netlist().Driver(m)
-		type ev struct {
-			cell  int
-			rise  bool
-			cycle int
-		}
-		var events []ev
-		sim.OnToggle = func(cell int, rise bool) {
-			events = append(events, ev{cell, rise, sim.Cycle()})
-		}
+		sim.BatchToggles(true)
 
 		// a=1, b=0, s=0 -> y=1 (a leg): the mux rises during settling of
 		// cycle 0 (no Tick has happened).
@@ -494,10 +491,9 @@ func TestMux2SelectToggles(t *testing.T) {
 		if v, _ := sim.PortUint("y"); v != 1 {
 			t.Fatal("mux did not pass the a leg")
 		}
-		if len(events) != 1 || events[0] != (ev{muxCell, true, 0}) {
+		if events := drainToggles(sim); len(events) != 1 || events[0] != (cycleToggle{muxCell, true, 0}) {
 			t.Fatalf("events = %+v, want mux rise in cycle 0", events)
 		}
-		events = events[:0]
 
 		// Select flips to the b leg (0): the output falls.
 		sim.SetPortUint("s", 1)
@@ -505,31 +501,30 @@ func TestMux2SelectToggles(t *testing.T) {
 		if v, _ := sim.PortUint("y"); v != 0 {
 			t.Fatal("mux did not switch to the b leg")
 		}
-		if len(events) != 1 || events[0].rise {
+		if events := drainToggles(sim); len(events) != 1 || events[0].rise {
 			t.Fatalf("events = %+v, want a single fall", events)
 		}
-		events = events[:0]
 
 		// Equal legs: select flips must not toggle the output.
 		sim.SetPortUint("b", 1)
 		sim.Settle() // y: 0 -> 1 with the b leg now high
-		events = events[:0]
+		sim.TakeToggles()
 		sim.SetPortUint("s", 0)
 		sim.Settle()
 		if v, _ := sim.PortUint("y"); v != 1 {
 			t.Fatal("mux output wrong after select flip between equal legs")
 		}
-		if len(events) != 0 {
+		if events := drainToggles(sim); len(events) != 0 {
 			t.Fatalf("select flip between equal legs toggled: %+v", events)
 		}
 	})
 }
 
 // TestForkDoesNotCopyOnToggle pins Simulator.Fork's intentional non-copy
-// of the toggle sink: a fork starts with no OnToggle callback and
-// batching off, so it records nothing until a caller attaches its own
-// sink. (A copied closure would silently misattribute the fork's
-// activity to the parent's recorder.)
+// of toggle accounting: a fork starts with batching off and none of the
+// parent's pending events, so it records nothing until a caller turns
+// on its own accounting, and its activity never lands in the parent's
+// buffer (where it would be misattributed to the parent's recorder).
 func TestForkDoesNotCopyOnToggle(t *testing.T) {
 	engines(t, func(t *testing.T, opts ...Option) {
 		b := netlist.NewBuilder("fork_tgl")
@@ -539,76 +534,32 @@ func TestForkDoesNotCopyOnToggle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parentEvents := 0
-		sim.OnToggle = func(int, bool) { parentEvents++ }
-		sim.BatchToggles(false)
+		sim.BatchToggles(true)
 
 		f := sim.Fork()
-		if f.OnToggle != nil {
-			t.Fatal("Fork copied the OnToggle callback")
+		if f.batch {
+			t.Fatal("Fork copied batched accounting")
 		}
-		before := parentEvents
 		f.Run(4)
-		if parentEvents != before {
-			t.Fatal("fork activity fired the parent's callback")
+		if got := len(sim.events); got != 0 {
+			t.Fatalf("fork activity left %d events in the parent's buffer", got)
 		}
 		if got := len(f.TakeToggles()); got != 0 {
 			t.Fatalf("fork accumulated %d batched events without batching on", got)
 		}
-		// The fork still simulates correctly and can get its own sink.
-		forkEvents := 0
-		f.OnToggle = func(int, bool) { forkEvents++ }
+		// The fork still simulates correctly and can record its own.
+		f.BatchToggles(true)
 		f.Run(1)
-		if forkEvents == 0 {
-			t.Fatal("fork with its own callback recorded nothing")
+		if len(f.TakeToggles()) == 0 {
+			t.Fatal("fork with its own accounting recorded nothing")
 		}
 		if got, _ := f.PortUint("q"); got != 5 {
 			t.Fatalf("fork counter = %d, want 5", got)
 		}
-		// And the parent's callback still works.
+		// And the parent's accounting still works.
 		sim.Run(1)
-		if parentEvents == 0 {
-			t.Fatal("parent callback lost after Fork")
-		}
-	})
-}
-
-// TestBatchTogglesMatchesCallback pins that batched accounting reports
-// exactly the callback stream: same cells, same directions, same order.
-func TestBatchTogglesMatchesCallback(t *testing.T) {
-	engines(t, func(t *testing.T, opts ...Option) {
-		b := netlist.NewBuilder("batch")
-		q := b.Counter(5, netlist.InvalidNet)
-		b.Output("q", q)
-		n := b.Build()
-		cb, err := New(n, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bt, err := New(n, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		type ev struct {
-			cell int
-			rise bool
-		}
-		var want []ev
-		cb.OnToggle = func(cell int, rise bool) { want = append(want, ev{cell, rise}) }
-		bt.BatchToggles(true)
-		for i := 0; i < 10; i++ {
-			cb.Tick()
-			bt.Tick()
-			got := bt.TakeToggles()
-			if len(got) != len(want) {
-				t.Fatalf("tick %d: %d batched vs %d callback events", i, len(got), len(want))
-			}
-			for k, e := range got {
-				if e.Cell() != want[k].cell || e.Rise() != want[k].rise {
-					t.Fatalf("tick %d event %d: (%d,%v) vs (%d,%v)", i, k, e.Cell(), e.Rise(), want[k].cell, want[k].rise)
-				}
-			}
-			want = want[:0]
+		if len(sim.TakeToggles()) == 0 {
+			t.Fatal("parent accounting lost after Fork")
 		}
 	})
 }

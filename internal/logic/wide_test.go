@@ -41,7 +41,6 @@ type wideHarness struct {
 	lanes   int
 	ref     []*Simulator
 	cmp     []*Simulator
-	refLog  [][]toggleRec
 	wideLog [][]ToggleEvent
 	w       *WideState
 }
@@ -63,7 +62,7 @@ func newWideHarness(t testing.TB, n *netlist.Netlist, lanes int) *wideHarness {
 	if err := w.LoadStates(sts); err != nil {
 		t.Fatalf("LoadStates: %v", err)
 	}
-	h := &wideHarness{n: n, lanes: lanes, w: w, refLog: make([][]toggleRec, lanes), wideLog: make([][]ToggleEvent, lanes)}
+	h := &wideHarness{n: n, lanes: lanes, w: w, wideLog: make([][]ToggleEvent, lanes)}
 	w.OnWideToggle = func(cell int32, diff, nv uint64) {
 		for diff != 0 {
 			l := bits.TrailingZeros64(diff)
@@ -76,10 +75,7 @@ func newWideHarness(t testing.TB, n *netlist.Netlist, lanes int) *wideHarness {
 		if err != nil {
 			t.Fatalf("reference New: %v", err)
 		}
-		l := l
-		ref.OnToggle = func(cell int, rise bool) {
-			h.refLog[l] = append(h.refLog[l], toggleRec{cell, rise})
-		}
+		ref.BatchToggles(true)
 		cmp, err := New(n)
 		if err != nil {
 			t.Fatalf("compiled New: %v", err)
@@ -106,25 +102,24 @@ func (h *wideHarness) check(t testing.TB, step string) {
 		if hi := h.w.NetWord(netlist.Net(1)) &^ h.w.mask; hi != 0 {
 			t.Fatalf("%s: lane word has bits above the %d-lane mask: %#x", step, h.lanes, hi)
 		}
+		evR := h.ref[l].TakeToggles()
 		evC := h.cmp[l].TakeToggles()
 		evW := h.wideLog[l]
-		if len(evC) != len(evW) || len(evC) != len(h.refLog[l]) {
+		if len(evC) != len(evW) || len(evC) != len(evR) {
 			t.Fatalf("%s: lane %d: %d wide toggles vs %d compiled vs %d reference",
-				step, l, len(evW), len(evC), len(h.refLog[l]))
+				step, l, len(evW), len(evC), len(evR))
 		}
 		for i := range evC {
-			r := h.refLog[l][i]
 			if evW[i].Cell() != evC[i].Cell() || evW[i].Rise() != evC[i].Rise() ||
-				evC[i].Cell() != r.cell || evC[i].Rise() != r.rise {
+				evC[i].Cell() != evR[i].Cell() || evC[i].Rise() != evR[i].Rise() {
 				t.Fatalf("%s: lane %d toggle %d: wide (cell %d, rise %v) compiled (cell %d, rise %v) reference (cell %d, rise %v)",
-					step, l, i, evW[i].Cell(), evW[i].Rise(), evC[i].Cell(), evC[i].Rise(), r.cell, r.rise)
+					step, l, i, evW[i].Cell(), evW[i].Rise(), evC[i].Cell(), evC[i].Rise(), evR[i].Cell(), evR[i].Rise())
 			}
 		}
 		if h.ref[l].Cycle() != h.w.Cycle() || h.cmp[l].Cycle() != h.w.Cycle() {
 			t.Fatalf("%s: lane %d cycle: reference %d compiled %d wide %d",
 				step, l, h.ref[l].Cycle(), h.cmp[l].Cycle(), h.w.Cycle())
 		}
-		h.refLog[l] = h.refLog[l][:0]
 		h.wideLog[l] = h.wideLog[l][:0]
 	}
 }

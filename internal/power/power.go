@@ -282,8 +282,8 @@ func (r *Recorder) Begin(numCycles int) {
 // DrainToggles books a batch of toggle events (logic.Simulator.TakeToggles)
 // for the current cycle. It walks the batch in occurrence order, adding
 // each cell's charge exactly as booking every toggle as it happens
-// would, so the accumulated waveforms are bit-identical to per-callback
-// recording while paying one call per cycle instead of one per toggle.
+// would, so the accumulated waveforms are bit-identical to per-event
+// booking while paying one call per cycle instead of one per toggle.
 func (r *Recorder) DrainToggles(events []logic.ToggleEvent) {
 	cycleCharge, tile, charge := r.cycleCharge, r.grid.CellTile, r.charge
 	for _, e := range events {

@@ -11,9 +11,8 @@ import (
 	"emtrust/internal/netlist"
 )
 
-// OnToggle is the logic.Simulator callback form of DrainToggles: it
-// books the toggling cell's switching charge at its tile for the
-// current cycle.
+// OnToggle is the one-event form of DrainToggles: it books the toggling
+// cell's switching charge at its tile for the current cycle.
 func (r *Recorder) OnToggle(cell int, _ bool) {
 	r.cycleCharge[r.grid.CellTile[cell]] += r.charge[cell]
 }
@@ -363,7 +362,7 @@ func TestDrainTogglesMatchesOnToggle(t *testing.T) {
 	for tile := range wa {
 		for i := range wa[tile] {
 			if wa[tile][i] != wb[tile][i] {
-				t.Fatalf("tile %d sample %d: callback %v != drained %v", tile, i, wa[tile][i], wb[tile][i])
+				t.Fatalf("tile %d sample %d: per-event %v != drained %v", tile, i, wa[tile][i], wb[tile][i])
 			}
 		}
 	}

@@ -60,7 +60,7 @@ func (m *Monitor) HeatmapString(z []float64) string {
 		for cx := 0; cx < a.Cfg.NX; cx++ {
 			k := cy*a.Cfg.NX + cx
 			mark := " "
-			if k == hot && z[k] > m.Det.Threshold() {
+			if k == hot && z[k] > core.SelfReferenceThreshold {
 				mark = "*"
 			}
 			fmt.Fprintf(&sb, "%6.1f%s", z[k], mark)

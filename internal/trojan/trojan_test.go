@@ -132,17 +132,18 @@ func countRegionToggles(t *testing.T, kind Kind, trigger uint64) int {
 	if _, err := drv.Encrypt(pt, key); err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	sim.OnToggle = func(cell int, _ bool) {
-		if inRegion[cell] {
-			count++
-		}
-	}
+	sim.BatchToggles(true)
 	if _, err := drv.Encrypt(pt, key); err != nil {
 		t.Fatal(err)
 	}
 	// Run extra idle cycles; leakers keep radiating between encryptions.
 	sim.Run(64)
+	count := 0
+	for _, e := range sim.TakeToggles() {
+		if inRegion[e.Cell()] {
+			count++
+		}
+	}
 	return count
 }
 
