@@ -42,4 +42,18 @@ echo "== campaign smoke (generate, search, export) =="
 # nonzero if the search finds no partial-trigger coverage at all.
 go run ./cmd/netlist -campaign 8 -member 1 -search 2 -stats=false -verilog /dev/null >/dev/null
 
+echo "== experiments CLI smoke (results rendered to an HTML page) =="
+# The CLI hands the results it printed to the HTML renderer; no test
+# drives that path, so run one experiment and check its page.
+page="$(mktemp)"
+go run ./cmd/experiments -run a2-spectrum -html "$page" >/dev/null
+for want in 'Figure 4' '<svg'; do
+    if ! grep -q "$want" "$page"; then
+        echo "experiments -html page lacks $want" >&2
+        rm -f "$page"
+        exit 1
+    fi
+done
+rm -f "$page"
+
 echo "all checks passed"

@@ -2,14 +2,20 @@
 //
 // Usage:
 //
-//	experiments [-run id] [-scale f] [-seed n] [-cpuprofile f] [-memprofile f]
+//	experiments [-run id] [-scale f] [-seed n] [-html f] [-cpuprofile f] [-memprofile f]
 //
-// where id is one of: all, table1, snr-sim, snr-measured, euclid-sim,
-// a2-spectrum, fig6-probe, fig6-sensor, fig6-spectra, layout. The scale
-// factor multiplies the trace counts (use >= 5 for smooth histograms;
-// the defaults favor quick runs). The -cpuprofile and -memprofile flags
-// write pprof profiles of the selected experiments, so performance work
-// can grab profiles of any workload without code edits.
+// where id is all or one of the ids -list prints: table1, snr-sim,
+// snr-measured, euclid-sim, a2-spectrum, fig6-probe, fig6-sensor,
+// fig6-spectra, layout, coverage, localize, variation, robustness,
+// faults, degradation, localization, fleet, campaign. The scale factor
+// multiplies the trace counts (use >= 5 for smooth histograms; the
+// defaults favor quick runs). The -html flag also writes the results
+// just printed as one HTML page: the sections of the experiments that
+// ran, in run order, so -run all puts Figure 4 before Figure 6 and -run
+// a2-spectrum writes Figure 4 alone; nothing is computed twice. The
+// -cpuprofile and -memprofile flags write pprof profiles of the
+// selected experiments, so performance work can grab profiles of any
+// workload without code edits.
 package main
 
 import (
@@ -57,7 +63,7 @@ func main() {
 	scale := flag.Float64("scale", 1, "trace-count multiplier")
 	seed := flag.Int64("seed", 1, "random seed for chips and noise")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	htmlOut := flag.String("html", "", "also write an HTML report (tables + SVG figures) to this file")
+	htmlOut := flag.String("html", "", "also write the results as an HTML report (tables + SVG figures) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the experiments) to this file")
 	flag.Parse()
@@ -110,12 +116,11 @@ func run(runID string, scale float64, seed int64, htmlOut string) int {
 	}
 	cfg.Chip.Seed = seed
 
-	ran := 0
+	var results []fmt.Stringer
 	for _, r := range runners() {
 		if runID != "all" && runID != r.id {
 			continue
 		}
-		ran++
 		start := time.Now()
 		res, err := r.fn(cfg)
 		if err != nil {
@@ -123,8 +128,9 @@ func run(runID string, scale float64, seed int64, htmlOut string) int {
 			return 1
 		}
 		fmt.Printf("=== %s — %s (%.1fs) ===\n%s\n", r.id, r.desc, time.Since(start).Seconds(), res)
+		results = append(results, res)
 	}
-	if ran == 0 {
+	if len(results) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", runID)
 		return 2
 	}
@@ -134,7 +140,7 @@ func run(runID string, scale float64, seed int64, htmlOut string) int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		if err := experiments.WriteHTMLReport(cfg, f); err != nil {
+		if err := experiments.WriteHTMLReport(f, results...); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, err)
 			return 1

@@ -7,6 +7,7 @@ import (
 	"emtrust/internal/chip"
 	"emtrust/internal/core"
 	"emtrust/internal/dsp"
+	"emtrust/internal/trace"
 )
 
 // A2SpectrumResult reproduces Figure 4: the EM spectrum with the A2-style
@@ -28,6 +29,10 @@ type A2SpectrumResult struct {
 	Detected bool
 	// Spots is the number of offending bins flagged by the detector.
 	Spots int
+
+	// offSpec and onSpec are the dormant and triggering sensor spectra
+	// the amplitudes above are read from; the report plots them.
+	offSpec, onSpec *dsp.Spectrum
 }
 
 // A2Spectrum runs the Figure 4 experiment: long idle captures (the A2
@@ -35,45 +40,16 @@ type A2SpectrumResult struct {
 // disabled, then enabled, compared in the frequency domain on the
 // on-chip sensor.
 func A2Spectrum(cfg Config) (*A2SpectrumResult, error) {
-	chipCfg := cfg.Chip
-	chipCfg.WithTrojans = false
-	chipCfg.WithA2 = true
-	c, err := chip.New(chipCfg)
+	gTraces, onTraces, _, err := a2IdleSets(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	ch := chip.SimulationChannels()
-	cycles := cfg.SpectralCycles
-
-	// Golden envelope: several dormant captures.
-	c.EnableA2(false)
-	gSet, err := idleTraces(c, ch, cfg.GoldenTraces/8+4, cycles)
-	if err != nil {
-		return nil, err
-	}
-	gTraces := gSet.Sensor.Traces
 	sd, err := core.BuildSpectralDetector(gTraces, cfg.Spectral)
 	if err != nil {
 		return nil, err
 	}
+	onTrace := onTraces[0]
 	offSpec := dsp.NewSpectrum(gTraces[0].Samples, gTraces[0].Dt, cfg.Spectral.Window)
-
-	// Trigger the Trojan: the clkdiv wire toggles every cycle, so a
-	// warm-up capture charges the pump past threshold. Run as a one-step
-	// idle chain so a repeated run replays the pump's charging orbit
-	// from the capture cache instead of re-simulating it.
-	c.EnableA2(true)
-	if _, err := c.CaptureIdleChain(cycles, 1); err != nil { // warm-up, discarded
-		return nil, err
-	}
-	if !c.A2().Firing() {
-		return nil, fmt.Errorf("experiments: A2 failed to trigger after %d cycles", 2*cycles)
-	}
-	onSet, err := idleTraces(c, ch, 1, cycles)
-	if err != nil {
-		return nil, err
-	}
-	onTrace := onSet.Sensor.Traces[0]
 	onSpec := dsp.NewSpectrum(onTrace.Samples, onTrace.Dt, cfg.Spectral.Window)
 
 	clock := cfg.Chip.Power.ClockHz
@@ -83,6 +59,8 @@ func A2Spectrum(cfg Config) (*A2SpectrumResult, error) {
 		ClockAmpOn:     onSpec.AmplitudeAt(clock),
 		HarmonicAmpOff: offSpec.AmplitudeAt(2 * clock),
 		HarmonicAmpOn:  onSpec.AmplitudeAt(2 * clock),
+		offSpec:        offSpec,
+		onSpec:         onSpec,
 	}
 	v := sd.Evaluate(onTrace)
 	res.Detected = v.Alarm
@@ -97,6 +75,45 @@ func A2Spectrum(cfg Config) (*A2SpectrumResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// a2IdleSets captures Figure 4's idle windows on a fresh A2-carrying
+// chip: GoldenTraces/8+4 dormant traces (the spectral golden envelope),
+// then nOn triggering ones. It returns the chip too, whose seed the
+// caller may draw further per-trace generators from.
+func a2IdleSets(cfg Config, nOn int) (golden, on []*trace.Trace, c *chip.Chip, err error) {
+	chipCfg := cfg.Chip
+	chipCfg.WithTrojans = false
+	chipCfg.WithA2 = true
+	c, err = chip.New(chipCfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ch := chip.SimulationChannels()
+	cycles := cfg.SpectralCycles
+
+	c.EnableA2(false)
+	gSet, err := idleTraces(c, ch, cfg.GoldenTraces/8+4, cycles)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+
+	// Trigger the Trojan: the clkdiv wire toggles every cycle, so a
+	// warm-up capture charges the pump past threshold. Run as a one-step
+	// idle chain so a repeated run replays the pump's charging orbit
+	// from the capture cache instead of re-simulating it.
+	c.EnableA2(true)
+	if _, err := c.CaptureIdleChain(cycles, 1); err != nil { // warm-up, discarded
+		return nil, nil, nil, err
+	}
+	if !c.A2().Firing() {
+		return nil, nil, nil, fmt.Errorf("experiments: A2 failed to trigger after %d cycles", 2*cycles)
+	}
+	onSet, err := idleTraces(c, ch, nOn, cycles)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return gSet.Sensor.Traces, onSet.Sensor.Traces, c, nil
 }
 
 // String renders the Figure 4 summary.

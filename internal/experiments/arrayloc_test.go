@@ -10,10 +10,7 @@ import (
 // localizes at least three threats to the correct or an adjacent tile;
 // the paper's single whole-die coil localizes none of them.
 func TestLocalizationAcceptance(t *testing.T) {
-	res, err := Localization(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixture(t, localizationFixture)
 	four := res.Grid(4)
 	if four == nil {
 		t.Fatal("no 4x4 entry in the sweep")

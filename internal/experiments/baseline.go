@@ -96,13 +96,7 @@ func Coverage(cfg Config) (*CoverageResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		emHits, ronHits := 0, 0
-		for _, s := range activeSet.Sensor.Traces {
-			if fp.Evaluate(s).Alarm {
-				emHits++
-			}
-		}
-		emSpectralHits := 0
+		ronHits, emSpectralHits := 0, 0
 		ronAlarm := make([]bool, ronTrials)
 		spectralAlarm := make([]bool, ronTrials)
 		err = replicate(c, ronTrials,
@@ -129,7 +123,7 @@ func Coverage(cfg Config) (*CoverageResult, error) {
 		}
 		// The framework runs both detectors in parallel (Figure 1);
 		// report its better stream.
-		emRate := float64(emHits) / float64(cfg.TestTraces)
+		emRate := alarmRate(fp, activeSet.Sensor.Traces)
 		if r := float64(emSpectralHits) / float64(ronTrials); r > emRate {
 			emRate = r
 		}

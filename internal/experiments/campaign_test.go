@@ -71,13 +71,7 @@ func TestCampaignAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign; run without -short")
 	}
-	cfg := DefaultConfig()
-	cfg.GoldenTraces = 20
-	cfg.TestTraces = 16
-	res, err := Campaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixture(t, campaignFixture)
 	if res.Members < 100 {
 		t.Fatalf("campaign has %d members, acceptance floor is 100", res.Members)
 	}
@@ -89,7 +83,7 @@ func TestCampaignAcceptance(t *testing.T) {
 	}
 	// An independent end-to-end regeneration must reproduce both the
 	// member specs and the infected netlist bytes.
-	res2, err := Campaign(cfg)
+	res2, err := Campaign(campaignAcceptanceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

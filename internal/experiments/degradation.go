@@ -169,7 +169,7 @@ func Degradation(cfg Config) (*DegradationResult, error) {
 
 	// The analog Trojan lives on a separate chip and is judged on idle
 	// spectral windows (Figure 4's setting).
-	a2Golden, a2On, a2Chip, err := a2IdleSets(cfg)
+	a2Golden, a2On, a2Chip, err := a2IdleSets(cfg, cfg.TestTraces/4+4)
 	if err != nil {
 		return nil, err
 	}
@@ -267,37 +267,6 @@ func degradationSpan(cfg Config) int {
 		span = 40
 	}
 	return span
-}
-
-// a2IdleSets captures the idle-window golden and triggering trace sets
-// on the A2-carrying chip (mirrors the Figure 4 experiment).
-func a2IdleSets(cfg Config) (golden, on []*trace.Trace, c *chip.Chip, err error) {
-	chipCfg := cfg.Chip
-	chipCfg.WithTrojans = false
-	chipCfg.WithA2 = true
-	c, err = chip.New(chipCfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ch := chip.SimulationChannels()
-	cycles := cfg.SpectralCycles
-	c.EnableA2(false)
-	gSet, err := idleTraces(c, ch, cfg.GoldenTraces/8+4, cycles)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	c.EnableA2(true)
-	if _, err := c.CaptureIdle(cycles); err != nil { // warm-up: charge the pump
-		return nil, nil, nil, err
-	}
-	if !c.A2().Firing() {
-		return nil, nil, nil, fmt.Errorf("experiments: A2 failed to trigger")
-	}
-	onSet, err := idleTraces(c, ch, cfg.TestTraces/4+4, cycles)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return gSet.Sensor.Traces, onSet.Sensor.Traces, c, nil
 }
 
 // String renders the sweep.

@@ -14,10 +14,7 @@ import (
 // the moderately degraded channel, and (c) the guarded re-baseliner
 // never absorbs a Trojan activation.
 func TestDegradationAcceptance(t *testing.T) {
-	res, err := Degradation(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixture(t, degradationFixture)
 	if len(res.Points) < 3 {
 		t.Fatalf("sweep too small: %d points", len(res.Points))
 	}

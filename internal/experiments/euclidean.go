@@ -74,17 +74,11 @@ func EuclideanSimulation(cfg Config) (*EuclideanResult, error) {
 			return nil, err
 		}
 		mean := meanCentroidDistance(fp, set.Sensor.Traces)
-		alarms := 0
-		for _, t := range set.Sensor.Traces {
-			if fp.Evaluate(t).Alarm {
-				alarms++
-			}
-		}
 		res.Rows = append(res.Rows, EuclideanRow{
 			Trojan:        k,
 			MeanDistance:  mean,
 			Relative:      mean / goldenMean,
-			DetectionRate: float64(alarms) / float64(len(set.Sensor.Traces)),
+			DetectionRate: alarmRate(fp, set.Sensor.Traces),
 			PaperDistance: paperEuclidean[k],
 		})
 	}
@@ -97,6 +91,17 @@ func meanCentroidDistance(fp *core.Fingerprint, traces []*trace.Trace) float64 {
 		ds[i] = fp.CentroidDistance(t)
 	}
 	return dsp.Mean(ds)
+}
+
+// alarmRate is the fraction of traces whose Eq. (1) verdict fires.
+func alarmRate(fp *core.Fingerprint, traces []*trace.Trace) float64 {
+	alarms := 0
+	for _, t := range traces {
+		if fp.Evaluate(t).Alarm {
+			alarms++
+		}
+	}
+	return float64(alarms) / float64(len(traces))
 }
 
 // String renders the Section IV-C comparison.

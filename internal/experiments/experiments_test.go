@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -21,10 +22,7 @@ func testConfig() Config {
 }
 
 func TestTable1MatchesPaperShape(t *testing.T) {
-	res, err := Table1(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixture(t, table1Fixture)
 	// Same regime as the paper's 33083-gate AES.
 	if res.AESGateCount < 15000 || res.AESGateCount > 60000 {
 		t.Fatalf("AES gates = %d", res.AESGateCount)
@@ -55,10 +53,7 @@ func TestTable1MatchesPaperShape(t *testing.T) {
 }
 
 func TestSNRSimulationMatchesPaper(t *testing.T) {
-	res, err := SNRSimulation(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixture(t, snrSimFixture)
 	if res.SensorSNRdB < res.PaperSensorSNRdB-4 || res.SensorSNRdB > res.PaperSensorSNRdB+4 {
 		t.Errorf("sensor SNR %.2f dB, paper %.2f", res.SensorSNRdB, res.PaperSensorSNRdB)
 	}
@@ -74,10 +69,7 @@ func TestSNRSimulationMatchesPaper(t *testing.T) {
 }
 
 func TestSNRMeasuredMatchesPaper(t *testing.T) {
-	res, err := SNRMeasured(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixture(t, snrMeasuredFixture)
 	if res.SensorSNRdB < 26 || res.SensorSNRdB > 35 {
 		t.Errorf("measured sensor SNR %.2f dB outside paper regime (30.55)", res.SensorSNRdB)
 	}
@@ -86,10 +78,7 @@ func TestSNRMeasuredMatchesPaper(t *testing.T) {
 	}
 	// The fabricated probe must read worse than its simulation, the
 	// sensor about the same (the paper's two key observations).
-	sim, err := SNRSimulation(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := fixture(t, snrSimFixture)
 	if res.ProbeSNRdB >= sim.ProbeSNRdB {
 		t.Errorf("measured probe SNR %.2f should be below simulated %.2f", res.ProbeSNRdB, sim.ProbeSNRdB)
 	}
@@ -131,10 +120,7 @@ func TestEuclideanSimulationShape(t *testing.T) {
 }
 
 func TestA2SpectrumShape(t *testing.T) {
-	res, err := A2Spectrum(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixture(t, a2Fixture)
 	if !res.Detected {
 		t.Fatal("A2 triggering must raise a spectral alarm")
 	}
@@ -152,15 +138,8 @@ func TestA2SpectrumShape(t *testing.T) {
 }
 
 func TestFig6HistogramsSensorBeatsProbe(t *testing.T) {
-	cfg := testConfig()
-	probe, err := Fig6Histograms(cfg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sensor, err := Fig6Histograms(cfg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	probe := fixture(t, fig6ProbeFixture)
+	sensor := fixture(t, fig6SensorFixture)
 	if probe.Channel == sensor.Channel {
 		t.Fatal("channel labels broken")
 	}
@@ -194,10 +173,7 @@ func TestFig6HistogramsSensorBeatsProbe(t *testing.T) {
 }
 
 func TestFig6SpectraShape(t *testing.T) {
-	res, err := Fig6Spectra(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixture(t, fig6SpectraFixture)
 	panels := make(map[trojan.Kind]SpectrumPanel)
 	for _, p := range res.Panels {
 		panels[p.Trojan] = p
@@ -421,11 +397,34 @@ func TestFaultsStudyShape(t *testing.T) {
 }
 
 func TestWriteHTMLReport(t *testing.T) {
-	cfg := testConfig()
-	cfg.GoldenTraces = 20
-	cfg.TestTraces = 20
+	campaign := fixture(t, campaignFixture)
+	results := []fmt.Stringer{
+		fixture(t, table1Fixture),
+		fixture(t, snrSimFixture),
+		fixture(t, snrMeasuredFixture),
+		fixture(t, a2Fixture),
+		fixture(t, fig6ProbeFixture),
+		fixture(t, fig6SensorFixture),
+		fixture(t, degradationFixture),
+		fixture(t, localizationFixture),
+		fixture(t, fleetFixture),
+		campaign,
+	}
+	// One heading per result, in argument order.
+	headings := []string{
+		"Table I — Trojan sizes",
+		"SNR — simulation mode",
+		"SNR — measurement mode",
+		"Figure 4 — A2 Trojan in the frequency domain",
+		"Figure 6(a)-(d) — external probe",
+		"Figure 6(e)-(h) — on-chip sensor",
+		"Degradation — acquisition-chain faults (extension)",
+		"Sensor array — golden-model-free localization (extension)",
+		"Fleet monitoring — population-scale trust evaluation (extension)",
+		fmt.Sprintf("Generated Trojan campaign — %d members (extension)", campaign.Members),
+	}
 	var buf bytes.Buffer
-	if err := WriteHTMLReport(cfg, &buf); err != nil {
+	if err := WriteHTMLReport(&buf, results...); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -437,9 +436,32 @@ func TestWriteHTMLReport(t *testing.T) {
 			t.Errorf("report missing %q", want)
 		}
 	}
+	if got := strings.Count(out, "<h2>"); got != len(headings) {
+		t.Errorf("report has %d section headings, want %d", got, len(headings))
+	}
+	at := 0
+	for _, h := range headings {
+		i := strings.Index(out[at:], "<h2>"+h+"</h2>")
+		if i < 0 {
+			t.Errorf("report missing heading %q after byte %d", h, at)
+			continue
+		}
+		at += i + len(h)
+	}
 	// The localization section contributes one heatmap per threat on top
 	// of the figure charts.
 	if got := strings.Count(out, "<svg"); got < 14 {
 		t.Fatalf("only %d charts rendered", got)
+	}
+
+	// Results that own no section add nothing to the page.
+	withBare := append([]fmt.Stringer{&EuclideanResult{}}, results...)
+	withBare = append(withBare, &SpectraResult{})
+	var bare bytes.Buffer
+	if err := WriteHTMLReport(&bare, withBare...); err != nil {
+		t.Fatal(err)
+	}
+	if bare.String() != out {
+		t.Error("a result without a page section changed the report")
 	}
 }

@@ -86,14 +86,8 @@ func Fig6Histograms(cfg Config, useSensor bool) (*HistogramsResult, error) {
 		}
 		traces := pick(set)
 		dists := centroidDistances(fp, traces)
-		alarms := 0
-		for _, t := range traces {
-			if fp.Evaluate(t).Alarm {
-				alarms++
-			}
-		}
 		tstat, _ := stats.WelchT(dists, goldenDists)
-		pops = append(pops, pop{kind: k, dists: dists, rate: float64(alarms) / float64(len(traces)), tstat: tstat})
+		pops = append(pops, pop{kind: k, dists: dists, rate: alarmRate(fp, traces), tstat: tstat})
 		if m := maxOf(dists); m > maxDist {
 			maxDist = m
 		}

@@ -4,25 +4,36 @@ import (
 	"fmt"
 	"io"
 
-	"emtrust/internal/chip"
-	"emtrust/internal/dsp"
 	"emtrust/internal/report"
 	"emtrust/internal/trojan"
 )
 
-// WriteHTMLReport runs the core experiments and renders them as one
-// self-contained HTML page with the paper's figures as inline SVG.
-func WriteHTMLReport(cfg Config, w io.Writer) error {
-	r := report.New("emtrust — Runtime EM Trojan Detection, paper reproduction")
+// htmlSection is implemented by the results that own a section of the
+// HTML report.
+type htmlSection interface {
+	addHTML(r *report.Report)
+}
 
-	// Table I.
-	t1, err := Table1(cfg)
-	if err != nil {
-		return err
+// WriteHTMLReport renders experiment results as one self-contained HTML
+// page with the paper's figures as inline SVG: each result that owns a
+// page section adds it, in argument order, and the others are skipped.
+// It runs no experiment.
+func WriteHTMLReport(w io.Writer, results ...fmt.Stringer) error {
+	r := report.New("emtrust — Runtime EM Trojan Detection, paper reproduction")
+	for _, res := range results {
+		if s, ok := res.(htmlSection); ok {
+			s.addHTML(r)
+		}
 	}
+	return r.WriteHTML(w)
+}
+
+// addHTML renders Table I: the generated design's gate counts against
+// the published shares.
+func (res *Table1Result) addHTML(r *report.Report) {
 	r.AddHeading("Table I — Trojan sizes", "Gate counts of the generated design versus the published shares.")
-	rows := [][]string{{"AES", fmt.Sprint(t1.AESGateCount), "100%", "100%"}}
-	for _, row := range t1.Rows {
+	rows := [][]string{{"AES", fmt.Sprint(res.AESGateCount), "100%", "100%"}}
+	for _, row := range res.Rows {
 		gates := fmt.Sprint(row.GateCount)
 		if row.GateCount < 0 {
 			gates = "N/A"
@@ -31,77 +42,51 @@ func WriteHTMLReport(cfg Config, w io.Writer) error {
 			fmt.Sprintf("%.3f%%", row.Percentage), fmt.Sprintf("%.3f%%", row.PaperPct)})
 	}
 	r.AddTable([]string{"circuit", "gates", "share (ours)", "share (paper)"}, rows)
-
-	// SNR.
-	for _, f := range []func(Config) (*SNRResult, error){SNRSimulation, SNRMeasured} {
-		res, err := f(cfg)
-		if err != nil {
-			return err
-		}
-		r.AddHeading(fmt.Sprintf("SNR — %s mode", res.Mode), "")
-		r.AddTable([]string{"channel", "ours (dB)", "paper (dB)"}, [][]string{
-			{"on-chip sensor", fmt.Sprintf("%.2f", res.SensorSNRdB), fmt.Sprintf("%.2f", res.PaperSensorSNRdB)},
-			{"external probe", fmt.Sprintf("%.2f", res.ProbeSNRdB), fmt.Sprintf("%.2f", res.PaperProbeSNRdB)},
-		})
-	}
-
-	// Figure 6 histograms, both channels.
-	for _, useSensor := range []bool{false, true} {
-		res, err := Fig6Histograms(cfg, useSensor)
-		if err != nil {
-			return err
-		}
-		which := "Figure 6(a)-(d) — external probe"
-		if useSensor {
-			which = "Figure 6(e)-(h) — on-chip sensor"
-		}
-		r.AddHeading(which, "Red: golden circuit. Blue: Trojan activated. Euclidean distance histograms.")
-		for _, p := range res.Panels {
-			r.AddBars(
-				fmt.Sprintf("%v — overlap %.2f, TVLA |t| %.1f", p.Trojan, p.Overlap, abs(p.TStat)),
-				"Euclidean distance (V)", p.Golden.Min, p.Golden.Max,
-				report.Series{Name: "golden", Values: counts(p.Golden.Counts)},
-				report.Series{Name: p.Trojan.String() + " active", Values: counts(p.Active.Counts)},
-			)
-		}
-	}
-
-	// Figure 4: A2 spectra.
-	if err := addA2Spectra(cfg, r); err != nil {
-		return err
-	}
-
-	// Extension: acquisition-chain degradation, naive vs hardened.
-	if err := addDegradation(cfg, r); err != nil {
-		return err
-	}
-
-	// Extension: sensor-array localization heatmaps.
-	if err := addLocalization(cfg, r); err != nil {
-		return err
-	}
-
-	// Extension: population-scale fleet monitoring.
-	if err := addFleet(cfg, r); err != nil {
-		return err
-	}
-
-	// Extension: generated Trojan campaign ROC sweeps.
-	if err := addCampaign(cfg, r); err != nil {
-		return err
-	}
-
-	return r.WriteHTML(w)
 }
 
-// addCampaign renders the generated-Trojan campaign: the pooled ROC
-// curve over the Eq. (1) threshold margin, the detection tables along
-// each swept axis, and the searcher comparison.
-func addCampaign(cfg Config, r *report.Report) error {
-	res, err := Campaign(cfg)
-	if err != nil {
-		return err
+// addHTML renders one mode's SNR comparison.
+func (res *SNRResult) addHTML(r *report.Report) {
+	r.AddHeading(fmt.Sprintf("SNR — %s mode", res.Mode), "")
+	r.AddTable([]string{"channel", "ours (dB)", "paper (dB)"}, [][]string{
+		{"on-chip sensor", fmt.Sprintf("%.2f", res.SensorSNRdB), fmt.Sprintf("%.2f", res.PaperSensorSNRdB)},
+		{"external probe", fmt.Sprintf("%.2f", res.ProbeSNRdB), fmt.Sprintf("%.2f", res.PaperProbeSNRdB)},
+	})
+}
+
+// addHTML renders one channel's row of Figure 6 histograms.
+func (res *HistogramsResult) addHTML(r *report.Report) {
+	panels := "(a)-(d)"
+	if res.Channel == "on-chip sensor" {
+		panels = "(e)-(h)"
 	}
+	r.AddHeading(fmt.Sprintf("Figure 6%s — %s", panels, res.Channel),
+		"Red: golden circuit. Blue: Trojan activated. Euclidean distance histograms.")
+	for _, p := range res.Panels {
+		r.AddBars(
+			fmt.Sprintf("%v — overlap %.2f, TVLA |t| %.1f", p.Trojan, p.Overlap, abs(p.TStat)),
+			"Euclidean distance (V)", p.Golden.Min, p.Golden.Max,
+			report.Series{Name: "golden", Values: counts(p.Golden.Counts)},
+			report.Series{Name: p.Trojan.String() + " active", Values: counts(p.Active.Counts)},
+		)
+	}
+}
+
+// addHTML plots the dormant and triggering sensor spectra up to the
+// third clock multiple (the Figure 4 panel).
+func (res *A2SpectrumResult) addHTML(r *report.Report) {
+	limit := res.offSpec.Bin(3 * res.ClockHz)
+	r.AddHeading("Figure 4 — A2 Trojan in the frequency domain",
+		"Blue: dormant. Red: triggering (fast-flipping trigger raises the clock harmonic).")
+	r.AddLines("sensor spectrum", "frequency (Hz)", 0, res.offSpec.Frequency(limit), true,
+		report.Series{Name: "triggering", Color: "#c0392b", Values: res.onSpec.Amplitude[:limit]},
+		report.Series{Name: "dormant", Color: "#2455a4", Values: res.offSpec.Amplitude[:limit]},
+	)
+}
+
+// addHTML renders the generated-Trojan campaign: the pooled ROC curve
+// over the Eq. (1) threshold margin, the detection tables along each
+// swept axis, and the searcher comparison.
+func (res *CampaignResult) addHTML(r *report.Report) {
 	r.AddHeading(fmt.Sprintf("Generated Trojan campaign — %d members (extension)", res.Members),
 		fmt.Sprintf("Automatically synthesized rare-trigger Trojans (AND of k rare nets, XOR payload plus a toggling "+
 			"payload bank) swept over trigger size, trigger rarity, and placement. Campaign hash %016x; "+
@@ -138,17 +123,12 @@ func addCampaign(cfg Config, r *report.Report) error {
 	r.AddTable([]string{
 		fmt.Sprintf("searcher (%d members, %d evals each)", res.SearchMembers, res.SearchBudget),
 		"mean coverage", "full triggers"}, rows)
-	return nil
 }
 
-// addLocalization renders the sensor-array sweep: the size/budget
-// summary tables and one die heatmap per threat on the 4×4 array, with
-// the true Trojan cell named next to the predicted one.
-func addLocalization(cfg Config, r *report.Report) error {
-	res, err := Localization(cfg)
-	if err != nil {
-		return err
-	}
+// addHTML renders the sensor-array sweep: the size/budget summary
+// tables and one die heatmap per threat on the 4×4 array, with the true
+// Trojan cell named next to the predicted one.
+func (res *LocalizationResult) addHTML(r *report.Report) {
 	r.AddHeading("Sensor array — golden-model-free localization (extension)",
 		"An N×N array of small coils replaces the whole-die spiral. Each coil is scored against its "+
 			"spatial neighbors and its own history — no golden chip — and the per-coil anomaly scores "+
@@ -180,17 +160,11 @@ func addLocalization(cfg Config, r *report.Report) error {
 			fmt.Sprintf("%d/%d", g.Localized, len(g.Threats))})
 	}
 	r.AddTable([]string{"ADC channels (4x4)", "windows/frame", "detected", "localized"}, rows)
-	return nil
 }
 
-// addDegradation renders the fault-injection sweep: the false-alarm
-// curves of both monitors against severity, and the per-severity
-// detection table.
-func addDegradation(cfg Config, r *report.Report) error {
-	res, err := Degradation(cfg)
-	if err != nil {
-		return err
-	}
+// addHTML renders the fault-injection sweep: the false-alarm curves of
+// both monitors against severity, and the per-severity detection table.
+func (res *DegradationResult) addHTML(r *report.Report) {
 	r.AddHeading("Degradation — acquisition-chain faults (extension)",
 		"Drift, bursts, glitches, jitter and clipping injected between coil and analysis. "+
 			"Naive is the paper's monitor; hardened adds the health gate, debouncing and guarded re-baselining.")
@@ -222,55 +196,11 @@ func addDegradation(cfg Config, r *report.Report) error {
 	r.AddTable([]string{"severity", "rejected", "false+ n/h", "T1 n/h", "T2 n/h", "T3 n/h", "T4 n/h", "A2 n/h"}, rows)
 	r.AddPre(fmt.Sprintf("freeze study: Trojan activates at trace %d under continuing drift;\nconfirmed-alarm persistence over the late activation: %.0f%%",
 		res.FreezeActivation, 100*res.FreezePersistence))
-	return nil
 }
 
-// addA2Spectra captures dormant and firing idle windows and plots their
-// spectra (the Figure 4 panel).
-func addA2Spectra(cfg Config, r *report.Report) error {
-	chipCfg := cfg.Chip
-	chipCfg.WithTrojans = false
-	chipCfg.WithA2 = true
-	c, err := chip.New(chipCfg)
-	if err != nil {
-		return err
-	}
-	ch := chip.SimulationChannels()
-	cycles := cfg.SpectralCycles
-	c.EnableA2(false)
-	dormant, err := idleTraces(c, ch, 1, cycles)
-	if err != nil {
-		return err
-	}
-	c.EnableA2(true)
-	if _, err := c.CaptureIdle(cycles); err != nil {
-		return err
-	}
-	firing, err := idleTraces(c, ch, 1, cycles)
-	if err != nil {
-		return err
-	}
-	offTrace := dormant.Sensor.Traces[0]
-	onTrace := firing.Sensor.Traces[0]
-	specOff := dsp.NewSpectrum(offTrace.Samples, offTrace.Dt, cfg.Spectral.Window)
-	specOn := dsp.NewSpectrum(onTrace.Samples, onTrace.Dt, cfg.Spectral.Window)
-	limit := specOff.Bin(3 * cfg.Chip.Power.ClockHz) // up to the 3rd clock multiple
-	r.AddHeading("Figure 4 — A2 Trojan in the frequency domain",
-		"Blue: dormant. Red: triggering (fast-flipping trigger raises the clock harmonic).")
-	r.AddLines("sensor spectrum", "frequency (Hz)", 0, specOff.Frequency(limit), true,
-		report.Series{Name: "triggering", Color: "#c0392b", Values: specOn.Amplitude[:limit]},
-		report.Series{Name: "dormant", Color: "#2455a4", Values: specOff.Amplitude[:limit]},
-	)
-	return nil
-}
-
-// addFleet renders the population-scale monitoring run: the service
+// addHTML renders the population-scale monitoring run: the service
 // counters and the FDR alarm list scored against ground truth.
-func addFleet(cfg Config, r *report.Report) error {
-	res, err := Fleet(cfg)
-	if err != nil {
-		return err
-	}
+func (res *FleetResult) addHTML(r *report.Report) {
 	r.AddHeading("Fleet monitoring — population-scale trust evaluation (extension)",
 		"A sharded service monitors a fleet of process-variation siblings, each aging through its own "+
 			"degradation profile. Per-die guarded Holt tracking discounts drift, the cross-die reference "+
@@ -293,7 +223,6 @@ func addFleet(cfg Config, r *report.Report) error {
 	if len(rows) > 0 {
 		r.AddTable([]string{"die", "score", "p", "confirmed"}, rows)
 	}
-	return nil
 }
 
 func counts(c []int) []float64 {

@@ -31,10 +31,7 @@ func pinClose(t *testing.T, name string, got, want float64) {
 }
 
 func TestA2SpectrumPinned(t *testing.T) {
-	res, err := A2Spectrum(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixture(t, a2Fixture)
 	if !res.Detected {
 		t.Fatal("A2 detection flipped")
 	}
@@ -52,10 +49,7 @@ func TestA2SpectrumPinned(t *testing.T) {
 }
 
 func TestFig6SpectraPinned(t *testing.T) {
-	res, err := Fig6Spectra(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fixture(t, fig6SpectraFixture)
 	want := map[trojan.Kind]struct {
 		detected    bool
 		spots       int

@@ -56,26 +56,14 @@ func Robustness(cfg Config) (*RobustnessResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		falseAlarms := 0
-		for _, t := range held.Sensor.Traces {
-			if fp.Evaluate(t).Alarm {
-				falseAlarms++
-			}
-		}
-		point.FalseAlarmRate = float64(falseAlarms) / float64(cfg.TestTraces)
+		point.FalseAlarmRate = alarmRate(fp, held.Sensor.Traces)
 
 		for _, k := range trojan.Kinds() {
 			set, err := withTrojan(c, cfg, ch, k, cfg.TestTraces, cfg.CaptureCycles)
 			if err != nil {
 				return nil, err
 			}
-			hits := 0
-			for _, t := range set.Sensor.Traces {
-				if fp.Evaluate(t).Alarm {
-					hits++
-				}
-			}
-			point.Detection[k] = float64(hits) / float64(cfg.TestTraces)
+			point.Detection[k] = alarmRate(fp, set.Sensor.Traces)
 		}
 		res.Points = append(res.Points, point)
 	}

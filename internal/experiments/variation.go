@@ -96,12 +96,6 @@ func Variation(cfg Config) (*VariationResult, error) {
 		if err != nil {
 			return VariationRow{}, err
 		}
-		falseAlarms := 0
-		for _, t := range clean {
-			if fp.Evaluate(t).Alarm {
-				falseAlarms++
-			}
-		}
 		if err := fieldChip.SetTrojan(trojan.T2LeakageCurrent, true); err != nil {
 			return VariationRow{}, err
 		}
@@ -112,15 +106,9 @@ func Variation(cfg Config) (*VariationResult, error) {
 		if err != nil {
 			return VariationRow{}, err
 		}
-		hits := 0
-		for _, t := range infected {
-			if fp.Evaluate(t).Alarm {
-				hits++
-			}
-		}
 		return VariationRow{
-			FalseAlarmRate: float64(falseAlarms) / float64(len(clean)),
-			DetectionRate:  float64(hits) / float64(len(infected)),
+			FalseAlarmRate: alarmRate(fp, clean),
+			DetectionRate:  alarmRate(fp, infected),
 		}, nil
 	}
 

@@ -219,7 +219,7 @@ func (f *Floorplan) RegionOf(name string) (Rect, bool) {
 
 // Render returns a coarse ASCII map of the floorplan (the Figure 3
 // counterpart): each character cell shows the dominant region initial at
-// that spot, with '.' for empty silicon.
+// that spot, the lower initial on a tie, with '.' for empty silicon.
 func (f *Floorplan) Render(cols, rows int) string {
 	if cols <= 0 {
 		cols = 48
@@ -227,7 +227,7 @@ func (f *Floorplan) Render(cols, rows int) string {
 	if rows <= 0 {
 		rows = 16
 	}
-	grid := make([]map[byte]int, cols*rows)
+	grid := make([][256]int, cols*rows)
 	for i, p := range f.Positions {
 		cx := int(p.X / f.Die.X * float64(cols))
 		cy := int(p.Y / f.Die.Y * float64(rows))
@@ -243,20 +243,15 @@ func (f *Floorplan) Render(cols, rows int) string {
 				initial = region[6]
 			}
 		}
-		idx := cy*cols + cx
-		if grid[idx] == nil {
-			grid[idx] = make(map[byte]int)
-		}
-		grid[idx][initial]++
+		grid[cy*cols+cx][initial]++
 	}
 	var sb strings.Builder
 	for cy := rows - 1; cy >= 0; cy-- {
 		for cx := 0; cx < cols; cx++ {
-			m := grid[cy*cols+cx]
 			best, bestN := byte('.'), 0
-			for ch, n := range m {
-				if n > bestN {
-					best, bestN = ch, n
+			for ch, n := range &grid[cy*cols+cx] {
+				if n > bestN { // ascending scan: the lower initial keeps a tie
+					best, bestN = byte(ch), n
 				}
 			}
 			sb.WriteByte(best)

@@ -185,3 +185,29 @@ func TestRender(t *testing.T) {
 		t.Fatal("default render empty")
 	}
 }
+
+// A character cell that two regions fill equally must render the same
+// initial every time: the lower one.
+func TestRenderTieIsDeterministic(t *testing.T) {
+	b := netlist.NewBuilder("tie")
+	in := b.Input("in", 4)
+	b.SetRegion("bus")
+	b.Xor(in[0], in[1])
+	b.Xor(in[2], in[3])
+	b.SetRegion("aes")
+	b.And(in[0], in[1])
+	b.And(in[2], in[3])
+	b.Output("o", in)
+	n := b.Build()
+	center := Point{X: 0.5, Y: 0.5}
+	fp := &Floorplan{
+		Die:       Point{X: 1, Y: 1},
+		Positions: []Point{center, center, center, center},
+		netlist:   n,
+	}
+	for i := 0; i < 100; i++ {
+		if got := fp.Render(1, 1); got != "a\n" {
+			t.Fatalf("render %d of a 2-2 tie between aes and bus = %q, want %q", i, got, "a\n")
+		}
+	}
+}
