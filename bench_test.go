@@ -24,6 +24,7 @@ import (
 	"emtrust/internal/emfield"
 	"emtrust/internal/experiments"
 	"emtrust/internal/fleet"
+	"emtrust/internal/frand"
 	"emtrust/internal/layout"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
@@ -312,6 +313,7 @@ func BenchmarkAblationGoldenSetSize(b *testing.B) {
 	key := make([]byte, 16)
 	pt := make([]byte, 16)
 	ch := chip.SimulationChannels()
+	rng := frand.NewRand(c.Config().Seed)
 	for _, n := range []int{10, 30, 90} {
 		b.Run(fmt.Sprintf("golden=%d", n), func(b *testing.B) {
 			var threshold float64
@@ -322,7 +324,7 @@ func BenchmarkAblationGoldenSetSize(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					s, _ := c.Acquire(cap, ch)
+					s, _ := ch.Acquire(cap, rng)
 					golden = append(golden, s)
 				}
 				fp, err := core.BuildFingerprint(golden, core.DefaultFingerprintConfig())
@@ -428,12 +430,13 @@ func BenchmarkDegradedMonitor(b *testing.B) {
 		b.Fatal(err)
 	}
 	ch := chip.SimulationChannels()
+	rng := frand.NewRand(cfg.Chip.Seed)
 	capture := func() *trace.Trace {
 		cap, err := c.CapturePT(cfg.Plaintext, cfg.Key, cfg.CaptureCycles)
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, _ := c.Acquire(cap, ch)
+		s, _ := ch.Acquire(cap, rng)
 		return s
 	}
 	golden := make([]*trace.Trace, cfg.GoldenTraces)

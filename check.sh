@@ -28,8 +28,8 @@ fi
 echo "== engine differential (wide vs compiled vs reference, S-box toggle profile) =="
 go test -run 'Differential|CompiledVsReference|Wide|SBoxToggleCharge' -count=1 ./internal/logic/ ./internal/aes/
 
-echo "== RNG stream differential (bulk draws vs math/rand, fast path vs fallback) =="
-go test -run 'MatchesMathRand|Bulk|Parity' -count=1 ./internal/frand/ ./internal/trace/ ./internal/degrade/
+echo "== RNG stream differential (frand vs math/rand, fast path vs fallback, one generator type) =="
+go test -run 'MatchesMathRand|Bulk|Parity|OnlyFrandImportsMathRand' -count=1 ./internal/frand/ ./internal/trace/ ./internal/degrade/ .
 
 echo "== capture replay differential (batch, chain, fixed-point slot, caches, cross-seed capture sets, array emf slot, flux lanes) =="
 go test -run 'Batch|Chain|FixedPoint|Memo|Cache|ScanFrame|FluxLane' -count=1 ./internal/chip/ ./internal/sensorarray/ ./internal/power/ ./internal/experiments/

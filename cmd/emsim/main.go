@@ -18,8 +18,10 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"emtrust/internal/aes"
 	"emtrust/internal/chip"
 	"emtrust/internal/dsp"
+	"emtrust/internal/frand"
 	"emtrust/internal/trojan"
 )
 
@@ -65,8 +67,13 @@ func main() {
 }
 
 // run performs the capture and CSV writes, returning instead of exiting
-// so main can flush profiles on every path.
+// so main can flush profiles on every path. One generator seeded from
+// seed draws the plaintext, then the noise.
 func run(cycles int, trojanID int, a2, idle, spectrum bool, outDir string, seed int64) error {
+	if !idle && cycles < aes.Latency+3 {
+		return fmt.Errorf("emsim: capture of %d cycles cannot contain an encryption (need >= %d)", cycles, aes.Latency+3)
+	}
+	rng := frand.NewRand(seed)
 	cfg := chip.DefaultConfig()
 	cfg.Seed = seed
 	c, err := chip.New(cfg)
@@ -97,12 +104,14 @@ func run(cycles int, trojanID int, a2, idle, spectrum bool, outDir string, seed 
 		cap, err = c.CaptureIdle(cycles)
 	} else {
 		key := []byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}
-		cap, err = c.Capture(key, cycles)
+		pt := make([]byte, 16)
+		rng.Read(pt)
+		cap, err = c.CapturePT(pt, key, cycles)
 	}
 	if err != nil {
 		return err
 	}
-	sensor, probe := c.Acquire(cap, chip.MeasurementChannels())
+	sensor, probe := chip.MeasurementChannels().Acquire(cap, rng)
 
 	write := func(name, content string) error {
 		path := filepath.Join(outDir, name)

@@ -47,6 +47,7 @@ import (
 	"emtrust/internal/chip"
 	"emtrust/internal/core"
 	"emtrust/internal/degrade"
+	"emtrust/internal/frand"
 	"emtrust/internal/sensorarray"
 	"emtrust/internal/trace"
 	"emtrust/internal/trojan"
@@ -104,13 +105,14 @@ func main() {
 	}
 
 	ch := chip.MeasurementChannels()
+	rng := frand.NewRand(*seed)
 
 	capture := func() *trace.Trace {
 		cap, err := c.CapturePT(pt, key, *cycles)
 		if err != nil {
 			log.Fatal(err)
 		}
-		s, _ := c.Acquire(cap, ch)
+		s, _ := ch.Acquire(cap, rng)
 		return s
 	}
 
@@ -175,40 +177,11 @@ func main() {
 		log.Fatal(err2)
 	}
 
-	// Activation schedule: each quarter of the stream activates the
-	// next Trojan, like the Section V-B measurements.
-	schedule := trojan.Kinds()
-	perPhase := *nTraces / (len(schedule) + 1)
-	if perPhase < 1 {
-		perPhase = 1
-	}
-
+	sched := newSchedule(c, *nTraces)
 	go func() {
 		defer mon.Close()
-		var active *trojan.Kind
 		for i := 0; i < *nTraces; i++ {
-			phase := i / perPhase
-			if phase >= 1 && phase <= len(schedule) {
-				want := schedule[phase-1]
-				if active == nil || *active != want {
-					if active != nil {
-						if err := c.SetTrojan(*active, false); err != nil {
-							log.Fatal(err)
-						}
-					}
-					if err := c.SetTrojan(want, true); err != nil {
-						log.Fatal(err)
-					}
-					active = &want
-					log.Printf("--- adversary activates %v (%s) ---", want, want.Description())
-				}
-			} else if active != nil {
-				if err := c.SetTrojan(*active, false); err != nil {
-					log.Fatal(err)
-				}
-				active = nil
-				log.Printf("--- all Trojans dormant ---")
-			}
+			sched.set(i)
 			mon.Submit(capture())
 		}
 	}()
@@ -224,6 +197,46 @@ func main() {
 	} else {
 		fmt.Printf("monitored %d traces, %d alarms\n", total, alarms)
 	}
+}
+
+// schedule is the demo's Trojan activation schedule, like the Section
+// V-B measurements: a stream of n traces splits into one dormant phase
+// and one phase per Trojan, each activating the next; traces past the
+// last phase run dormant.
+type schedule struct {
+	c        *chip.Chip
+	perPhase int
+	active   int // index into trojan.Kinds(), -1 while all are dormant
+}
+
+func newSchedule(c *chip.Chip, n int) *schedule {
+	return &schedule{c: c, perPhase: max(n/(len(trojan.Kinds())+1), 1), active: -1}
+}
+
+// set switches the chip to trace i's phase, logging each switch.
+func (s *schedule) set(i int) {
+	kinds := trojan.Kinds()
+	want := i/s.perPhase - 1
+	if want >= len(kinds) {
+		want = -1
+	}
+	if want == s.active {
+		return
+	}
+	if s.active >= 0 {
+		if err := s.c.SetTrojan(kinds[s.active], false); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if want >= 0 {
+		if err := s.c.SetTrojan(kinds[want], true); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("--- adversary activates %v (%s) ---", kinds[want], kinds[want].Description())
+	} else {
+		log.Printf("--- all Trojans dormant ---")
+	}
+	s.active = want
 }
 
 // healthCalibration is the capture count for the channel-health envelope
@@ -265,37 +278,11 @@ func runArray(c *chip.Chip, n, channels, nTraces, cycles int, pt, key []byte) {
 		log.Fatal(err)
 	}
 
-	schedule := trojan.Kinds()
-	perPhase := nTraces / (len(schedule) + 1)
-	if perPhase < 1 {
-		perPhase = 1
-	}
+	sched := newSchedule(c, nTraces)
 	grid := c.Floorplan().Grid
-	var active *trojan.Kind
 	alarms := 0
 	for i := 0; i < nTraces; i++ {
-		phase := i / perPhase
-		if phase >= 1 && phase <= len(schedule) {
-			want := schedule[phase-1]
-			if active == nil || *active != want {
-				if active != nil {
-					if err := c.SetTrojan(*active, false); err != nil {
-						log.Fatal(err)
-					}
-				}
-				if err := c.SetTrojan(want, true); err != nil {
-					log.Fatal(err)
-				}
-				active = &want
-				log.Printf("--- adversary activates %v (%s) ---", want, want.Description())
-			}
-		} else if active != nil {
-			if err := c.SetTrojan(*active, false); err != nil {
-				log.Fatal(err)
-			}
-			active = nil
-			log.Printf("--- all Trojans dormant ---")
-		}
+		sched.set(i)
 		f := scan()
 		v, err := mon.Evaluate(f)
 		if err != nil {
@@ -309,7 +296,7 @@ func runArray(c *chip.Chip, n, channels, nTraces, cycles int, pt, key []byte) {
 			status = fmt.Sprintf("ALARM  cell (%d,%d) tile (%d,%d)", cx, cy, tile%grid.NX, tile/grid.NX)
 		}
 		fmt.Printf("frame %3d: max z %7.1f  %s\n", i, v.Max, status)
-		if v.Alarm && (i+1)%perPhase == 0 {
+		if v.Alarm && (i+1)%sched.perPhase == 0 {
 			fmt.Print(mon.HeatmapString(v.Z))
 		}
 	}

@@ -32,6 +32,7 @@ import (
 
 	"emtrust/internal/chip"
 	"emtrust/internal/core"
+	"emtrust/internal/frand"
 	"emtrust/internal/trace"
 	"emtrust/internal/trojan"
 )
@@ -93,6 +94,7 @@ type DeviceOptions struct {
 type Device struct {
 	chip     *chip.Chip
 	channels chip.Channels
+	rng      *frand.Rand // every acquisition's noise, in capture order
 	cycles   int
 	key, pt  []byte
 }
@@ -123,6 +125,7 @@ func NewDevice(opts DeviceOptions) (*Device, error) {
 	d := &Device{
 		chip:     c,
 		channels: chip.SimulationChannels(),
+		rng:      frand.NewRand(cfg.Seed),
 		cycles:   opts.Cycles,
 		key:      opts.Key,
 		pt:       opts.Plaintext,
@@ -158,7 +161,7 @@ func (d *Device) CaptureTrace() (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, _ := d.chip.Acquire(cap, d.channels)
+	s, _ := d.channels.Acquire(cap, d.rng)
 	return s, nil
 }
 
@@ -168,7 +171,7 @@ func (d *Device) CaptureBoth() (sensor, probe *Trace, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sensor, probe = d.chip.Acquire(cap, d.channels)
+	sensor, probe = d.channels.Acquire(cap, d.rng)
 	return sensor, probe, nil
 }
 
@@ -179,7 +182,7 @@ func (d *Device) CaptureIdle(cycles int) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, _ := d.chip.Acquire(cap, d.channels)
+	s, _ := d.channels.Acquire(cap, d.rng)
 	return s, nil
 }
 
@@ -198,7 +201,7 @@ func (d *Device) Listen(cycles int, noiseRMS float64) (*Trace, error) {
 		Sensor: trace.SimulationChannel(noiseRMS),
 		Probe:  trace.SimulationChannel(noiseRMS),
 	}
-	s, _ := d.chip.Acquire(cap, rx)
+	s, _ := rx.Acquire(cap, d.rng)
 	return s, nil
 }
 
@@ -208,7 +211,7 @@ func (d *Device) CaptureIdleBoth(cycles int) (sensor, probe *Trace, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sensor, probe = d.chip.Acquire(cap, d.channels)
+	sensor, probe = d.channels.Acquire(cap, d.rng)
 	return sensor, probe, nil
 }
 

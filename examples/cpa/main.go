@@ -8,11 +8,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"time"
 
 	"emtrust"
 	"emtrust/internal/attack"
+	"emtrust/internal/frand"
 )
 
 func main() {
@@ -25,7 +25,7 @@ func main() {
 	cfg := attack.DefaultCPAConfig()
 	fmt.Printf("collecting %d random-plaintext captures and correlating...\n", cfg.Traces)
 	start := time.Now()
-	res, err := attack.Run(dev.Chip(), key, cfg, rand.New(rand.NewSource(3)))
+	res, err := attack.Run(dev.Chip(), key, cfg, frand.NewRand(3))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"emtrust/internal/aes"
 	"emtrust/internal/chip"
+	"emtrust/internal/frand"
 	"emtrust/internal/trace"
 )
 
@@ -91,10 +91,10 @@ func hypothesis(model string, p, k byte) float64 {
 // fixed key) and mounts the CPA. Every trace is captured from the chip's
 // reset state so the load-edge Hamming model holds: Run draws all the
 // plaintexts from rng, resets the chip once, captures them in batches of
-// chip.BatchLanes from that state and acquires the traces in order, so
-// the chip's noise stream is drawn exactly as by one reset and capture
-// per trace. The chip ends in the reset state.
-func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *rand.Rand) (*Result, error) {
+// chip.BatchLanes from that state and acquires the traces in order,
+// drawing their noise from rng after the plaintexts. The result depends
+// on the seed of rng alone. The chip ends in the reset state.
+func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *frand.Rand) (*Result, error) {
 	if len(key) != 16 {
 		return nil, fmt.Errorf("attack: need a 16-byte key")
 	}
@@ -122,7 +122,7 @@ func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *rand.Rand) (*Result, erro
 			return nil, err
 		}
 		for i, cap := range caps {
-			s, _ := c.Acquire(cap, rx)
+			s, _ := rx.Acquire(cap, rng)
 			if cfg.WindowEnd > len(s.Samples) {
 				return nil, fmt.Errorf("attack: window [%d,%d) exceeds trace of %d samples",
 					cfg.WindowStart, cfg.WindowEnd, len(s.Samples))

@@ -13,8 +13,8 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
+	"emtrust/internal/frand"
 	"emtrust/internal/layout"
 )
 
@@ -113,7 +113,7 @@ func (r *RON) Oscillators() int { return len(r.positions) }
 // Measure counts each oscillator's edges over the capture window given
 // the per-tile current waveforms (amps, spaced dt seconds). The counts
 // carry the configured measurement noise from rng.
-func (r *RON) Measure(tiles [][]float64, dt float64, rng *rand.Rand) []float64 {
+func (r *RON) Measure(tiles [][]float64, dt float64, rng *frand.Rand) []float64 {
 	if len(tiles) == 0 {
 		return make([]float64, len(r.weights))
 	}

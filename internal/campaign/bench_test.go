@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 
+	"emtrust/internal/frand"
 	"emtrust/internal/netlist"
 )
 
@@ -35,7 +36,7 @@ func BuildBench(b *netlist.Builder, cfg BenchConfig) (Stimulus, error) {
 	if cfg.Inputs < 1 || cfg.Gates < 1 || cfg.Window < 1 {
 		return Stimulus{}, fmt.Errorf("campaign: bench config needs inputs, gates, window >= 1")
 	}
-	rng := splitRand(cfg.Seed, streamMember, 0xbe9c)
+	rng := frand.NewRand(subSeed(cfg.Seed, streamMember, 0xbe9c))
 	b.PushRegion("bench")
 	defer b.PopRegion()
 

@@ -19,9 +19,9 @@ package campaign
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 
 	"emtrust/internal/aes"
+	"emtrust/internal/frand"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
 )
@@ -53,16 +53,6 @@ func AESStimulus() Stimulus {
 	}
 }
 
-// splitmix64 is the SplitMix64 finalizer used to derive independent
-// sub-seeds from the campaign seed (the same permutation the chip
-// model uses for trace seeding).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Seed streams: every independent consumer of campaign randomness draws
 // from its own stream so no result depends on evaluation order.
 const (
@@ -74,15 +64,10 @@ const (
 // subSeed derives a deterministic non-negative seed from
 // (seed, stream, index).
 func subSeed(seed int64, stream, index uint64) int64 {
-	h := splitmix64(uint64(seed) ^ 0x63616d7061696768) // "campaigh"
-	h = splitmix64(h ^ stream)
-	h = splitmix64(h ^ index)
+	h := frand.SplitMix64(uint64(seed) ^ 0x63616d7061696768) // "campaigh"
+	h = frand.SplitMix64(h ^ stream)
+	h = frand.SplitMix64(h ^ index)
 	return int64(h >> 1)
-}
-
-// splitRand returns a private generator for (seed, stream, index).
-func splitRand(seed int64, stream, index uint64) *rand.Rand {
-	return rand.New(rand.NewSource(subSeed(seed, stream, index)))
 }
 
 // driveWindow loads one base state per lane, applies per-lane stimulus

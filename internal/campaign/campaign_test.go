@@ -3,6 +3,7 @@ package campaign
 import (
 	"testing"
 
+	"emtrust/internal/frand"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
 )
@@ -217,7 +218,7 @@ func TestEngineDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		rng := splitRand(int64(seed), 0xd1f, 0)
+		rng := frand.NewRand(subSeed(int64(seed), 0xd1f, 0))
 		bits := map[string][]uint8{}
 		portBits := [][][]uint8{}
 		for _, p := range stim.Ports {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"emtrust/internal/frand"
 	"emtrust/internal/netlist"
 	"emtrust/internal/trojan"
 )
@@ -294,7 +295,7 @@ func generateFrom(n *netlist.Netlist, prof *Profile, tileOf func(netlist.Net) in
 			return nil, fmt.Errorf("campaign: rarity bucket %.3g has %d candidates, member %d needs %d",
 				cfg.Rarity[bucket], len(pool), id, k)
 		}
-		rng := splitRand(cfg.Seed, streamMember, uint64(id))
+		rng := frand.NewRand(subSeed(cfg.Seed, streamMember, uint64(id)))
 		// Sample k distinct trigger nets (partial Fisher-Yates on a copy).
 		picks := append([]netlist.Net(nil), pool...)
 		m := &Member{
@@ -331,8 +332,8 @@ func generateFrom(n *netlist.Netlist, prof *Profile, tileOf func(netlist.Net) in
 // Hash digests every member's full specification; two campaigns with
 // equal hashes generated the same Trojan family.
 func (c *Campaign) Hash() uint64 {
-	h := splitmix64(uint64(len(c.Members)))
-	mix := func(v int64) { h = splitmix64(h ^ uint64(v)) }
+	h := frand.SplitMix64(uint64(len(c.Members)))
+	mix := func(v int64) { h = frand.SplitMix64(h ^ uint64(v)) }
 	for _, m := range c.Members {
 		mix(int64(m.ID))
 		mix(int64(m.K))

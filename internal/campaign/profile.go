@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 
+	"emtrust/internal/frand"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
 )
@@ -92,7 +93,7 @@ func ProfileActivity(n *netlist.Netlist, stim Stimulus, windows, lanes int, seed
 				portBits[pi] = portBits[pi][:0]
 			}
 			for l := 0; l < chunk; l++ {
-				rng := splitRand(seed, streamProfile, uint64(win*profileLanes+lo+l))
+				rng := frand.NewRand(subSeed(seed, streamProfile, uint64(win*profileLanes+lo+l)))
 				for pi, width := range widths {
 					bits := make([]uint8, width)
 					for i := range bits {

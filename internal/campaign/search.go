@@ -2,8 +2,8 @@ package campaign
 
 import (
 	"fmt"
-	"math/rand"
 
+	"emtrust/internal/frand"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
 )
@@ -137,10 +137,10 @@ func (e *Evaluator) Evaluate(pop [][]uint8) ([]Eval, error) {
 // construction.
 type Searcher interface {
 	Name() string
-	Next(glen, size int, prev [][]uint8, evals []Eval, rng *rand.Rand) [][]uint8
+	Next(glen, size int, prev [][]uint8, evals []Eval, rng *frand.Rand) [][]uint8
 }
 
-func randomGenome(glen int, rng *rand.Rand) []uint8 {
+func randomGenome(glen int, rng *frand.Rand) []uint8 {
 	g := make([]uint8, glen)
 	for i := range g {
 		g[i] = uint8(rng.Int63() & 1)
@@ -148,7 +148,7 @@ func randomGenome(glen int, rng *rand.Rand) []uint8 {
 	return g
 }
 
-func randomPop(glen, size int, rng *rand.Rand) [][]uint8 {
+func randomPop(glen, size int, rng *frand.Rand) [][]uint8 {
 	pop := make([][]uint8, size)
 	for i := range pop {
 		pop[i] = randomGenome(glen, rng)
@@ -162,7 +162,7 @@ type Random struct{}
 
 func (Random) Name() string { return "random" }
 
-func (Random) Next(glen, size int, _ [][]uint8, _ []Eval, rng *rand.Rand) [][]uint8 {
+func (Random) Next(glen, size int, _ [][]uint8, _ []Eval, rng *frand.Rand) [][]uint8 {
 	return randomPop(glen, size, rng)
 }
 
@@ -179,7 +179,7 @@ type GA struct {
 
 func (GA) Name() string { return "ga" }
 
-func (s GA) Next(glen, size int, prev [][]uint8, evals []Eval, rng *rand.Rand) [][]uint8 {
+func (s GA) Next(glen, size int, prev [][]uint8, evals []Eval, rng *frand.Rand) [][]uint8 {
 	if prev == nil {
 		return randomPop(glen, size, rng)
 	}
@@ -257,7 +257,7 @@ type MERO struct {
 
 func (MERO) Name() string { return "mero" }
 
-func (s MERO) Next(glen, size int, prev [][]uint8, evals []Eval, rng *rand.Rand) [][]uint8 {
+func (s MERO) Next(glen, size int, prev [][]uint8, evals []Eval, rng *frand.Rand) [][]uint8 {
 	if prev == nil {
 		return randomPop(glen, size, rng)
 	}
@@ -334,7 +334,7 @@ func Search(e *Evaluator, s Searcher, size, gens int, seed int64) (*SearchResult
 	for _, c := range []byte(s.Name()) {
 		nameIx = nameIx*131 + uint64(c)
 	}
-	rng := splitRand(seed, streamSearch, nameIx)
+	rng := frand.NewRand(subSeed(seed, streamSearch, nameIx))
 	res := &SearchResult{Searcher: s.Name(), Population: size, Generations: gens}
 	var pop [][]uint8
 	var evals []Eval

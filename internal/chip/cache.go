@@ -122,7 +122,7 @@ func storeBuild(key buildKey, b *built) {
 // build (netlist, recorder configuration and floorplan, couplings,
 // Trojan instances and tiles, A2 configuration): New and Clone carry
 // their build's id and WithStuckAt takes a fresh one. Chips at any seed
-// share entries, since no capture reads the chip's random stream, and
+// share entries, since no capture draws randomness, and
 // an entry holds no reference to its design. The gate-level pre-state
 // rides as a hash here and is verified exactly against each candidate
 // entry.

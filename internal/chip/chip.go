@@ -8,12 +8,12 @@ package chip
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"emtrust/internal/aes"
 	"emtrust/internal/analog"
 	"emtrust/internal/emfield"
+	"emtrust/internal/frand"
 	"emtrust/internal/layout"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
@@ -72,8 +72,8 @@ type Config struct {
 	// precomputation.
 	Quad int
 
-	// Seed drives every stochastic element (plaintexts, noise) so
-	// experiments are reproducible.
+	// Seed derives the per-trace generators (SubSeed, SplitRand) so
+	// experiments are reproducible. The chip itself holds no generator.
 	Seed int64
 }
 
@@ -123,11 +123,6 @@ type Chip struct {
 	a2Tile    int
 	a2Enabled bool
 
-	// rng is the chip's shared deterministic stream (random plaintexts
-	// and acquisition noise), so a whole experiment reproduces from one
-	// seed. Loops that may be reordered or parallelized derive a private
-	// stream per trace with SplitRand instead.
-	rng *rand.Rand
 	// streams counts the per-trace seed streams handed out by NextStream.
 	// It is a shared pointer so clones and stuck-at variants draw from the
 	// same sequence as the chip they derive from.
@@ -194,7 +189,6 @@ func New(cfg Config) (*Chip, error) {
 		sensor: b.sensor, probe: b.probe,
 		trojans: b.trojans,
 		t2Tile:  b.t2Tile,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		streams: new(atomic.Uint64),
 	}
 	if cfg.WithA2 {
@@ -303,33 +297,23 @@ func (c *Chip) Trojan(kind trojan.Kind) *trojan.Instance { return c.trojans[kind
 // the synthesized emf of a capture.
 func (c *Chip) SensorCoupling() *emfield.Coupling { return c.sensor }
 
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed 64-bit
-// permutation used to derive independent sub-seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // SubSeed derives a deterministic seed from (cfg.Seed, stream, index).
 // Distinct (stream, index) pairs land in unrelated points of the
 // SplitMix64 permutation, so per-trace generators are statistically
-// independent of each other and of the chip's shared stream, yet fully
-// reproducible from cfg.Seed alone.
+// independent of each other, yet fully reproducible from cfg.Seed alone.
 func (c *Chip) SubSeed(stream, index uint64) int64 {
-	h := splitmix64(uint64(c.cfg.Seed) ^ 0x6d7472757374) // "mtrust"
-	h = splitmix64(h ^ stream)
-	h = splitmix64(h ^ index)
-	return int64(h >> 1) // non-negative for rand.NewSource
+	h := frand.SplitMix64(uint64(c.cfg.Seed) ^ 0x6d7472757374) // "mtrust"
+	h = frand.SplitMix64(h ^ stream)
+	h = frand.SplitMix64(h ^ index)
+	return int64(h >> 1) // non-negative
 }
 
 // SplitRand returns a private generator for one trace, seeded by
 // SubSeed. Use one stream id per capture set (NextStream) and the trace
 // index within the set, so results do not depend on capture order or
 // worker count.
-func (c *Chip) SplitRand(stream, index uint64) *rand.Rand {
-	return rand.New(rand.NewSource(c.SubSeed(stream, index)))
+func (c *Chip) SplitRand(stream, index uint64) *frand.Rand {
+	return frand.NewRand(c.SubSeed(stream, index))
 }
 
 // NextStream reserves the next seed-stream id. The counter is shared
@@ -346,9 +330,9 @@ func (c *Chip) snapshot() state {
 	return s
 }
 
-// restore rewinds the chip to a snapshot taken on the same design. It
-// does not touch the chip's random stream: state and randomness are
-// deliberately decoupled so replayed captures can draw fresh noise.
+// restore rewinds the chip to a snapshot taken on the same design. The
+// caller's generator, not the chip, draws the noise, so replayed
+// captures can draw fresh noise.
 func (c *Chip) restore(s state) {
 	c.sim.SetState(s.sim)
 	if c.a2 != nil {
@@ -371,8 +355,7 @@ func (c *Chip) at(s state) bool {
 // simulator, activity recorder and analog Trojan state, all copied from
 // c's current state. A clone can capture on its own goroutine; the
 // logic.Simulator is single-goroutine, the chips' shared structures are
-// read-only. The clone's shared random stream restarts from cfg.Seed —
-// parallel capture paths must use SplitRand, not Rand.
+// read-only.
 func (c *Chip) Clone() (*Chip, error) {
 	rec, err := power.NewRecorder(c.cfg.Power, c.fp)
 	if err != nil {
@@ -385,7 +368,6 @@ func (c *Chip) Clone() (*Chip, error) {
 		a2 := *c.a2
 		out.a2 = &a2
 	}
-	out.rng = rand.New(rand.NewSource(c.cfg.Seed))
 	out.resetPrivate()
 	return &out, nil
 }
@@ -454,21 +436,10 @@ func (c *Chip) EnableA2(on bool) {
 	c.a2Enabled = on
 }
 
-// Capture runs one trace capture of the given number of clock cycles.
-// The workload is one AES encryption of a random plaintext under the
-// given key, started at cycle 2; Trojan and analog activity continue for
-// the whole window. It returns the clean (noise-free) sensor and probe
-// waveforms.
-func (c *Chip) Capture(key []byte, cycles int) (*Capture, error) {
-	if cycles < aes.Latency+3 {
-		return nil, fmt.Errorf("chip: capture of %d cycles cannot contain an encryption (need >= %d)", cycles, aes.Latency+3)
-	}
-	pt := make([]byte, 16)
-	c.rng.Read(pt)
-	return c.CapturePT(pt, key, cycles)
-}
-
-// CapturePT is Capture with a caller-chosen plaintext.
+// CapturePT runs one capture of the given number of clock cycles: one
+// AES encryption of pt under key, started at cycle 2, with Trojan and
+// analog activity for the whole window. It returns the clean
+// (noise-free) sensor and probe waveforms.
 //
 // Fixed-point fast path: when the chip is dormant (no active Trojan
 // state machine evolving), a fixed-stimulus capture returns the chip to
@@ -696,18 +667,10 @@ func MeasurementChannels() Channels {
 	return Channels{Sensor: s, Probe: p}
 }
 
-// Acquire converts a clean capture into measured traces on both channels,
-// drawing noise from the chip's shared random stream. Order-sensitive:
-// prefer Channels.Acquire with a SplitRand generator in loops that may be
-// reordered or parallelized.
-func (c *Chip) Acquire(cap *Capture, ch Channels) (sensor, probe *trace.Trace) {
-	return ch.Acquire(cap, c.rng)
-}
-
 // Acquire converts a clean capture into measured traces on both channels
 // using the given generator (sensor noise first, then probe noise — the
 // draw order is part of the reproducibility contract).
-func (ch Channels) Acquire(cap *Capture, rng *rand.Rand) (sensor, probe *trace.Trace) {
+func (ch Channels) Acquire(cap *Capture, rng trace.Rand) (sensor, probe *trace.Trace) {
 	sensor = ch.Sensor.Acquire(cap.Sensor, cap.Dt, rng)
 	probe = ch.Probe.Acquire(cap.Probe, cap.Dt, rng)
 	return sensor, probe

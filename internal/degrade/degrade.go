@@ -10,9 +10,9 @@
 // "sensor dying".
 //
 // Determinism contract: stages draw all randomness from the per-capture
-// generator handed to Acquire (the experiments derive it from
-// chip.SplitRand), and drift-like stages depend only on the explicit
-// trace index, so a degraded stream is bit-identical for a given seed.
+// *frand.Rand handed to Acquire (chip.SplitRand's, or the fleet's per
+// draw site), and drift-like stages depend only on the explicit trace
+// index, so a degraded stream is bit-identical for a given seed.
 package degrade
 
 import (

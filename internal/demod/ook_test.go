@@ -7,6 +7,7 @@ import (
 
 	"emtrust/internal/aes"
 	"emtrust/internal/chip"
+	"emtrust/internal/frand"
 	"emtrust/internal/trace"
 	"emtrust/internal/trojan"
 )
@@ -136,7 +137,7 @@ func TestKeyRecoveryFromSensor(t *testing.T) {
 		Sensor: trace.SimulationChannel(2e-9),
 		Probe:  trace.SimulationChannel(2e-9),
 	}
-	s, _ := c.Acquire(cap, receiver)
+	s, _ := receiver.Acquire(cap, frand.NewRand(cfg.Seed))
 
 	dcfg := ChannelConfig(cfg.Power.ClockHz, s.Dt)
 	res, err := DemodulateOOK(s.Samples, s.Dt, dcfg)

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"emtrust/internal/baseline"
 	"emtrust/internal/chip"
 	"emtrust/internal/core"
+	"emtrust/internal/frand"
 	"emtrust/internal/trace"
 	"emtrust/internal/trojan"
 )
@@ -63,7 +63,7 @@ func Coverage(cfg Config) (*CoverageResult, error) {
 	goldenIdleEM := make([]*trace.Trace, nIdle)
 	err = replicate(c, nIdle,
 		func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(ronWindow) },
-		func(i int, cap *chip.Capture, rng *rand.Rand) error {
+		func(i int, cap *chip.Capture, rng *frand.Rand) error {
 			// Draw order per trace: RON jitter first, then EM noise.
 			goldenRON[i] = ron.Measure(cap.Tiles, cap.Dt, rng)
 			goldenIdleEM[i], _ = ch.Acquire(cap, rng)
@@ -101,7 +101,7 @@ func Coverage(cfg Config) (*CoverageResult, error) {
 		spectralAlarm := make([]bool, ronTrials)
 		err = replicate(c, ronTrials,
 			func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(ronWindow) },
-			func(i int, cap *chip.Capture, rng *rand.Rand) error {
+			func(i int, cap *chip.Capture, rng *frand.Rand) error {
 				_, ronAlarm[i] = ronDet.Evaluate(ron.Measure(cap.Tiles, cap.Dt, rng))
 				s, _ := ch.Acquire(cap, rng)
 				spectralAlarm[i] = sd.Evaluate(s).Alarm
@@ -168,7 +168,7 @@ func coverageA2(cfg Config) (CoverageRow, error) {
 	}
 	err = replicate(c, n,
 		func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(cycles) },
-		func(i int, cap *chip.Capture, rng *rand.Rand) error {
+		func(i int, cap *chip.Capture, rng *frand.Rand) error {
 			goldenRON[i] = ron2.Measure(cap.Tiles, cap.Dt, rng)
 			goldenEM[i], _ = ch.Acquire(cap, rng)
 			return nil
@@ -197,7 +197,7 @@ func coverageA2(cfg Config) (CoverageRow, error) {
 	emAlarm := make([]bool, trials)
 	err = replicate(c, trials,
 		func(w *chip.Chip) (*chip.Capture, error) { return w.CaptureIdle(cycles) },
-		func(i int, cap *chip.Capture, rng *rand.Rand) error {
+		func(i int, cap *chip.Capture, rng *frand.Rand) error {
 			_, ronAlarm[i] = ronDet2.Evaluate(ron2.Measure(cap.Tiles, cap.Dt, rng))
 			s, _ := ch.Acquire(cap, rng)
 			emAlarm[i] = sd.Evaluate(s).Alarm

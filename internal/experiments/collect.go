@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"emtrust/internal/chip"
+	"emtrust/internal/frand"
 	"emtrust/internal/parallel"
 	"emtrust/internal/trace"
 	"emtrust/internal/trojan"
@@ -50,7 +50,7 @@ type dualSet struct {
 // converged to after its first iteration, so sets fitted and tested
 // against each other carry no capture-order offset. The chip advances by
 // exactly two captures regardless of n or worker count.
-func replicate(c *chip.Chip, n int, capture func(*chip.Chip) (*chip.Capture, error), each func(i int, cap *chip.Capture, rng *rand.Rand) error) error {
+func replicate(c *chip.Chip, n int, capture func(*chip.Chip) (*chip.Capture, error), each func(i int, cap *chip.Capture, rng *frand.Rand) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -101,7 +101,7 @@ func captureSet(c *chip.Chip, cfg Config, ch chip.Channels, n, cycles int) (*dua
 		return nil, err
 	}
 	caps := chain[1:] // chain[0] is the warm-up, discarded
-	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) {
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) {
 		return caps[i%k], c.SplitRand(stream, uint64(i))
 	})
 }
@@ -120,7 +120,7 @@ func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, n, cycles int)
 		return &dualSet{}, nil
 	}
 	stream := c.NextStream()
-	rngs := make([]*rand.Rand, n)
+	rngs := make([]*frand.Rand, n)
 	pts := make([][]byte, n)
 	for i := range rngs {
 		rngs[i] = c.SplitRand(stream, uint64(i))
@@ -150,7 +150,7 @@ func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, n, cycles int)
 	if err != nil {
 		return nil, err
 	}
-	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) { return caps[i], rngs[i] })
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) { return caps[i], rngs[i] })
 }
 
 // idleTraces records n dual-channel traces with no encryption running
@@ -170,7 +170,7 @@ func idleTraces(c *chip.Chip, ch chip.Channels, n, cycles int) (*dualSet, error)
 		return nil, err
 	}
 	cap := chain[1] // chain[0] is the warm-up, discarded
-	return acquireSet(ch, n, func(i int) (*chip.Capture, *rand.Rand) {
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) {
 		return cap, c.SplitRand(stream, uint64(i))
 	})
 }
@@ -179,7 +179,7 @@ func idleTraces(c *chip.Chip, ch chip.Channels, n, cycles int) (*dualSet, error)
 // sets: at(i) returns trace i's capture and its private generator. The
 // acquisitions fan out over the worker pool and each writes only its
 // own index, so the sets are identical at any worker count.
-func acquireSet(ch chip.Channels, n int, at func(i int) (*chip.Capture, *rand.Rand)) (*dualSet, error) {
+func acquireSet(ch chip.Channels, n int, at func(i int) (*chip.Capture, *frand.Rand)) (*dualSet, error) {
 	sensors := make([]*trace.Trace, n)
 	probes := make([]*trace.Trace, n)
 	err := parallel.For(n, func(i int) error {

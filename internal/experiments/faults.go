@@ -3,12 +3,12 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"emtrust/internal/aes"
 	"emtrust/internal/chip"
 	"emtrust/internal/core"
+	"emtrust/internal/frand"
 	"emtrust/internal/netlist"
 	"emtrust/internal/parallel"
 )
@@ -63,7 +63,7 @@ func Faults(cfg Config) (*FaultsResult, error) {
 			sites = append(sites, c.Output)
 		}
 	}
-	rng := rand.New(rand.NewSource(chipCfg.Seed + 7))
+	rng := frand.NewRand(chipCfg.Seed + 7)
 	faults := cfg.TestTraces / 3
 	if faults < 8 {
 		faults = 8

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"emtrust/internal/frand"
 )
 
 // TestFleetAcceptance is the ISSUE-7 chaos acceptance run: a
@@ -49,7 +51,7 @@ func TestFleetAcceptance(t *testing.T) {
 	// Chaos, all deterministic in (shard, round) / (die, round):
 	// roughly 10% of shard rounds panic...
 	s.hooks.crashShard = func(shard, round int) bool {
-		return splitmix64(uint64(shard)<<32|uint64(round))%10 == 0
+		return frand.SplitMix64(uint64(shard)<<32|uint64(round))%10 == 0
 	}
 	// ...one clean die's capture wedges solid from round 3 on...
 	wedged := -1

@@ -74,7 +74,7 @@ func (a *aggregator) ingestBatch(vs []verdict) {
 func (a *aggregator) ingestLocked(v verdict) {
 	st := &a.st[v.die]
 	a.processed.Add(1)
-	if v.v.Health.Rejected {
+	if v.rejected {
 		st.rejected++
 		a.rejected.Add(1)
 	} else if !math.IsNaN(v.z) && !math.IsInf(v.z, 0) {
@@ -92,7 +92,7 @@ func (a *aggregator) ingestLocked(v verdict) {
 			st.ewma = (1-ewmaAlpha)*st.ewma + ewmaAlpha*z
 		}
 		st.count++
-		st.distance = v.v.Time.Distance
+		st.distance = v.distance
 		st.lastZ = v.z
 		if v.z > thresholdK {
 			st.confirmed++

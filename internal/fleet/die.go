@@ -182,14 +182,17 @@ type Die struct {
 	consecutiveLocalized int
 }
 
-// verdict is one die's monitored round, queued to the aggregator.
+// verdict is one die's monitored round, queued to the aggregator. It
+// carries only what the aggregator and the shards read of the round's
+// core.Verdict: the Eq. (1) distance and the health gate's rejection.
 type verdict struct {
-	die   int
-	round int
-	v     core.Verdict
+	die      int
+	round    int
+	distance float64
 	// z is the die's drift-prediction residual in null-calibrated sigma
 	// units (NaN when the health gate rejected the trace).
-	z float64
+	z        float64
+	rejected bool
 }
 
 // spawn derives die id from the population. It is index-addressed and
@@ -777,5 +780,5 @@ func (d *Die) tick(round int) verdict {
 			d.consecutiveLocalized = 0
 		}
 	}
-	return verdict{die: d.ID, round: round, v: v, z: z}
+	return verdict{die: d.ID, round: round, distance: v.Time.Distance, z: z, rejected: v.Health.Rejected}
 }

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"emtrust/internal/chip"
+	"emtrust/internal/frand"
 	"emtrust/internal/trojan"
 )
 
@@ -257,21 +258,12 @@ const (
 	purposeRetry         // the bounded re-acquisition after a health reject
 )
 
-// splitmix64 is the SplitMix64 finalizer, the same mixing primitive the
-// chip's per-trace streams use.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // dieSeed hashes one (die, purpose, index) draw site to its generator
 // seed.
 func dieSeed(seed int64, die, purpose int, index uint64) int64 {
-	h := splitmix64(uint64(seed))
-	h = splitmix64(h ^ splitmix64(uint64(die)+1))
-	h = splitmix64(h ^ splitmix64(uint64(purpose)+0x1000))
-	h = splitmix64(h ^ splitmix64(index+0x100000))
+	h := frand.SplitMix64(uint64(seed))
+	h = frand.SplitMix64(h ^ frand.SplitMix64(uint64(die)+1))
+	h = frand.SplitMix64(h ^ frand.SplitMix64(uint64(purpose)+0x1000))
+	h = frand.SplitMix64(h ^ frand.SplitMix64(index+0x100000))
 	return int64(h)
 }

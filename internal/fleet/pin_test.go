@@ -81,8 +81,8 @@ func tickStream(t *testing.T, cfg Config) []pinDie {
 			v := d.tick(round)
 			pd.Rounds = append(pd.Rounds, pinRound{
 				Z:        math.Float64bits(v.z),
-				Distance: math.Float64bits(v.v.Time.Distance),
-				Rejected: v.v.Health.Rejected,
+				Distance: math.Float64bits(v.distance),
+				Rejected: v.rejected,
 			})
 		}
 		pd.Quarantined = d.quarantined.Load()

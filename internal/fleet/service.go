@@ -325,13 +325,13 @@ func (s *Service) runShardOnce(st *shardState) (panicked bool) {
 			// between, is wedged even if each tick eventually finishes;
 			// the soft streak quarantines too, at timeoutStreakFactor
 			// times the hard threshold. A good verdict resets both.
-			if stuck || (ok && v.v.Health.Rejected) {
+			if stuck || (ok && v.rejected) {
 				d.consecutiveBad++
 			}
 			if !ok {
 				d.consecutiveTimeouts++
 			}
-			if ok && !v.v.Health.Rejected {
+			if ok && !v.rejected {
 				d.consecutiveBad = 0
 				d.consecutiveTimeouts = 0
 			}

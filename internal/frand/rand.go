@@ -13,6 +13,10 @@ import "math"
 // Not safe for concurrent use.
 type Rand struct {
 	src Source
+	// readVal is the Int63 Read is handing out, low byte first, and
+	// readPos counts its unread bytes, as in math/rand.
+	readVal int64
+	readPos int8
 }
 
 // NewRand returns a generator seeded like rand.New(rand.NewSource(seed)).
@@ -22,8 +26,23 @@ func NewRand(seed int64) *Rand {
 	return r
 }
 
-// Seed resets the generator to the deterministic state for seed.
-func (r *Rand) Seed(seed int64) { r.src.Seed(seed) }
+// Seed resets the generator to the deterministic state for seed and,
+// like math/rand's Seed, drops the bytes a Read left unread.
+func (r *Rand) Seed(seed int64) {
+	r.src.Seed(seed)
+	r.readPos = 0
+}
+
+// SplitMix64 is the SplitMix64 finalizer: a cheap, well-mixed 64-bit
+// permutation. Chained over a seed and the coordinates of a draw site,
+// it derives that site's generator seed, so streams for distinct sites
+// are independent yet reproducible from the one seed.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
 
 // Int63 returns a non-negative 63-bit integer.
 func (r *Rand) Int63() int64 { return int64(r.src.Uint64() & rngMask) }
@@ -36,6 +55,25 @@ func (r *Rand) Uint32() uint32 { return uint32(r.Int63() >> 31) }
 
 // Int31 returns a non-negative 31-bit integer.
 func (r *Rand) Int31() int32 { return int32(r.Int63() >> 32) }
+
+// Read fills p with random bytes as math/rand's Read does: seven bytes
+// per Int63, low byte first. The bytes one call leaves unread carry over
+// to the next Read, whatever other draws come in between. It always
+// returns len(p) and a nil error.
+func (r *Rand) Read(p []byte) (n int, err error) {
+	pos, val := r.readPos, r.readVal
+	for i := range p {
+		if pos == 0 {
+			val = r.Int63()
+			pos = 7
+		}
+		p[i] = byte(val)
+		val >>= 8
+		pos--
+	}
+	r.readPos, r.readVal = pos, val
+	return len(p), nil
+}
 
 // Int63n returns a non-negative integer in [0, n). Panics if n <= 0.
 func (r *Rand) Int63n(n int64) int64 {

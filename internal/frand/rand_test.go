@@ -1,6 +1,7 @@
 package frand
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -11,10 +12,27 @@ import (
 // per call would desynchronize everything after it and fail loudly.
 func TestRandMatchesMathRand(t *testing.T) {
 	for _, seed := range testSeeds {
+		// Seed drops the bytes a Read left unread, as math/rand's Seed
+		// does. On a fresh generator a 3-byte Read leaves 4 bytes, which
+		// the first Read after the reseed would hand out if Seed kept
+		// them.
 		got := NewRand(seed)
 		want := rand.New(rand.NewSource(seed))
+		got.Read(make([]byte, 3))
+		want.Read(make([]byte, 3))
+		got.Seed(seed + 1)
+		want.Seed(seed + 1)
+		g, w := make([]byte, 11), make([]byte, 11)
+		got.Read(g)
+		want.Read(w)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("seed %d: Read after reseed %x != %x", seed, g, w)
+		}
+
+		got = NewRand(seed)
+		want = rand.New(rand.NewSource(seed))
 		for i := 0; i < 4000; i++ {
-			switch i % 7 {
+			switch i % 8 {
 			case 0:
 				if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
 					t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", seed, i, g, w)
@@ -42,6 +60,15 @@ func TestRandMatchesMathRand(t *testing.T) {
 			case 6:
 				if g, w := got.Int63n(12345), want.Int63n(12345); g != w {
 					t.Fatalf("seed %d draw %d: Int63n %d != %d", seed, i, g, w)
+				}
+			case 7:
+				// Lengths 0-22: Reads that end mid-word leave bytes
+				// for the next Read, across the draws in between.
+				g, w := make([]byte, i/8%23), make([]byte, i/8%23)
+				gn, _ := got.Read(g)
+				wn, _ := want.Read(w)
+				if gn != wn || !bytes.Equal(g, w) {
+					t.Fatalf("seed %d draw %d: Read %d %x != %d %x", seed, i, gn, g, wn, w)
 				}
 			}
 		}

@@ -18,8 +18,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
+	"emtrust/internal/frand"
 	"emtrust/internal/layout"
 	"emtrust/internal/logic"
 )
@@ -129,10 +129,10 @@ func NewRecorder(cfg Config, fp *layout.Floorplan) (*Recorder, error) {
 		grid:   fp.Grid,
 		charge: make([]float64, len(n.Cells)),
 	}
-	var vrng *rand.Rand
+	var vrng *frand.Rand
 	corner := 1.0
 	if cfg.VariationSigma > 0 || cfg.CornerSigma > 0 {
-		vrng = rand.New(rand.NewSource(cfg.VariationSeed))
+		vrng = frand.NewRand(cfg.VariationSeed)
 		if cfg.CornerSigma > 0 {
 			corner = 1 + cfg.CornerSigma*vrng.NormFloat64()
 			if corner < 0.1 {

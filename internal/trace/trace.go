@@ -17,10 +17,10 @@ import (
 // Rand is the slice of randomness the measurement chain consumes: one
 // uniform draw for the interference phase, one normal draw per sample
 // for environment noise, and the occasional bounded integer for fault
-// injection run lengths (internal/degrade). Both *math/rand.Rand and
-// the repo's concrete *frand.Rand satisfy it; the fleet hot path passes
-// the latter, for which Normals and FirstBelow draw in bulk instead of
-// making one interface call per sample.
+// injection run lengths (internal/degrade). Production always passes a
+// *frand.Rand, for which Normals and FirstBelow draw in bulk instead of
+// one interface call per sample; a draw-counting wrapper or a
+// *math/rand.Rand test oracle takes the per-draw path.
 type Rand interface {
 	Float64() float64
 	NormFloat64() float64

@@ -93,6 +93,37 @@ type module struct {
 // loadModule parses and type-checks every package under root, the
 // module's directory, skipping dot-directories and testdata.
 func loadModule(root string) (*module, error) {
+	m, err := parseModule(root)
+	if err != nil {
+		return nil, err
+	}
+	// Production packages first, so that no package's check starts while
+	// checkTests resolves a package under test to its test build.
+	for _, p := range m.pkgs {
+		m.check(p)
+	}
+	for _, p := range m.pkgs {
+		m.checkTests(p)
+	}
+	if len(m.errs) > 0 {
+		return nil, fmt.Errorf("type-checking the module: %v", m.errs)
+	}
+	for _, p := range m.pkgs {
+		for _, f := range p.prod {
+			m.addDecls(p, f)
+		}
+		for _, imp := range p.types.Imports() {
+			if m.pkgs[imp.Path()] == nil {
+				m.addInterfaceNames(imp)
+			}
+		}
+	}
+	return m, nil
+}
+
+// parseModule parses every package under root, the module's directory,
+// skipping dot-directories and testdata, without type-checking.
+func parseModule(root string) (*module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -124,27 +155,6 @@ func loadModule(root string) (*module, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	// Production packages first, so that no package's check starts while
-	// checkTests resolves a package under test to its test build.
-	for _, p := range m.pkgs {
-		m.check(p)
-	}
-	for _, p := range m.pkgs {
-		m.checkTests(p)
-	}
-	if len(m.errs) > 0 {
-		return nil, fmt.Errorf("type-checking the module: %v", m.errs)
-	}
-	for _, p := range m.pkgs {
-		for _, f := range p.prod {
-			m.addDecls(p, f)
-		}
-		for _, imp := range p.types.Imports() {
-			if m.pkgs[imp.Path()] == nil {
-				m.addInterfaceNames(imp)
-			}
-		}
 	}
 	return m, nil
 }
