@@ -467,19 +467,13 @@ func BenchmarkDegradedMonitor(b *testing.B) {
 	var falseAlarms float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewMonitor(fp, nil, core.HardenedOptions(health))
+		ev, err := core.NewEvaluator(fp, nil, core.HardenedOptions(health))
 		if err != nil {
 			b.Fatal(err)
 		}
-		go func() {
-			for _, t := range degraded {
-				m.Submit(t)
-			}
-			m.Close()
-		}()
 		confirmed := 0
-		for v := range m.Verdicts() {
-			if v.Confirmed() {
+		for _, t := range degraded {
+			if ev.Eval(t).Confirmed() {
 				confirmed++
 			}
 		}

@@ -56,4 +56,22 @@ for want in 'Figure 4' '<svg'; do
 done
 rm -f "$page"
 
+echo "== trustmon single-die smoke (verdict loop on a healthy and a degraded channel) =="
+# The single-die demo evaluates each trace in its own capture loop; no
+# test drives that loop, so run it plain and with injected faults and
+# check the verdict stream: 12 verdict lines, then the summary.
+for flags in "" "-inject 2"; do
+    # $flags is split on purpose: "" adds no argument.
+    out="$(go run ./cmd/trustmon -traces 12 -golden 10 $flags 2>/dev/null)" || {
+        echo "trustmon -traces 12 -golden 10 $flags exited nonzero" >&2
+        exit 1
+    }
+    verdicts="$(printf '%s\n' "$out" | grep -cE '^trace [0-9]+:' || true)"
+    last="$(printf '%s\n' "$out" | tail -n 1)"
+    if [ "$verdicts" != 12 ] || [ "${last#monitored 12 traces}" = "$last" ]; then
+        echo "trustmon $flags: $verdicts verdict lines, last line: $last" >&2
+        exit 1
+    fi
+done
+
 echo "all checks passed"

@@ -22,6 +22,7 @@ import (
 	"emtrust/internal/chip"
 	"emtrust/internal/dsp"
 	"emtrust/internal/frand"
+	"emtrust/internal/trace"
 	"emtrust/internal/trojan"
 )
 
@@ -129,20 +130,20 @@ func run(cycles int, trojanID int, a2, idle, spectrum bool, outDir string, seed 
 	}
 
 	if spectrum {
-		for name, tr := range map[string]*struct {
-			samples []float64
-			dt      float64
+		for _, out := range []struct {
+			name string
+			tr   *trace.Trace
 		}{
-			"sensor_spectrum.csv": {sensor.Samples, sensor.Dt},
-			"probe_spectrum.csv":  {probe.Samples, probe.Dt},
+			{"sensor_spectrum.csv", sensor},
+			{"probe_spectrum.csv", probe},
 		} {
-			s := dsp.NewSpectrum(tr.samples, tr.dt, dsp.Hann)
+			s := dsp.NewSpectrum(out.tr.Samples, out.tr.Dt, dsp.Hann)
 			var sb strings.Builder
 			sb.WriteString("frequency_hz,amplitude_v\n")
 			for k, a := range s.Amplitude {
 				fmt.Fprintf(&sb, "%.6e,%.6e\n", s.Frequency(k), a)
 			}
-			if err := write(name, sb.String()); err != nil {
+			if err := write(out.name, sb.String()); err != nil {
 				return err
 			}
 		}

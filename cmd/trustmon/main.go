@@ -1,8 +1,8 @@
 // Command trustmon demonstrates the runtime trust evaluation loop of
 // Figure 1: it builds the virtual chip, fits the golden fingerprint and
-// spectral envelope, then streams live traces through the core.Monitor
-// while Trojans are activated on a schedule, printing one verdict line
-// per trace.
+// spectral envelope, then captures live traces while Trojans are
+// activated on a schedule, evaluates each one as it arrives with a
+// core.Evaluator, and prints one verdict line per trace.
 //
 // The fitted golden models can be persisted with -save and reused with
 // -load, the deployment flow where fingerprinting happens once after
@@ -144,8 +144,7 @@ func main() {
 		log.Printf("saved golden models to %s", *saveDir)
 	}
 
-	var mon *core.Monitor
-	var err2 error
+	opts := core.MonitorOptions{}
 	if *inject > 0 {
 		// The health envelope needs golden traces; with -load the models
 		// came from disk, so calibrate from a short fresh capture on the
@@ -169,29 +168,31 @@ func main() {
 		}
 		ch.Sensor = degrade.Wrap(ch.Sensor, prof.Stages()...)
 		log.Printf("injecting acquisition-chain faults at severity %.1fx; hardened monitor engaged", *inject)
-		mon, err2 = core.NewMonitor(fp, sd, core.HardenedOptions(health))
-	} else {
-		mon, err2 = core.NewMonitor(fp, sd, core.MonitorOptions{Buffer: 8})
+		opts = core.HardenedOptions(health)
 	}
-	if err2 != nil {
-		log.Fatal(err2)
+	ev, err := core.NewEvaluator(fp, sd, opts)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	sched := newSchedule(c, *nTraces)
-	go func() {
-		defer mon.Close()
-		for i := 0; i < *nTraces; i++ {
-			sched.set(i)
-			mon.Submit(capture())
-		}
-	}()
-
-	for v := range mon.Verdicts() {
+	var total, alarms, confirmed, rejected int
+	for i := 0; i < *nTraces; i++ {
+		sched.set(i)
+		v := ev.Eval(capture())
 		fmt.Println(v)
+		total++
+		if v.Alarm() {
+			alarms++
+		}
+		if v.Confirmed() {
+			confirmed++
+		}
+		if v.Health.Rejected {
+			rejected++
+		}
 	}
-	total, alarms := mon.Stats()
 	if *inject > 0 {
-		rejected, confirmed := mon.HardenedStats()
 		fmt.Printf("monitored %d traces, %d raw alarms, %d confirmed, %d health-rejected\n",
 			total, alarms, confirmed, rejected)
 	} else {
@@ -273,7 +274,7 @@ func runArray(c *chip.Chip, n, channels, nTraces, cycles int, pt, key []byte) {
 	for i := range frames {
 		frames[i] = scan()
 	}
-	mon, err := sensorarray.Calibrate(arr, frames, nil, core.DefaultSelfReferenceConfig())
+	mon, err := sensorarray.Calibrate(arr, frames, core.DefaultSelfReferenceConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

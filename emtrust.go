@@ -11,7 +11,7 @@
 //     probe for comparison (internal/chip and below);
 //   - the trust evaluation framework: golden fingerprinting (segment
 //     energies, PCA, Euclidean distance with the Eq. (1) threshold), the
-//     Section III-E spectral detector, and a streaming runtime monitor
+//     Section III-E spectral detector, and the runtime verdict pipeline
 //     (internal/core);
 //   - the experiment harness regenerating every table and figure of the
 //     paper (internal/experiments, cmd/experiments).
@@ -47,8 +47,6 @@ type (
 	Fingerprint = core.Fingerprint
 	// SpectralDetector is the fitted golden frequency-domain model.
 	SpectralDetector = core.SpectralDetector
-	// Monitor streams traces through both detectors at runtime.
-	Monitor = core.Monitor
 	// Verdict is one monitored trace's outcome.
 	Verdict = core.Verdict
 	// TrojanKind identifies one of the paper's four digital Trojans.
@@ -253,17 +251,14 @@ func Fit(golden []*Trace) (*Detector, error) {
 	return &Detector{Fingerprint: fp, Spectral: sd}, nil
 }
 
-// Evaluate runs both detectors on one trace.
+// Evaluate runs both detectors on one trace. It is the facade's one
+// verdict call: continuous monitoring calls it on each trace as it
+// arrives.
 func (det *Detector) Evaluate(t *Trace) Verdict {
 	return Verdict{
 		Time:     det.Fingerprint.Evaluate(t),
 		Spectral: det.Spectral.Evaluate(t),
 	}
-}
-
-// NewMonitor starts a runtime monitor over the fitted detectors.
-func (det *Detector) NewMonitor(buffer int) (*Monitor, error) {
-	return core.NewMonitor(det.Fingerprint, det.Spectral, core.MonitorOptions{Buffer: buffer})
 }
 
 // Describe returns a short human-readable summary of a Trojan.

@@ -152,39 +152,6 @@ func TestEndToEndDetection(t *testing.T) {
 	}
 }
 
-func TestFacadeMonitor(t *testing.T) {
-	dev := device(t)
-	golden, err := dev.CollectGolden(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := emtrust.Fit(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := det.NewMonitor(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for i := 0; i < 4; i++ {
-			tr, err := dev.CaptureTrace()
-			if err != nil {
-				panic(err)
-			}
-			mon.Submit(tr)
-		}
-		mon.Close()
-	}()
-	count := 0
-	for range mon.Verdicts() {
-		count++
-	}
-	if count != 4 {
-		t.Fatalf("got %d verdicts", count)
-	}
-}
-
 func TestDeviceCustomOptions(t *testing.T) {
 	key := make([]byte, 16)
 	pt := make([]byte, 16)

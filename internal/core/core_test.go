@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -251,26 +250,17 @@ func TestMonitorPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(fp, sd, MonitorOptions{Buffer: 4})
+	ev, err := NewEvaluator(fp, sd, MonitorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const nClean, nBad = 8, 8
-	go func() {
-		for i := 0; i < nClean; i++ {
-			m.Submit(synthTrace(rng, 1024, 0))
-		}
-		for i := 0; i < nBad; i++ {
-			m.Submit(synthTrace(rng, 1024, 1.0))
-		}
-		m.Close()
-	}()
 	var verdicts []Verdict
-	for v := range m.Verdicts() {
-		verdicts = append(verdicts, v)
+	for i := 0; i < nClean; i++ {
+		verdicts = append(verdicts, ev.Eval(synthTrace(rng, 1024, 0)))
 	}
-	if len(verdicts) != nClean+nBad {
-		t.Fatalf("got %d verdicts", len(verdicts))
+	for i := 0; i < nBad; i++ {
+		verdicts = append(verdicts, ev.Eval(synthTrace(rng, 1024, 1.0)))
 	}
 	for i, v := range verdicts {
 		if v.Seq != i {
@@ -286,118 +276,10 @@ func TestMonitorPipeline(t *testing.T) {
 	if badAlarms < nBad-1 {
 		t.Fatalf("monitor missed infected traces: %d/%d", badAlarms, nBad)
 	}
-	total, alarms := m.Stats()
-	if total != nClean+nBad || alarms != badAlarms+countAlarms(verdicts[:nClean]) {
-		t.Fatalf("stats %d/%d inconsistent", total, alarms)
-	}
-}
-
-// The Monitor must emit exactly the verdicts a synchronous Evaluator
-// gives for the same stream, under the paper's options and under the
-// hardened ones (health gate, debounce window, re-baselining). The
-// stream mixes every case the stateful stages handle: quiet traces
-// that feed the re-baseliner, a health-rejected flatline, and a Trojan
-// run that confirms.
-func TestMonitorMatchesEvaluator(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	golden := goldenSet(rng, 20, 1024)
-	fp, err := BuildFingerprint(golden, DefaultFingerprintConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := BuildSpectralDetector(golden, DefaultSpectralConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := BuildChannelHealth(golden, DefaultHealthConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stream []*trace.Trace
-	add := func(n int, extra float64) {
-		for i := 0; i < n; i++ {
-			stream = append(stream, synthTrace(rng, 1024, extra))
-		}
-	}
-	add(6, 0)
-	stream = append(stream, &trace.Trace{Dt: testDt, Samples: make([]float64, 1024)})
-	add(3, 0)
-	add(6, 0.3)
-	add(6, 0)
-
-	for _, tc := range []struct {
-		name string
-		opts MonitorOptions
-	}{
-		{"paper", MonitorOptions{}},
-		{"hardened", HardenedOptions(h)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m, err := NewMonitor(fp, sd, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			go func() {
-				for _, tr := range stream {
-					m.Submit(tr)
-				}
-				m.Close()
-			}()
-			var got []Verdict
-			for v := range m.Verdicts() {
-				got = append(got, v)
-			}
-			if len(got) != len(stream) {
-				t.Fatalf("monitor emitted %d verdicts for %d traces", len(got), len(stream))
-			}
-			ev, err := NewEvaluator(fp, sd, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rejected, quiet, confirmed int
-			for i, tr := range stream {
-				want := ev.Eval(tr)
-				if !reflect.DeepEqual(got[i], want) {
-					t.Fatalf("trace %d: monitor %+v, evaluator %+v", i, got[i], want)
-				}
-				switch {
-				case want.Health.Rejected:
-					rejected++
-				case want.Confirmed():
-					confirmed++
-				case !want.Alarm() && want.Window.Alarms == 0:
-					quiet++
-				}
-			}
-			if tc.opts.Health != nil && rejected == 0 {
-				t.Error("no trace was health-rejected")
-			}
-			if quiet == 0 || confirmed == 0 {
-				t.Errorf("stream lacks a case: %d quiet, %d confirmed", quiet, confirmed)
-			}
-			off := m.BaselineOffset()
-			if tc.opts.Rebaseline.enabled() && off == nil {
-				t.Error("no quiet trace fed the re-baseliner")
-			}
-			if !reflect.DeepEqual(off, ev.BaselineOffset()) {
-				t.Errorf("baseline offsets differ: monitor %v, evaluator %v", off, ev.BaselineOffset())
-			}
-		})
-	}
-}
-
-func countAlarms(vs []Verdict) int {
-	n := 0
-	for _, v := range vs {
-		if v.Alarm() {
-			n++
-		}
-	}
-	return n
 }
 
 func TestMonitorNeedsADetector(t *testing.T) {
-	if _, err := NewMonitor(nil, nil, MonitorOptions{}); err == nil {
+	if _, err := NewEvaluator(nil, nil, MonitorOptions{}); err == nil {
 		t.Fatal("nil detectors must error")
 	}
 }
@@ -408,52 +290,13 @@ func TestMonitorTimeOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(fp, nil, MonitorOptions{Buffer: -1}) // negative buffer clamps to 0
+	ev, err := NewEvaluator(fp, nil, MonitorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go m.Submit(synthTrace(rng, 512, 0))
-	v := <-m.Verdicts()
+	v := ev.Eval(synthTrace(rng, 512, 0))
 	if v.Spectral.Alarm || len(v.Spectral.Spots) != 0 {
 		t.Fatal("spectral verdict should be empty without a detector")
-	}
-	m.Close()
-}
-
-func TestQuickMedian(t *testing.T) {
-	if median([]float64{5, 1, 3}) != 3 {
-		t.Fatal("median odd")
-	}
-	if median(nil) != 0 {
-		t.Fatal("median empty")
-	}
-	x := []float64{9, 2, 7, 4, 6, 1, 8}
-	if median(x) != 6 {
-		t.Fatalf("median = %g", median(x))
-	}
-}
-
-// A monitor closed before any submission must report zero traces and
-// zero alarms, and its verdict channel must just close.
-func TestMonitorStatsZeroTraces(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	fp, err := BuildFingerprint(goldenSet(rng, 10, 512), DefaultFingerprintConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMonitor(fp, nil, MonitorOptions{Buffer: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	for range m.Verdicts() {
-		t.Fatal("verdict without a submission")
-	}
-	if total, alarms := m.Stats(); total != 0 || alarms != 0 {
-		t.Fatalf("stats = %d/%d, want 0/0", total, alarms)
-	}
-	if rejected, confirmed := m.HardenedStats(); rejected != 0 || confirmed != 0 {
-		t.Fatalf("hardened stats = %d/%d, want 0/0", rejected, confirmed)
 	}
 }
 

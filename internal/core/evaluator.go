@@ -7,13 +7,68 @@ import (
 	"emtrust/internal/trace"
 )
 
-// Evaluator is the runtime verdict pipeline — health gate, both
-// detectors, the m-of-n debounce window, and guarded EWMA
-// re-baselining — run synchronously on the calling goroutine. It is the
-// engine inside Monitor, exposed directly for callers that multiplex
-// many monitored devices over few goroutines (the fleet service runs
-// one Evaluator per die inside a shard worker; a Monitor goroutine per
-// die would not scale to thousands of dies).
+// Verdict combines both detectors' views of one trace, plus the
+// hardening context: the channel-health pre-check, the debounce window,
+// and a confidence score that replaces raw booleans when the channel is
+// degraded.
+type Verdict struct {
+	Seq      int
+	Time     TimeVerdict
+	Spectral SpectralVerdict
+	// Health is the pre-check outcome; the zero value means accepted
+	// (or unchecked, on an evaluator without a health gate).
+	Health HealthVerdict
+	// Window is the debouncer's m-of-n view; N == 0 when debouncing is
+	// off.
+	Window WindowState
+	// Confidence in this verdict, in [0, 1]: 1 on a pristine channel,
+	// lower as the channel degrades, 0 for a rejected trace.
+	Confidence float64
+}
+
+// Alarm reports whether either detector raw-fired on this trace.
+func (v Verdict) Alarm() bool { return v.Time.Alarm || v.Spectral.Alarm }
+
+// Confirmed reports the debounced Trojan alarm: with debouncing enabled
+// it requires M raw alarms in the last N traces; without it, it equals
+// Alarm(). A health-rejected trace never confirms — a dying sensor is a
+// maintenance event, not a Trojan detection.
+func (v Verdict) Confirmed() bool {
+	if v.Health.Rejected {
+		return false
+	}
+	if v.Window.N > 0 {
+		return v.Window.Confirmed
+	}
+	return v.Alarm()
+}
+
+// String renders a one-line monitor log entry.
+func (v Verdict) String() string {
+	status := "ok"
+	switch {
+	case v.Health.Rejected:
+		status = "REJECT(" + v.Health.Reason + ")"
+	case v.Confirmed():
+		status = "ALARM"
+	case v.Alarm():
+		status = "alarm?" // raw hit, not yet confirmed by the window
+	}
+	s := fmt.Sprintf("trace %d: %s distance=%.4g threshold=%.4g spots=%d",
+		v.Seq, status, v.Time.Distance, v.Time.Threshold, len(v.Spectral.Spots))
+	if v.Window.N > 0 {
+		s += fmt.Sprintf(" window=%d/%d confidence=%.2f", v.Window.Alarms, v.Window.N, v.Confidence)
+	}
+	return s
+}
+
+// Evaluator is the runtime trust evaluation loop of Figure 1 — health
+// gate, both detectors, the m-of-n debounce window, and guarded EWMA
+// re-baselining — run synchronously on the calling goroutine: traces
+// from the on-chip sensor go in, one verdict per trace comes out. The
+// analysis runs off-chip, so the monitored circuit pays nothing for
+// it. Callers feed it in their own loop; the fleet service runs one
+// Evaluator per die inside a shard worker.
 //
 // An Evaluator is stateful (debounce ring, drift baseline, sequence
 // counter) and must not be used from multiple goroutines concurrently.
@@ -29,9 +84,9 @@ type Evaluator struct {
 	feat, score, recon []float64
 }
 
-// NewEvaluator builds the synchronous pipeline from fitted detectors.
-// Options are interpreted as in NewMonitor; Buffer is ignored
-// (there are no channels — the caller is the worker).
+// NewEvaluator builds the pipeline from fitted detectors. Either
+// detector may be nil to run the other alone. See MonitorOptions; the
+// zero value reproduces the paper's monitor.
 func NewEvaluator(fp *Fingerprint, sd *SpectralDetector, opts MonitorOptions) (*Evaluator, error) {
 	if fp == nil && sd == nil {
 		return nil, fmt.Errorf("core: evaluator needs at least one detector")
@@ -125,18 +180,4 @@ func (e *Evaluator) EvalChecked(t *trace.Trace, hv HealthVerdict, features []flo
 		e.rb.update(score, e.fp.Centroid)
 	}
 	return v
-}
-
-// BaselineOffset returns a copy of the current drift-tracking offset in
-// score space (nil when re-baselining is off or nothing has been
-// adapted yet).
-func (e *Evaluator) BaselineOffset() []float64 {
-	if e.rb == nil {
-		return nil
-	}
-	off := e.rb.snapshot()
-	if len(off) == 0 {
-		return nil
-	}
-	return off
 }

@@ -4,7 +4,7 @@
 // Eq. (1) max-pairwise threshold), inspects spectra for the
 // new-or-amplified frequency spots that betray A2-style analog Trojans
 // (Section III-E), and runs both detectors continuously over a stream of
-// traces in the runtime Monitor of Figure 1.
+// traces in the runtime Evaluator of Figure 1.
 package core
 
 import (

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // This file is the degradation-aware half of the runtime monitor. The
 // paper's monitor assumes the coil and its readout chain stay healthy
@@ -109,18 +106,14 @@ func (c RebaselineConfig) validate() error {
 }
 
 // rebaseliner tracks the EWMA offset between the live score stream and
-// the golden centroid. It is updated only from the monitor goroutine;
-// the mutex covers concurrent BaselineOffset reads.
+// the golden centroid.
 type rebaseliner struct {
-	mu     sync.Mutex
 	alpha  float64
 	offset []float64
 }
 
 // shift returns score minus the current baseline offset.
 func (r *rebaseliner) shift(score []float64) []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.offset == nil {
 		return score
 	}
@@ -133,8 +126,6 @@ func (r *rebaseliner) shift(score []float64) []float64 {
 
 // update moves the offset toward (score - centroid) by alpha.
 func (r *rebaseliner) update(score, centroid []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.offset == nil {
 		r.offset = make([]float64, len(score))
 	}
@@ -143,20 +134,10 @@ func (r *rebaseliner) update(score, centroid []float64) {
 	}
 }
 
-func (r *rebaseliner) snapshot() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]float64, len(r.offset))
-	copy(out, r.offset)
-	return out
-}
-
-// MonitorOptions configures a monitor beyond the detector pair. The
+// MonitorOptions configures an Evaluator beyond the detector pair. The
 // zero value reproduces the paper's monitor exactly: no health gate, no
 // debouncing, a frozen baseline, confidence pinned at 1.
 type MonitorOptions struct {
-	// Buffer is the submit/verdict channel depth.
-	Buffer int
 	// Health, when set, pre-checks every trace and rejects unusable ones
 	// before either detector sees them.
 	Health *ChannelHealth
@@ -177,7 +158,6 @@ type MonitorOptions struct {
 // feeds the EWMA no matter how fast it moves.
 func HardenedOptions(h *ChannelHealth) MonitorOptions {
 	return MonitorOptions{
-		Buffer:     8,
 		Health:     h,
 		Debounce:   DebounceConfig{M: 2, N: 4},
 		Rebaseline: RebaselineConfig{Alpha: 0.5},

@@ -86,7 +86,7 @@ func TestMonitorOptionValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewMonitor(fp, nil, tc.opts); err == nil {
+			if _, err := NewEvaluator(fp, nil, tc.opts); err == nil {
 				t.Fatal("want a configuration error")
 			}
 		})
@@ -96,7 +96,7 @@ func TestMonitorOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMonitor(nil, sd, MonitorOptions{Rebaseline: RebaselineConfig{Alpha: 0.1}}); err == nil {
+	if _, err := NewEvaluator(nil, sd, MonitorOptions{Rebaseline: RebaselineConfig{Alpha: 0.1}}); err == nil {
 		t.Fatal("rebaseline without fingerprint must error")
 	}
 }
@@ -230,24 +230,12 @@ func TestMonitorRejectsUnhealthyTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(fp, nil, HardenedOptions(h))
+	ev, err := NewEvaluator(fp, nil, HardenedOptions(h))
 	if err != nil {
 		t.Fatal(err)
 	}
 	flat := &trace.Trace{Dt: testDt, Samples: make([]float64, 512)}
-	go func() {
-		m.Submit(synthTrace(rng, 512, 0))
-		m.Submit(flat)
-		m.Submit(synthTrace(rng, 512, 0))
-		m.Close()
-	}()
-	var vs []Verdict
-	for v := range m.Verdicts() {
-		vs = append(vs, v)
-	}
-	if len(vs) != 3 {
-		t.Fatalf("got %d verdicts", len(vs))
-	}
+	vs := []Verdict{ev.Eval(synthTrace(rng, 512, 0)), ev.Eval(flat), ev.Eval(synthTrace(rng, 512, 0))}
 	if vs[0].Health.Rejected || vs[2].Health.Rejected {
 		t.Fatal("healthy traces must pass the gate")
 	}
@@ -261,10 +249,6 @@ func TestMonitorRejectsUnhealthyTraces(t *testing.T) {
 		t.Fatal("a rejected trace must never raise the Trojan alarm")
 	case bad.Time != (TimeVerdict{}):
 		t.Fatal("detectors must be skipped for rejected traces")
-	}
-	rejected, _ := m.HardenedStats()
-	if rejected != 1 {
-		t.Fatalf("rejected count %d, want 1", rejected)
 	}
 }
 
@@ -288,29 +272,29 @@ func TestRebaselineTracksSlowDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n, span = 120, 120
-	run := func(opts MonitorOptions) (alarms int) {
-		m, err := NewMonitor(fp, nil, opts)
+	run := func(opts MonitorOptions) (alarms int, offset []float64) {
+		ev, err := NewEvaluator(fp, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() {
-			for i := 0; i < n; i++ {
-				m.Submit(driftedTrace(rng, 1024, i, span))
-			}
-			m.Close()
-		}()
-		for v := range m.Verdicts() {
-			if v.Confirmed() {
+		for i := 0; i < n; i++ {
+			if ev.Eval(driftedTrace(rng, 1024, i, span)).Confirmed() {
 				alarms++
 			}
 		}
-		return alarms
+		if ev.rb != nil {
+			offset = ev.rb.offset
+		}
+		return alarms, offset
 	}
-	naive := run(MonitorOptions{})
-	hardened := run(MonitorOptions{
+	naive, _ := run(MonitorOptions{})
+	hardened, offset := run(MonitorOptions{
 		Debounce:   DebounceConfig{M: 2, N: 5},
 		Rebaseline: RebaselineConfig{Alpha: 0.1},
 	})
+	if offset == nil {
+		t.Fatal("no quiet trace fed the re-baseliner")
+	}
 	if naive == 0 {
 		t.Fatal("the drift stimulus is too weak to exercise the naive monitor")
 	}
@@ -326,8 +310,7 @@ func TestRebaselineFreezesOnTrojanStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(fp, nil, MonitorOptions{
-		Buffer:     4,
+	ev, err := NewEvaluator(fp, nil, MonitorOptions{
 		Debounce:   DebounceConfig{M: 2, N: 5},
 		Rebaseline: RebaselineConfig{Alpha: 0.2}, // aggressive: absorb fast if unguarded
 	})
@@ -335,21 +318,15 @@ func TestRebaselineFreezesOnTrojanStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	const quiet, active = 30, 60
-	go func() {
-		for i := 0; i < quiet; i++ {
-			m.Submit(synthTrace(rng, 1024, 0))
-		}
-		// Trojan activates and stays on. An unguarded EWMA at alpha 0.2
-		// would swallow the step within ~20 traces; the guard must keep
-		// the alarm latched for the whole activation.
-		for i := 0; i < active; i++ {
-			m.Submit(synthTrace(rng, 1024, 1.0))
-		}
-		m.Close()
-	}()
 	var vs []Verdict
-	for v := range m.Verdicts() {
-		vs = append(vs, v)
+	for i := 0; i < quiet; i++ {
+		vs = append(vs, ev.Eval(synthTrace(rng, 1024, 0)))
+	}
+	// Trojan activates and stays on. An unguarded EWMA at alpha 0.2
+	// would swallow the step within ~20 traces; the guard must keep the
+	// alarm latched for the whole activation.
+	for i := 0; i < active; i++ {
+		vs = append(vs, ev.Eval(synthTrace(rng, 1024, 1.0)))
 	}
 	lateAlarms := 0
 	for _, v := range vs[quiet+active/2:] {
@@ -363,9 +340,8 @@ func TestRebaselineFreezesOnTrojanStep(t *testing.T) {
 	}
 	// The frozen baseline must still be (near) zero: all adaptation
 	// happened on the quiet prefix where scores sit at the centroid.
-	off := m.BaselineOffset()
 	var norm float64
-	for _, v := range off {
+	for _, v := range ev.rb.offset {
 		norm += v * v
 	}
 	if norm = math.Sqrt(norm); norm > fp.Threshold {

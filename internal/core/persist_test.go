@@ -108,16 +108,11 @@ func TestMonitorWithLoadedModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := NewMonitor(loaded, nil, MonitorOptions{Buffer: 1})
+	ev, err := NewEvaluator(loaded, nil, MonitorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		mon.Submit(synthTrace(rng, 1024, 1.0))
-		mon.Close()
-	}()
-	v := <-mon.Verdicts()
-	if !v.Alarm() {
+	if !ev.Eval(synthTrace(rng, 1024, 1.0)).Alarm() {
 		t.Fatal("reloaded monitor missed an infected trace")
 	}
 }

@@ -111,7 +111,7 @@ func (p *PopulationReference) Rank(scores []float64, eligible []bool) Population
 	}
 	v.Eligible = len(cohort)
 	if v.Eligible >= p.cfg.MinCohort {
-		v.CommonMode = median(cohort)
+		v.CommonMode = stats.Median(cohort)
 	}
 	// p-values for the eligible family only: an ineligible die must not
 	// dilute the Benjamini-Hochberg family size.

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"emtrust/internal/stats"
+)
 
 // Golden-model-free detection for sensor arrays, after Wang et al.'s
 // "Programmable EM Sensor Array for Golden-Model Free Run-time Trojan
@@ -102,12 +106,12 @@ func CalibrateSelfReference(frames [][]float64, neighbors [][]int, cfg SelfRefer
 		for i, f := range frames {
 			col[i] = f[s]
 		}
-		d.base[s] = median(col)
+		d.base[s] = stats.Median(col)
 	}
 	// A dead sensor's baseline is ~0; dividing by it would turn noise
 	// into infinite relative change. Floor at a small fraction of the
 	// array-median baseline instead.
-	d.baseFloor = 1e-3 * median(d.base)
+	d.baseFloor = 1e-3 * stats.Median(d.base)
 	if d.baseFloor <= 0 {
 		return nil, fmt.Errorf("core: calibration features carry no signal")
 	}
@@ -123,11 +127,7 @@ func CalibrateSelfReference(frames [][]float64, neighbors [][]int, cfg SelfRefer
 		for i := range resid {
 			col[i] = resid[i][s]
 		}
-		m := median(col)
-		for i := range col {
-			col[i] = abs(col[i] - m)
-		}
-		d.sigma[s] = 1.4826 * median(col)
+		_, d.sigma[s] = stats.RobustScale(col)
 		if d.sigma[s] < minSigma {
 			d.sigma[s] = minSigma
 		}
@@ -159,7 +159,7 @@ func (d *SelfReference) residuals(frame []float64) []float64 {
 		for _, n := range d.neighbors[s] {
 			nb = append(nb, rel[n])
 		}
-		out[s] -= median(nb)
+		out[s] -= stats.Median(nb)
 	}
 	return out
 }
@@ -200,11 +200,4 @@ func (d *SelfReference) Evaluate(frame []float64) (ArrayVerdict, error) {
 		}
 	}
 	return v, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"emtrust/internal/dsp"
+	"emtrust/internal/stats"
 	"emtrust/internal/trace"
 )
 
@@ -79,50 +80,8 @@ func BuildSpectralDetector(golden []*trace.Trace, cfg SpectralConfig) (*Spectral
 		mean[i] /= float64(len(golden))
 	}
 	d := &SpectralDetector{cfg: cfg, Envelope: env, Mean: mean, DF: df}
-	d.Floor = cfg.FloorFactor * median(mean)
+	d.Floor = cfg.FloorFactor * stats.Median(mean)
 	return d, nil
-}
-
-func median(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(x))
-	copy(cp, x)
-	// insertion-free: use the stats package? keep local to avoid a
-	// dependency cycle risk; simple selection is fine at spectrum size.
-	quickMedian(cp)
-	return cp[len(cp)/2]
-}
-
-// quickMedian partially sorts cp so the middle element is the median.
-func quickMedian(cp []float64) {
-	k := len(cp) / 2
-	lo, hi := 0, len(cp)-1
-	for lo < hi {
-		pivot := cp[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for cp[i] < pivot {
-				i++
-			}
-			for cp[j] > pivot {
-				j--
-			}
-			if i <= j {
-				cp[i], cp[j] = cp[j], cp[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			break
-		}
-	}
 }
 
 // Spot is one offending frequency bin.

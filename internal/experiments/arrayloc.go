@@ -139,7 +139,7 @@ func localizeGrid(cfg Config, n, channels, calFrames, evalFrames int) (Localizat
 			return g, err
 		}
 	}
-	mon, err := sensorarray.Calibrate(arr, frames, nil, core.DefaultSelfReferenceConfig())
+	mon, err := sensorarray.Calibrate(arr, frames, core.DefaultSelfReferenceConfig())
 	if err != nil {
 		return g, err
 	}

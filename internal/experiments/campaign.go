@@ -239,7 +239,7 @@ func campaignMember(cfg Config, goldenCfg chip.Config, m *campaign.Member) (Camp
 			return out, err
 		}
 	}
-	mon, err := sensorarray.Calibrate(arr, frames, nil, core.DefaultSelfReferenceConfig())
+	mon, err := sensorarray.Calibrate(arr, frames, core.DefaultSelfReferenceConfig())
 	if err != nil {
 		return out, err
 	}
@@ -266,11 +266,11 @@ func campaignMember(cfg Config, goldenCfg chip.Config, m *campaign.Member) (Camp
 	out.Detection = rateAbove(out.ActiveRel, 1)
 	out.FalseAlarm = rateAbove(out.DormantRel, 1)
 
-	hardened, err := core.NewMonitor(fp, nil, core.HardenedOptions(health))
+	hardened, err := runStream(fp, nil, core.HardenedOptions(health), active.Sensor.Traces)
 	if err != nil {
 		return out, err
 	}
-	out.HardenedDetection = confirmedRate(runStream(hardened, active.Sensor.Traces))
+	out.HardenedDetection = confirmedRate(hardened)
 
 	if _, err := scan(); err != nil { // warm-up with the payload running
 		return out, err

@@ -10,14 +10,18 @@ import (
 	"emtrust/internal/trojan"
 )
 
-// This file is the deterministic trace-capture engine. Three primitives
+// This file is the deterministic trace-capture engine. Four primitives
 // replace the old one-at-a-time loops:
 //
-//   - replicate: for steady-state identical-stimulus sets (idle
-//     windows). The chip's idle state is a fixed point, so the simulator
-//     runs twice (warm-up + measure) instead of once per trace and only
-//     the per-trace acquisition noise differs: a 60-trace set collapses
-//     from 60 gate-level simulations to 2.
+//   - idleTraces: for idle windows. The chip's idle state is a fixed
+//     point, so one two-step idle chain (warm-up + measure, through the
+//     capture cache) stands in for every trace and only the per-trace
+//     acquisition noise differs: a 60-trace set collapses from 60
+//     gate-level simulations to 2, or to none on a design the cache
+//     has seen.
+//   - replicate: the same warm-up + measure pair for the RON baseline
+//     alone, whose per-trace callback reads the capture's tile currents
+//     and draws the ring oscillators' jitter before the EM noise.
 //   - captureSet: for fixed-stimulus encryption sets. Active Trojans
 //     with internal counters evolve across captures, so a handful of
 //     serial captures sample that state diversity and the n acquisitions

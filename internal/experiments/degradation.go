@@ -81,20 +81,18 @@ func degradeReplay(c *chip.Chip, src []*trace.Trace, stages []degrade.Stage, fir
 	return out
 }
 
-// runStream feeds traces through a monitor in order and returns the
-// verdicts.
-func runStream(m *core.Monitor, traces []*trace.Trace) []core.Verdict {
-	go func() {
-		for _, t := range traces {
-			m.Submit(t)
-		}
-		m.Close()
-	}()
-	var vs []core.Verdict
-	for v := range m.Verdicts() {
-		vs = append(vs, v)
+// runStream evaluates traces in order on a fresh evaluator built from
+// the detectors and options, and returns the verdicts.
+func runStream(fp *core.Fingerprint, sd *core.SpectralDetector, opts core.MonitorOptions, traces []*trace.Trace) ([]core.Verdict, error) {
+	ev, err := core.NewEvaluator(fp, sd, opts)
+	if err != nil {
+		return nil, err
 	}
-	return vs
+	vs := make([]core.Verdict, len(traces))
+	for i, t := range traces {
+		vs[i] = ev.Eval(t)
+	}
+	return vs, nil
 }
 
 func confirmedRate(vs []core.Verdict) float64 {
@@ -195,48 +193,47 @@ func Degradation(cfg Config) (*DegradationResult, error) {
 		}
 
 		degClean := degradeReplay(c, clean.Sensor.Traces, stages, 0)
-		naive, err := core.NewMonitor(fp, nil, core.MonitorOptions{Buffer: 8})
+		naive, err := runStream(fp, nil, core.MonitorOptions{}, degClean)
 		if err != nil {
 			return nil, err
 		}
-		p.FalseAlarmNaive = confirmedRate(runStream(naive, degClean))
-		hardened, err := core.NewMonitor(fp, nil, core.HardenedOptions(health))
+		p.FalseAlarmNaive = confirmedRate(naive)
+		hardened, err := runStream(fp, nil, core.HardenedOptions(health), degClean)
 		if err != nil {
 			return nil, err
 		}
-		hv := runStream(hardened, degClean)
-		p.FalseAlarmHardened = confirmedRate(hv)
-		p.Rejected = rejectedRate(hv)
+		p.FalseAlarmHardened = confirmedRate(hardened)
+		p.Rejected = rejectedRate(hardened)
 
 		for _, k := range trojan.Kinds() {
 			deg := degradeReplay(c, trojanSets[k].Sensor.Traces, stages, 0)
-			naive, err := core.NewMonitor(fp, nil, core.MonitorOptions{Buffer: 8})
+			naive, err := runStream(fp, nil, core.MonitorOptions{}, deg)
 			if err != nil {
 				return nil, err
 			}
-			p.DetectionNaive[k] = confirmedRate(runStream(naive, deg))
-			hardened, err := core.NewMonitor(fp, nil, core.HardenedOptions(health))
+			p.DetectionNaive[k] = confirmedRate(naive)
+			hardened, err := runStream(fp, nil, core.HardenedOptions(health), deg)
 			if err != nil {
 				return nil, err
 			}
-			p.DetectionHardened[k] = confirmedRate(runStream(hardened, deg))
+			p.DetectionHardened[k] = confirmedRate(hardened)
 		}
 
 		// A2: idle-window spectra, scaled to the idle channel's RMS.
 		a2Stages := degrade.Profile{Severity: sev, RefRMS: a2Health.GoldenRMS, RefPeak: a2Health.GoldenPeak, Span: res.Span}.Stages()
 		degA2 := degradeReplay(a2Chip, a2On, a2Stages, 0)
-		a2Naive, err := core.NewMonitor(nil, sd, core.MonitorOptions{Buffer: 8})
+		a2Naive, err := runStream(nil, sd, core.MonitorOptions{}, degA2)
 		if err != nil {
 			return nil, err
 		}
-		p.A2Naive = confirmedRate(runStream(a2Naive, degA2))
+		p.A2Naive = confirmedRate(a2Naive)
 		a2Opts := core.HardenedOptions(a2Health)
 		a2Opts.Rebaseline = core.RebaselineConfig{} // no time-domain fingerprint here
-		a2Hardened, err := core.NewMonitor(nil, sd, a2Opts)
+		a2Hardened, err := runStream(nil, sd, a2Opts, degA2)
 		if err != nil {
 			return nil, err
 		}
-		p.A2Hardened = confirmedRate(runStream(a2Hardened, degA2))
+		p.A2Hardened = confirmedRate(a2Hardened)
 
 		res.Points = append(res.Points, p)
 	}
@@ -247,11 +244,10 @@ func Degradation(cfg Config) (*DegradationResult, error) {
 	stages := degrade.Profile{Severity: moderateSeverity, RefRMS: health.GoldenRMS, RefPeak: health.GoldenPeak, Span: res.Span}.Stages()
 	prefix := degradeReplay(c, clean.Sensor.Traces, stages, 0)
 	active := degradeReplay(c, trojanSets[trojan.T4PowerHog].Sensor.Traces, stages, len(prefix))
-	m, err := core.NewMonitor(fp, nil, core.HardenedOptions(health))
+	vs, err := runStream(fp, nil, core.HardenedOptions(health), append(append([]*trace.Trace{}, prefix...), active...))
 	if err != nil {
 		return nil, err
 	}
-	vs := runStream(m, append(append([]*trace.Trace{}, prefix...), active...))
 	res.FreezeActivation = len(prefix)
 	tail := vs[len(prefix)+len(active)/2:]
 	res.FreezePersistence = confirmedRate(tail)

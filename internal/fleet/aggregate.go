@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"emtrust/internal/core"
+	"emtrust/internal/stats"
 )
 
 // dieState is the aggregator's fixed-size view of one die. The
@@ -146,13 +147,7 @@ func (a *aggregator) fleetSigmaLocked(n int) float64 {
 			vals = append(vals, a.scores[i])
 		}
 	}
-	sort.Float64s(vals)
-	med := vals[len(vals)/2]
-	for i, v := range vals {
-		vals[i] = math.Abs(v - med)
-	}
-	sort.Float64s(vals)
-	sig := 1.4826 * vals[len(vals)/2]
+	_, sig := stats.RobustScale(vals)
 	if sig < 0.1 {
 		sig = 0.1
 	}

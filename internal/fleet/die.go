@@ -483,7 +483,10 @@ func theilSen(x []float64, y [][]float64, j int) (slope, intercept float64) {
 }
 
 // robustScale returns the median and a floored MAD-sigma of one null
-// sample.
+// sample. It keeps Summarize's averaged median rather than
+// stats.RobustScale's upper one: the null samples usually have even
+// length, and the upper median would move every die's calibration and
+// so the fleet's pinned verdict stream.
 func robustScale(null []float64) (med, sigma float64) {
 	med = stats.Summarize(null).Median
 	dev := make([]float64, len(null))

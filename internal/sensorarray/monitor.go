@@ -12,35 +12,31 @@ import (
 // out. The geometry (which cells are neighbors, where a cell sits on the
 // die) stays here; the statistics stay in internal/core.
 type Monitor struct {
-	Array   *Array
-	Det     *core.SelfReference
-	Feature Feature
+	Array *Array
+	Det   *core.SelfReference
 }
 
-// Calibrate fits the detector from frames captured while the chip runs
-// its trusted workload — the array's self-calibration, no golden chip
-// involved. A nil feature selects RMSFeature.
-func Calibrate(a *Array, frames []*Frame, feat Feature, cfg core.SelfReferenceConfig) (*Monitor, error) {
-	if feat == nil {
-		feat = RMSFeature
-	}
+// Calibrate fits the detector on each coil's RMS (Frame.RMS) over
+// frames captured while the chip runs its trusted workload — the
+// array's self-calibration, no golden chip involved.
+func Calibrate(a *Array, frames []*Frame, cfg core.SelfReferenceConfig) (*Monitor, error) {
 	feats := make([][]float64, len(frames))
 	for i, f := range frames {
 		if len(f.Traces) != a.NumCoils() {
 			return nil, fmt.Errorf("sensorarray: calibration frame %d has %d coils, array has %d", i, len(f.Traces), a.NumCoils())
 		}
-		feats[i] = f.Features(feat)
+		feats[i] = f.RMS()
 	}
 	det, err := core.CalibrateSelfReference(feats, a.Adjacency(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{Array: a, Det: det, Feature: feat}, nil
+	return &Monitor{Array: a, Det: det}, nil
 }
 
 // Evaluate scores one frame.
 func (m *Monitor) Evaluate(f *Frame) (core.ArrayVerdict, error) {
-	return m.Det.Evaluate(f.Features(m.Feature))
+	return m.Det.Evaluate(f.RMS())
 }
 
 // HeatmapString renders per-cell scores as a coarse ASCII die map (row

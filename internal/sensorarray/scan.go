@@ -158,19 +158,13 @@ func (a *Array) ScanEncryption(c *chip.Chip, ch trace.Channel, pt, key []byte, c
 	})
 }
 
-// Feature reduces one coil trace to the scalar the self-referencing
-// detector compares across the array.
-type Feature func(t *trace.Trace) float64
-
-// RMSFeature is the default feature: broadband RMS emission, the array
-// counterpart of the paper's amplitude statistics.
-func RMSFeature(t *trace.Trace) float64 { return dsp.RMS(t.Samples) }
-
-// Features reduces the frame to one scalar per coil.
-func (f *Frame) Features(fn Feature) []float64 {
+// RMS returns each coil's broadband RMS emission, the scalar the
+// self-referencing detector compares across the array (the array
+// counterpart of the paper's amplitude statistics).
+func (f *Frame) RMS() []float64 {
 	out := make([]float64, len(f.Traces))
 	for k, t := range f.Traces {
-		out[k] = fn(t)
+		out[k] = dsp.RMS(t.Samples)
 	}
 	return out
 }

@@ -98,3 +98,63 @@ func Summarize(x []float64) Summary {
 	}
 	return s
 }
+
+// Median returns the upper median of x, the element at index len(x)/2
+// of the sorted sample (0 for an empty one), found by selection in
+// linear expected time. Unlike Summarize's, an even-length sample's
+// median is not averaged. x is not modified.
+func Median(x []float64) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	cp := make([]float64, len(x))
+	copy(cp, x)
+	return selectMiddle(cp)
+}
+
+// RobustScale returns Median(x) and 1.4826 × the upper median of the
+// absolute deviations about it: a Gaussian sigma estimate (MAD) that a
+// minority of outliers barely moves. It works in place, so x, which
+// must be the caller's scratch, is left holding the deviations.
+func RobustScale(x []float64) (med, sigma float64) {
+	if len(x) == 0 {
+		return 0, 0
+	}
+	med = selectMiddle(x)
+	for i, v := range x {
+		x[i] = math.Abs(v - med)
+	}
+	return med, 1.4826 * selectMiddle(x)
+}
+
+// selectMiddle partially sorts x (Hoare partitioning) until x[len(x)/2]
+// holds the element a full sort would put there, and returns it.
+func selectMiddle(x []float64) float64 {
+	k := len(x) / 2
+	lo, hi := 0, len(x)-1
+	for lo < hi {
+		pivot := x[(lo+hi)/2]
+		i, j := lo, hi
+		for i <= j {
+			for x[i] < pivot {
+				i++
+			}
+			for x[j] > pivot {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i++
+				j--
+			}
+		}
+		if k <= j {
+			hi = j
+		} else if k >= i {
+			lo = i
+		} else {
+			break
+		}
+	}
+	return x[k]
+}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +120,70 @@ func TestSummarize(t *testing.T) {
 	one := Summarize([]float64{7})
 	if one.Std != 0 || one.Median != 7 {
 		t.Fatalf("singleton summary = %+v", one)
+	}
+}
+
+// Median is the upper median by selection and RobustScale the
+// 1.4826 × MAD about it: both must equal the sort-based definitions at
+// index len/2, ties and even lengths included. Median leaves x
+// untouched; RobustScale leaves the deviations in it.
+func TestQuickMedian(t *testing.T) {
+	if Median([]float64{5, 1, 3}) != 3 {
+		t.Fatal("median odd")
+	}
+	if Median(nil) != 0 || Median([]float64{}) != 0 {
+		t.Fatal("median empty")
+	}
+	x := []float64{9, 2, 7, 4, 6, 1, 8}
+	if got := Median(x); got != 6 {
+		t.Fatalf("median = %g", got)
+	}
+	// Even length: the upper middle element, not Summarize's average.
+	if got := Median([]float64{4, 1, 3, 2}); got != 3 {
+		t.Fatalf("even median = %g, want 3", got)
+	}
+	if med, sigma := RobustScale(nil); med != 0 || sigma != 0 {
+		t.Fatalf("empty RobustScale = %g, %g", med, sigma)
+	}
+	if med, sigma := RobustScale([]float64{5, 5, 5}); med != 5 || sigma != 0 {
+		t.Fatalf("constant RobustScale = %g, %g", med, sigma)
+	}
+	// One outlier moves neither the median nor the scale.
+	if med, sigma := RobustScale([]float64{1, 2, 3, 4, 100}); med != 3 || sigma != 1.4826 {
+		t.Fatalf("RobustScale = %g, %g, want 3, 1.4826", med, sigma)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 40; n++ {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(rng.Intn(6)) + rng.Float64()*float64(rng.Intn(2))
+		}
+		orig := append([]float64(nil), x...)
+		sorted := append([]float64(nil), x...)
+		sort.Float64s(sorted)
+		med := sorted[n/2]
+		for i, v := range sorted {
+			sorted[i] = math.Abs(v - med)
+		}
+		sort.Float64s(sorted)
+		if got := Median(x); got != med {
+			t.Fatalf("n=%d: Median = %g, sorted gives %g", n, got, med)
+		}
+		for i := range x {
+			if x[i] != orig[i] {
+				t.Fatalf("n=%d: Median modified its input", n)
+			}
+		}
+		gotMed, gotSigma := RobustScale(x)
+		if gotMed != med || gotSigma != 1.4826*sorted[n/2] {
+			t.Fatalf("n=%d: RobustScale = %g, %g, sorted gives %g, %g", n, gotMed, gotSigma, med, 1.4826*sorted[n/2])
+		}
+		sort.Float64s(x)
+		for i := range x {
+			if x[i] != sorted[i] {
+				t.Fatalf("n=%d: RobustScale left %v, want the deviations %v", n, x, sorted)
+			}
+		}
 	}
 }
 
