@@ -238,7 +238,7 @@ func BenchmarkAblationSpiralTurns(b *testing.B) {
 		b.Run(fmt.Sprintf("turns=%d", turns), func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				coil := emfield.OnChipSpiral(fp.Die, turns, 5e-6)
+				coil := emfield.SpiralGrid(fp.Die, 1, 1, turns, 5e-6)[0]
 				cp, err := emfield.NewCoupling(coil, fp.Grid, 25e-12, 64)
 				if err != nil {
 					b.Fatal(err)
@@ -406,7 +406,7 @@ func BenchmarkCachedCoupling(b *testing.B) {
 		b.Fatal(err)
 	}
 	fp := c.Floorplan()
-	coil := emfield.OnChipSpiral(fp.Die, cfg.SpiralTurns, cfg.SpiralZ)
+	coil := emfield.SpiralGrid(fp.Die, 1, 1, cfg.SpiralTurns, cfg.SpiralZ)[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := emfield.CachedCoupling(coil, fp.Grid, cfg.TileLoopArea, cfg.Quad); err != nil {
@@ -874,7 +874,7 @@ func BenchmarkEMFWeightedInto(b *testing.B) {
 		b.Fatal(err)
 	}
 	fp := c.Floorplan()
-	coil := emfield.OnChipSpiral(fp.Die, cfg.SpiralTurns, cfg.SpiralZ)
+	coil := emfield.SpiralGrid(fp.Die, 1, 1, cfg.SpiralTurns, cfg.SpiralZ)[0]
 	cp, err := emfield.CachedCoupling(coil, fp.Grid, cfg.TileLoopArea, cfg.Quad)
 	if err != nil {
 		b.Fatal(err)

@@ -1,77 +1,127 @@
 #!/bin/sh
-# Tier-1 gate: build, vet, formatting, and the race-enabled test suite.
-# Run before every commit; CI runs the same sequence.
+# Tier-1 gate: build, vet, formatting, the race-enabled test suite, the
+# differentials and the smokes. Run before every commit.
+#
+# Usage: ./check.sh [step ...]
+# With no step it runs every step below in this order. CI runs build,
+# vet, gofmt and race as its first step and each other step as its own
+# named step, so a failing check names itself.
 set -eu
 
 cd "$(dirname "$0")"
 
-echo "== go build =="
-go build ./...
+steps="build vet perfbench gofmt engine rng replay race campaign experiments trustmon"
 
-echo "== go vet =="
-go vet ./...
+step_build() {
+    echo "== go build =="
+    go build ./...
+}
 
-echo "== perfbench module (vet, tests) =="
-# perfbench is its own module, so the root build, vet and test never
-# compile it: an exported name it calls could vanish with the rest of
-# the gate green.
-(cd perfbench && go vet ./... && go test ./...)
+step_vet() {
+    echo "== go vet =="
+    go vet ./...
+}
 
-echo "== gofmt =="
-unformatted="$(gofmt -l .)"
-if [ -n "$unformatted" ]; then
-    echo "gofmt needed on:" >&2
-    echo "$unformatted" >&2
-    exit 1
+step_perfbench() {
+    echo "== perfbench module (vet, tests) =="
+    # perfbench is its own module, so the root build, vet and test never
+    # compile it: an exported name it calls could vanish with the rest of
+    # the gate green.
+    (cd perfbench && go vet ./... && go test ./...)
+}
+
+step_gofmt() {
+    echo "== gofmt =="
+    unformatted="$(gofmt -l .)"
+    if [ -n "$unformatted" ]; then
+        echo "gofmt needed on:" >&2
+        echo "$unformatted" >&2
+        exit 1
+    fi
+}
+
+step_engine() {
+    echo "== engine differential (wide vs compiled vs reference, S-box toggle profile) =="
+    go test -run 'Differential|CompiledVsReference|Wide|SBoxToggleCharge' -count=1 ./internal/logic/ ./internal/aes/
+}
+
+step_rng() {
+    echo "== RNG stream differential (frand vs math/rand, fast path vs fallback, one generator type) =="
+    go test -run 'MatchesMathRand|Bulk|Parity|OnlyFrandImportsMathRand' -count=1 ./internal/frand/ ./internal/trace/ ./internal/degrade/ .
+}
+
+step_replay() {
+    echo "== capture replay differential (batch, chain, fixed-point slot, caches, cross-seed capture sets, array emf slot, flux lanes) =="
+    go test -run 'Batch|Chain|FixedPoint|Memo|Cache|ScanFrame|FluxLane' -count=1 ./internal/chip/ ./internal/sensorarray/ ./internal/power/ ./internal/experiments/
+}
+
+step_race() {
+    echo "== go test -race -shuffle=on =="
+    go test -race -shuffle=on ./...
+}
+
+step_campaign() {
+    echo "== campaign smoke (generate, search, export) =="
+    # Tiny 8-Trojan campaign with a 2-generation search; cmd/netlist exits
+    # nonzero if the search finds no partial-trigger coverage at all.
+    go run ./cmd/netlist -campaign 8 -member 1 -search 2 -stats=false -verilog /dev/null >/dev/null
+}
+
+step_experiments() {
+    echo "== experiments CLI smoke (results rendered to an HTML page) =="
+    # The CLI hands the results it printed to the HTML renderer; no test
+    # drives that path, so run one experiment and check its page.
+    page="$(mktemp)"
+    go run ./cmd/experiments -run a2-spectrum -html "$page" >/dev/null
+    for want in 'Figure 4' '<svg'; do
+        if ! grep -q "$want" "$page"; then
+            echo "experiments -html page lacks $want" >&2
+            rm -f "$page"
+            exit 1
+        fi
+    done
+    rm -f "$page"
+}
+
+step_trustmon() {
+    echo "== trustmon single-die smoke (verdict loop on a healthy and a degraded channel) =="
+    # The single-die demo evaluates each trace in its own capture loop; no
+    # test drives that loop, so run it plain and with injected faults and
+    # check the verdict stream: 12 verdict lines, then the summary.
+    for flags in "" "-inject 2"; do
+        # $flags is split on purpose: "" adds no argument.
+        out="$(go run ./cmd/trustmon -traces 12 -golden 10 $flags 2>/dev/null)" || {
+            echo "trustmon -traces 12 -golden 10 $flags exited nonzero" >&2
+            exit 1
+        }
+        verdicts="$(printf '%s\n' "$out" | grep -cE '^trace [0-9]+:' || true)"
+        last="$(printf '%s\n' "$out" | tail -n 1)"
+        if [ "$verdicts" != 12 ] || [ "${last#monitored 12 traces}" = "$last" ]; then
+            echo "trustmon $flags: $verdicts verdict lines, last line: $last" >&2
+            exit 1
+        fi
+    done
+}
+
+# Reject unknown names before running anything.
+for step in "$@"; do
+    case " $steps " in
+    *" $step "*) ;;
+    *)
+        echo "check.sh: unknown step '$step' (steps: $steps)" >&2
+        exit 2
+        ;;
+    esac
+done
+
+if [ $# -eq 0 ]; then
+    # $steps is split on purpose: one argument per step.
+    set -- $steps
+    summary="all checks passed"
+else
+    summary="checks passed: $*"
 fi
-
-echo "== engine differential (wide vs compiled vs reference, S-box toggle profile) =="
-go test -run 'Differential|CompiledVsReference|Wide|SBoxToggleCharge' -count=1 ./internal/logic/ ./internal/aes/
-
-echo "== RNG stream differential (frand vs math/rand, fast path vs fallback, one generator type) =="
-go test -run 'MatchesMathRand|Bulk|Parity|OnlyFrandImportsMathRand' -count=1 ./internal/frand/ ./internal/trace/ ./internal/degrade/ .
-
-echo "== capture replay differential (batch, chain, fixed-point slot, caches, cross-seed capture sets, array emf slot, flux lanes) =="
-go test -run 'Batch|Chain|FixedPoint|Memo|Cache|ScanFrame|FluxLane' -count=1 ./internal/chip/ ./internal/sensorarray/ ./internal/power/ ./internal/experiments/
-
-echo "== go test -race -shuffle=on =="
-go test -race -shuffle=on ./...
-
-echo "== campaign smoke (generate, search, export) =="
-# Tiny 8-Trojan campaign with a 2-generation search; cmd/netlist exits
-# nonzero if the search finds no partial-trigger coverage at all.
-go run ./cmd/netlist -campaign 8 -member 1 -search 2 -stats=false -verilog /dev/null >/dev/null
-
-echo "== experiments CLI smoke (results rendered to an HTML page) =="
-# The CLI hands the results it printed to the HTML renderer; no test
-# drives that path, so run one experiment and check its page.
-page="$(mktemp)"
-go run ./cmd/experiments -run a2-spectrum -html "$page" >/dev/null
-for want in 'Figure 4' '<svg'; do
-    if ! grep -q "$want" "$page"; then
-        echo "experiments -html page lacks $want" >&2
-        rm -f "$page"
-        exit 1
-    fi
+for step in "$@"; do
+    "step_$step"
 done
-rm -f "$page"
-
-echo "== trustmon single-die smoke (verdict loop on a healthy and a degraded channel) =="
-# The single-die demo evaluates each trace in its own capture loop; no
-# test drives that loop, so run it plain and with injected faults and
-# check the verdict stream: 12 verdict lines, then the summary.
-for flags in "" "-inject 2"; do
-    # $flags is split on purpose: "" adds no argument.
-    out="$(go run ./cmd/trustmon -traces 12 -golden 10 $flags 2>/dev/null)" || {
-        echo "trustmon -traces 12 -golden 10 $flags exited nonzero" >&2
-        exit 1
-    }
-    verdicts="$(printf '%s\n' "$out" | grep -cE '^trace [0-9]+:' || true)"
-    last="$(printf '%s\n' "$out" | tail -n 1)"
-    if [ "$verdicts" != 12 ] || [ "${last#monitored 12 traces}" = "$last" ]; then
-        echo "trustmon $flags: $verdicts verdict lines, last line: $last" >&2
-        exit 1
-    fi
-done
-
-echo "all checks passed"
+echo "$summary"

@@ -259,22 +259,13 @@ func runArray(c *chip.Chip, n, channels, nTraces, cycles int, pt, key []byte) {
 		log.Fatal(err)
 	}
 	ch := sensorarray.DefaultChannel()
-	scan := func() *sensorarray.Frame {
-		f, err := arr.ScanEncryption(c, ch, pt, key, cycles)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return f
+	scan := func() (*sensorarray.Frame, error) {
+		return arr.ScanEncryption(c, ch, pt, key, cycles)
 	}
 
 	log.Printf("sensor array %dx%d, %d capture windows per frame; self-calibrating on %d frames (no golden model)",
 		n, n, arr.Windows(), arrayCalFrames)
-	scan() // warm-up, absorbs the cold-start transient
-	frames := make([]*sensorarray.Frame, arrayCalFrames)
-	for i := range frames {
-		frames[i] = scan()
-	}
-	mon, err := sensorarray.Calibrate(arr, frames, core.DefaultSelfReferenceConfig())
+	mon, err := sensorarray.Calibrate(arr, arrayCalFrames, scan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -284,7 +275,10 @@ func runArray(c *chip.Chip, n, channels, nTraces, cycles int, pt, key []byte) {
 	alarms := 0
 	for i := 0; i < nTraces; i++ {
 		sched.set(i)
-		f := scan()
+		f, err := scan()
+		if err != nil {
+			log.Fatal(err)
+		}
 		v, err := mon.Evaluate(f)
 		if err != nil {
 			log.Fatal(err)

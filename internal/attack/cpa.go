@@ -155,6 +155,11 @@ func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *frand.Rand) (*Result, err
 		stdX[s] = math.Sqrt(stdX[s])
 	}
 
+	// The leakage depends only on p^k: tabulate it once.
+	var leak [256]float64
+	for in := range leak {
+		leak[in] = hypothesis(cfg.Model, byte(in), 0)
+	}
 	var res Result
 	h := make([]float64, n)
 	for b := 0; b < 16; b++ {
@@ -163,7 +168,7 @@ func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *frand.Rand) (*Result, err
 		for k := 0; k < 256; k++ {
 			var sumH, sumH2 float64
 			for t := 0; t < n; t++ {
-				h[t] = hypothesis(cfg.Model, pts[t][b], byte(k))
+				h[t] = leak[pts[t][b]^byte(k)]
 				sumH += h[t]
 				sumH2 += h[t] * h[t]
 			}

@@ -57,7 +57,8 @@ type Config struct {
 	Layout layout.Config
 
 	// Sensor geometry: nested-rectangle spiral turns on the top metal
-	// layer at SpiralZ above the devices.
+	// layer at SpiralZ above the devices (the 1×1 emfield.SpiralGrid).
+	// New rejects a turn count below 1 here and in ProbeTurns.
 	SpiralTurns int
 	SpiralZ     float64
 	// External probe geometry: same-diameter turn stack at ProbeZ.
@@ -169,6 +170,9 @@ type state struct {
 // one immutable structure (netlist, floorplan, coil couplings, compiled
 // program) and differ only in their private mutable state.
 func New(cfg Config) (*Chip, error) {
+	if cfg.SpiralTurns < 1 || cfg.ProbeTurns < 1 {
+		return nil, fmt.Errorf("chip: coil turn counts must be at least 1, got spiral %d, probe %d", cfg.SpiralTurns, cfg.ProbeTurns)
+	}
 	key := buildKey{cfg: cfg}
 	key.cfg.Seed = 0
 	b := lookupBuild(key)
@@ -233,7 +237,7 @@ func buildChip(cfg Config) (*built, error) {
 	if err != nil {
 		return nil, err
 	}
-	spiral := emfield.OnChipSpiral(fp.Die, cfg.SpiralTurns, cfg.SpiralZ)
+	spiral := emfield.SpiralGrid(fp.Die, 1, 1, cfg.SpiralTurns, cfg.SpiralZ)[0]
 	sensor, err := emfield.CachedCoupling(spiral, fp.Grid, cfg.TileLoopArea, cfg.Quad)
 	if err != nil {
 		return nil, err

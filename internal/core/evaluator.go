@@ -67,8 +67,9 @@ func (v Verdict) String() string {
 // re-baselining — run synchronously on the calling goroutine: traces
 // from the on-chip sensor go in, one verdict per trace comes out. The
 // analysis runs off-chip, so the monitored circuit pays nothing for
-// it. Callers feed it in their own loop; the fleet service runs one
-// Evaluator per die inside a shard worker.
+// it. Callers feed it in their own loop. The fleet's dies do without
+// one: they track drift and rank alarms themselves, so they take only
+// the fingerprint distance (Fingerprint.ScoreInto).
 //
 // An Evaluator is stateful (debounce ring, drift baseline, sequence
 // counter) and must not be used from multiple goroutines concurrently.
@@ -148,7 +149,7 @@ func (e *Evaluator) EvalChecked(t *trace.Trace, hv HealthVerdict, features []flo
 			e.feat = e.fp.Extractor.ExtractInto(e.feat, t)
 			features = e.feat
 		}
-		e.score, e.recon = e.fp.scoreInto(e.score, e.recon, features)
+		e.score, e.recon = e.fp.ScoreInto(e.score, e.recon, features)
 		score = e.score
 		if e.rb == nil {
 			d := stats.MinDistanceToSet(score, e.fp.Golden)

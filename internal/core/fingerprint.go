@@ -134,15 +134,17 @@ func BuildFingerprint(golden []*trace.Trace, cfg FingerprintConfig) (*Fingerprin
 // project maps a feature vector to scores, optionally appending the
 // reconstruction residual.
 func (fp *Fingerprint) project(features []float64) []float64 {
-	scores, _ := fp.scoreInto(nil, nil, features)
+	scores, _ := fp.ScoreInto(nil, nil, features)
 	return scores
 }
 
-// scoreInto is project writing the score vector into dst and using
-// recon as reconstruction scratch; both buffers are reused when their
-// capacity suffices and the (possibly grown) buffers are returned.
-// Bit-identical to project.
-func (fp *Fingerprint) scoreInto(dst, recon, features []float64) (scores, reconOut []float64) {
+// ScoreInto maps a feature vector to the fingerprint's score vector
+// (PCA scores, plus the reconstruction residual when configured),
+// writing it into dst and using recon as reconstruction scratch; both
+// buffers are reused when their capacity suffices and the (possibly
+// grown) buffers are returned, so a caller that keeps them scores
+// without allocating.
+func (fp *Fingerprint) ScoreInto(dst, recon, features []float64) (scores, reconOut []float64) {
 	k := fp.PCA.K()
 	n := k
 	if fp.residual {

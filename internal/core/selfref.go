@@ -20,13 +20,6 @@ import (
 // per-sensor scalar features against an adjacency list, so internal/core
 // stays free of coil geometry and internal/sensorarray supplies both.
 
-// SelfReferenceConfig tunes the array detector.
-type SelfReferenceConfig struct {
-	// Alpha is the EWMA weight of the guarded per-sensor baseline update
-	// on quiet frames (0 freezes the baseline at calibration).
-	Alpha float64
-}
-
 // SelfReferenceThreshold is the robust z-score above which a sensor is
 // anomalous. With the minSigma floor, a sensor must move at least
 // SelfReferenceThreshold×minSigma (≈4%) relative to its neighbors before
@@ -40,23 +33,13 @@ const SelfReferenceThreshold = 8.0
 // then score as anomalous.
 const minSigma = 0.005
 
-// DefaultSelfReferenceConfig returns the tuning used by the
-// localization experiments.
-func DefaultSelfReferenceConfig() SelfReferenceConfig {
-	return SelfReferenceConfig{Alpha: 0.1}
-}
-
-func (c SelfReferenceConfig) withDefaults() SelfReferenceConfig {
-	if c.Alpha < 0 || c.Alpha >= 1 {
-		c.Alpha = 0.1
-	}
-	return c
-}
+// selfRefAlpha is the EWMA weight of the guarded per-sensor baseline
+// update on quiet frames.
+const selfRefAlpha = 0.1
 
 // SelfReference is the fitted array detector. It is stateful (rolling
 // baseline) and must not be shared across goroutines.
 type SelfReference struct {
-	cfg       SelfReferenceConfig
 	neighbors [][]int
 	// base is the per-sensor baseline feature (median of calibration,
 	// then EWMA-tracked on quiet frames).
@@ -74,7 +57,7 @@ type SelfReference struct {
 // of the paper's threat model, not a golden chip. neighbors[k] lists the
 // sensors spatially adjacent to sensor k; an empty list degrades sensor
 // k to history-only referencing (the single-coil case).
-func CalibrateSelfReference(frames [][]float64, neighbors [][]int, cfg SelfReferenceConfig) (*SelfReference, error) {
+func CalibrateSelfReference(frames [][]float64, neighbors [][]int) (*SelfReference, error) {
 	if len(frames) < 4 {
 		return nil, fmt.Errorf("core: self-reference calibration needs at least 4 frames, got %d", len(frames))
 	}
@@ -97,7 +80,7 @@ func CalibrateSelfReference(frames [][]float64, neighbors [][]int, cfg SelfRefer
 			}
 		}
 	}
-	d := &SelfReference{cfg: cfg.withDefaults(), neighbors: neighbors}
+	d := &SelfReference{neighbors: neighbors}
 
 	// Per-sensor baseline: median feature over the calibration frames.
 	d.base = make([]float64, k)
@@ -194,9 +177,9 @@ func (d *SelfReference) Evaluate(frame []float64) (ArrayVerdict, error) {
 		}
 	}
 	v.Alarm = v.Max > SelfReferenceThreshold
-	if !v.Alarm && d.cfg.Alpha > 0 {
+	if !v.Alarm {
 		for s := range d.base {
-			d.base[s] = (1-d.cfg.Alpha)*d.base[s] + d.cfg.Alpha*frame[s]
+			d.base[s] = (1-selfRefAlpha)*d.base[s] + selfRefAlpha*frame[s]
 		}
 	}
 	return v, nil

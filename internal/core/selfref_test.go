@@ -50,29 +50,29 @@ func TestSelfReferenceCalibrationErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	good := calFrames(6, rng)
 	nb := grid3x3()
-	if _, err := CalibrateSelfReference(good[:3], nb, SelfReferenceConfig{}); err == nil {
+	if _, err := CalibrateSelfReference(good[:3], nb); err == nil {
 		t.Error("3 frames accepted")
 	}
 	ragged := calFrames(6, rng)
 	ragged[2] = ragged[2][:5]
-	if _, err := CalibrateSelfReference(ragged, nb, SelfReferenceConfig{}); err == nil {
+	if _, err := CalibrateSelfReference(ragged, nb); err == nil {
 		t.Error("ragged frames accepted")
 	}
-	if _, err := CalibrateSelfReference(good, nb[:4], SelfReferenceConfig{}); err == nil {
+	if _, err := CalibrateSelfReference(good, nb[:4]); err == nil {
 		t.Error("short adjacency accepted")
 	}
 	bad := grid3x3()
 	bad[0] = []int{9}
-	if _, err := CalibrateSelfReference(good, bad, SelfReferenceConfig{}); err == nil {
+	if _, err := CalibrateSelfReference(good, bad); err == nil {
 		t.Error("out-of-range neighbor accepted")
 	}
 	self := grid3x3()
 	self[0] = []int{0}
-	if _, err := CalibrateSelfReference(good, self, SelfReferenceConfig{}); err == nil {
+	if _, err := CalibrateSelfReference(good, self); err == nil {
 		t.Error("self-neighbor accepted")
 	}
 	zero := [][]float64{make([]float64, 9), make([]float64, 9), make([]float64, 9), make([]float64, 9)}
-	if _, err := CalibrateSelfReference(zero, nb, SelfReferenceConfig{}); err == nil {
+	if _, err := CalibrateSelfReference(zero, nb); err == nil {
 		t.Error("all-zero calibration accepted")
 	}
 }
@@ -83,7 +83,7 @@ func TestSelfReferenceCalibrationErrors(t *testing.T) {
 // (temperature, supply sag) cancels in the spatial reference.
 func TestSelfReferenceLocalVsCommonMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	d, err := CalibrateSelfReference(calFrames(8, rng), grid3x3(), SelfReferenceConfig{})
+	d, err := CalibrateSelfReference(calFrames(8, rng), grid3x3())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSelfReferenceLocalVsCommonMode(t *testing.T) {
 // absorbed into its own reference.
 func TestSelfReferenceGuardedBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	d, err := CalibrateSelfReference(calFrames(8, rng), grid3x3(), SelfReferenceConfig{Alpha: 0.5})
+	d, err := CalibrateSelfReference(calFrames(8, rng), grid3x3())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSelfReferenceGuardedBaseline(t *testing.T) {
 // global shift does alarm (there is no spatial common mode to cancel).
 func TestSelfReferenceSingleSensor(t *testing.T) {
 	frames := [][]float64{{1.0}, {1.001}, {0.999}, {1.0}, {1.002}}
-	d, err := CalibrateSelfReference(frames, [][]int{nil}, SelfReferenceConfig{})
+	d, err := CalibrateSelfReference(frames, [][]int{nil})
 	if err != nil {
 		t.Fatal(err)
 	}

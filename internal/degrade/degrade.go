@@ -386,18 +386,20 @@ type Profile struct {
 	// factors of 5-6 are normal). Defaults to 3*RefRMS when zero.
 	RefPeak float64
 	// Span is the trace count over which the drift accrues to its full
-	// value (GainDrift, OffsetDrift); <= 0 defaults to 100.
+	// value (gainDrift, offsetDrift); <= 0 defaults to 100.
 	Span int
-	// GainDrift is the total relative gain drift at Severity 1 across
-	// Span traces (default 0.08 when zero).
-	GainDrift float64
-	// OffsetDrift is the total offset drift at Severity 1 across Span
-	// traces, as a multiple of RefRMS (default 0.25 when zero). Offset
-	// enters a segment's RMS quadratically (sqrt(r^2 + o^2)), so the
-	// apparent drift accelerates along the stream even though the offset
-	// itself grows linearly.
-	OffsetDrift float64
 }
+
+// gainDrift is the total relative gain drift at Severity 1 across a
+// Profile's Span traces.
+const gainDrift = 0.08
+
+// offsetDrift is the total offset drift at Severity 1 across a
+// Profile's Span traces, as a multiple of RefRMS. Offset enters a
+// segment's RMS quadratically (sqrt(r^2 + o^2)), so the apparent drift
+// accelerates along the stream even though the offset itself grows
+// linearly.
+const offsetDrift = 0.25
 
 // maxSeverity caps the severity knob. Fleet configs are arithmetic on
 // user input, so the profile must stay well-defined for any float64:
@@ -420,14 +422,6 @@ func (p Profile) Stages() []Stage {
 	if span <= 0 {
 		span = 100
 	}
-	gain := p.GainDrift
-	if gain == 0 {
-		gain = 0.08
-	}
-	offset := p.OffsetDrift
-	if offset == 0 {
-		offset = 0.25
-	}
 	sev := p.Severity
 	if sev > maxSeverity {
 		sev = maxSeverity
@@ -443,8 +437,8 @@ func (p Profile) Stages() []Stage {
 	rail := 2.4 * peak / sev
 	return []Stage{
 		Drift{
-			GainPerTrace:   gain * sev / float64(span),
-			OffsetPerTrace: offset * sev * ref / float64(span),
+			GainPerTrace:   gainDrift * sev / float64(span),
+			OffsetPerTrace: offsetDrift * sev * ref / float64(span),
 		},
 		// Jitter stays small: it is white per-trace noise, and even a few
 		// percent of a sample period swamps the Eq. (1) threshold in a way

@@ -6,9 +6,9 @@
 // Each floorplan tile is modeled as a small vertical-axis current loop
 // (the local supply/return path), i.e. a magnetic dipole m = I*Aeff ẑ.
 // The on-chip sensor is the paper's one-way spiral on the top metal layer
-// (approximated as nested rectangular turns); the external probe is a
-// stack of same-diameter circular turns 100 um above the package, as seen
-// in the X-ray of Figure 2(a).
+// (approximated as nested rectangular turns), one per cell of a
+// SpiralGrid; the external probe is a stack of same-diameter circular
+// turns 100 um above the package, as seen in the X-ray of Figure 2(a).
 package emfield
 
 import (
@@ -137,7 +137,6 @@ func (c CircleLoop) FluxOfUnitDipole(pos Vec3, n int) float64 {
 // Coil is a series-connected stack of loops; the induced emf is the sum
 // of the per-turn flux derivatives.
 type Coil struct {
-	Name  string
 	Loops []Loop
 }
 
@@ -152,68 +151,34 @@ func (c *Coil) TotalArea() float64 {
 	return a
 }
 
-// OnChipSpiral builds the paper's on-chip sensor: a one-way spiral
-// starting at the die center and extending to the corner (Figure 2(b)),
-// approximated by turns nested rectangles on the top metal layer at
-// height z above the switching devices, covering the entire die.
-func OnChipSpiral(die layout.Point, turns int, z float64) *Coil {
-	if turns <= 0 {
-		turns = 8
-	}
-	c := &Coil{Name: "on-chip spiral"}
-	for k := 1; k <= turns; k++ {
-		frac := float64(k) / float64(turns)
-		c.Loops = append(c.Loops, RectLoop{
-			CX: die.X / 2, CY: die.Y / 2,
-			W: die.X * frac, H: die.Y * frac,
-			Z: z,
-		})
-	}
-	return c
-}
-
-// QuadrantNames labels the four quadrant spirals of QuadrantSpirals in
-// order: south-west, south-east, north-west, north-east.
-var QuadrantNames = [4]string{"SW", "SE", "NW", "NE"}
-
-// QuadrantSpirals builds the localization-enhanced sensor of the paper's
-// future-work direction: four smaller spirals, one per die quadrant, on
-// the same top metal layer. Comparing the per-quadrant responses locates
-// the radiating region — the "location awareness" advantage of the EM
-// side channel. Quadrant k covers x-half k%2 and y-half k/2.
-func QuadrantSpirals(die layout.Point, turns int, z float64) [4]*Coil {
-	if turns <= 0 {
-		turns = 6
-	}
-	var out [4]*Coil
-	for q := 0; q < 4; q++ {
-		cx := die.X * (0.25 + 0.5*float64(q%2))
-		cy := die.Y * (0.25 + 0.5*float64(q/2))
-		c := &Coil{Name: "quadrant " + QuadrantNames[q]}
-		for k := 1; k <= turns; k++ {
-			frac := float64(k) / float64(turns)
-			c.Loops = append(c.Loops, RectLoop{
-				CX: cx, CY: cy,
-				W: die.X / 2 * frac, H: die.Y / 2 * frac,
-				Z: z,
-			})
+// SpiralGrid tiles the die with nx×ny on-chip spirals on the top metal
+// layer at height z above the switching devices. Each spiral is the
+// paper's one-way spiral from its cell's center to the cell's corner
+// (Figure 2(b)), approximated by turns nested rectangles, the outermost
+// filling the cell. Cell k = cy*nx + cx, row 0 at the die bottom. The
+// 1×1 grid is the paper's whole-die sensor; the 2×2 grid is the
+// per-quadrant split of its future work; larger grids are the
+// programmable sensor array's cells.
+func SpiralGrid(die layout.Point, nx, ny, turns int, z float64) []*Coil {
+	cw := die.X / float64(nx)
+	ch := die.Y / float64(ny)
+	coils := make([]*Coil, 0, nx*ny)
+	for cy := 0; cy < ny; cy++ {
+		for cx := 0; cx < nx; cx++ {
+			c := &Coil{}
+			for t := 1; t <= turns; t++ {
+				frac := float64(t) / float64(turns)
+				c.Loops = append(c.Loops, RectLoop{
+					CX: (float64(cx) + 0.5) * cw,
+					CY: (float64(cy) + 0.5) * ch,
+					W:  cw * frac, H: ch * frac,
+					Z: z,
+				})
+			}
+			coils = append(coils, c)
 		}
-		out[q] = c
 	}
-	return out
-}
-
-// QuadrantOf returns the quadrant index (see QuadrantNames) containing
-// the point p on the die.
-func QuadrantOf(die layout.Point, p Vec3) int {
-	q := 0
-	if p.X >= die.X/2 {
-		q++
-	}
-	if p.Y >= die.Y/2 {
-		q += 2
-	}
-	return q
+	return coils
 }
 
 // ExternalProbe builds the LANGER-style RF probe of Figure 2(a): a stack
@@ -221,10 +186,7 @@ func QuadrantOf(die layout.Point, p Vec3) int {
 // paper sets 100 um for the package thickness), with stack pitch between
 // turns.
 func ExternalProbe(die layout.Point, radius float64, turns int, z, pitch float64) *Coil {
-	if turns <= 0 {
-		turns = 8
-	}
-	c := &Coil{Name: "external probe"}
+	c := &Coil{}
 	for k := 0; k < turns; k++ {
 		c.Loops = append(c.Loops, CircleLoop{
 			CX: die.X / 2, CY: die.Y / 2,

@@ -225,7 +225,7 @@ func TestFluxOfUnitDipoleGeometry(t *testing.T) {
 
 func TestCoilConstructors(t *testing.T) {
 	die := layout.Point{X: 1e-3, Y: 1e-3}
-	spiral := OnChipSpiral(die, 10, 5e-6)
+	spiral := SpiralGrid(die, 1, 1, 10, 5e-6)[0]
 	if len(spiral.Loops) != 10 {
 		t.Fatalf("spiral turns = %d", len(spiral.Loops))
 	}
@@ -249,10 +249,6 @@ func TestCoilConstructors(t *testing.T) {
 			t.Fatal("probe turns must share one diameter")
 		}
 	}
-	// Defaulted turn counts.
-	if len(OnChipSpiral(die, 0, 5e-6).Loops) == 0 || len(ExternalProbe(die, 1e-3, 0, 1e-4, 1e-5).Loops) == 0 {
-		t.Fatal("default turns broken")
-	}
 }
 
 func buildGrid() *layout.TileGrid {
@@ -263,7 +259,7 @@ func buildGrid() *layout.TileGrid {
 func TestCouplingOnChipBeatsProbe(t *testing.T) {
 	grid := buildGrid()
 	die := grid.Die
-	spiral := OnChipSpiral(die, 8, 5e-6)
+	spiral := SpiralGrid(die, 1, 1, 8, 5e-6)[0]
 	probe := ExternalProbe(die, 0.5e-3, 8, 100e-6, 20e-6)
 	aeff := 25e-12
 	cs, err := NewCoupling(spiral, grid, aeff, 8)
@@ -315,7 +311,7 @@ func TestProbeCouplingFallsWithHeight(t *testing.T) {
 
 func TestCouplingValidation(t *testing.T) {
 	grid := buildGrid()
-	spiral := OnChipSpiral(grid.Die, 4, 5e-6)
+	spiral := SpiralGrid(grid.Die, 1, 1, 4, 5e-6)[0]
 	if _, err := NewCoupling(spiral, grid, 0, 8); err == nil {
 		t.Fatal("zero aeff must error")
 	}
@@ -323,7 +319,7 @@ func TestCouplingValidation(t *testing.T) {
 
 func TestEMFKnownWaveform(t *testing.T) {
 	grid := buildGrid()
-	spiral := OnChipSpiral(grid.Die, 4, 5e-6)
+	spiral := SpiralGrid(grid.Die, 1, 1, 4, 5e-6)[0]
 	cp, err := NewCoupling(spiral, grid, 25e-12, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +349,7 @@ func TestEMFKnownWaveform(t *testing.T) {
 
 func TestEMFValidation(t *testing.T) {
 	grid := buildGrid()
-	spiral := OnChipSpiral(grid.Die, 4, 5e-6)
+	spiral := SpiralGrid(grid.Die, 1, 1, 4, 5e-6)[0]
 	cp, _ := NewCoupling(spiral, grid, 25e-12, 4)
 	defer func() {
 		if recover() == nil {
@@ -363,9 +359,14 @@ func TestEMFValidation(t *testing.T) {
 	cp.EMF(make([][]float64, 3), 1e-9)
 }
 
+// The 2×2 spiral grid is the per-quadrant sensor: cell q covers x-half
+// q%2 and y-half q/2.
 func TestQuadrantSpirals(t *testing.T) {
 	die := layout.Point{X: 1e-3, Y: 1e-3}
-	coils := QuadrantSpirals(die, 6, 5e-6)
+	coils := SpiralGrid(die, 2, 2, 6, 5e-6)
+	if len(coils) != 4 {
+		t.Fatalf("2x2 grid has %d coils", len(coils))
+	}
 	for q, c := range coils {
 		if len(c.Loops) != 6 {
 			t.Fatalf("quadrant %d turns = %d", q, len(c.Loops))
@@ -376,40 +377,16 @@ func TestQuadrantSpirals(t *testing.T) {
 			t.Fatalf("quadrant %d outer turn %gx%g", q, outer.W, outer.H)
 		}
 		// Its center sits in the right quadrant.
-		if got := QuadrantOf(die, Vec3{X: outer.CX, Y: outer.CY}); got != q {
-			t.Fatalf("quadrant %d centered in quadrant %d", q, got)
+		if (outer.CX >= die.X/2) != (q%2 == 1) || (outer.CY >= die.Y/2) != (q/2 == 1) {
+			t.Fatalf("quadrant %d centered at (%g, %g)", q, outer.CX, outer.CY)
 		}
-	}
-	// Default turn count.
-	if len(QuadrantSpirals(die, 0, 5e-6)[0].Loops) == 0 {
-		t.Fatal("default turns broken")
-	}
-}
-
-func TestQuadrantOf(t *testing.T) {
-	die := layout.Point{X: 2, Y: 2}
-	cases := []struct {
-		p Vec3
-		q int
-	}{
-		{Vec3{0.5, 0.5, 0}, 0}, {Vec3{1.5, 0.5, 0}, 1},
-		{Vec3{0.5, 1.5, 0}, 2}, {Vec3{1.5, 1.5, 0}, 3},
-		{Vec3{1, 1, 0}, 3}, // boundary goes to the upper-right
-	}
-	for _, c := range cases {
-		if got := QuadrantOf(die, c.p); got != c.q {
-			t.Errorf("QuadrantOf(%+v) = %d, want %d", c.p, got, c.q)
-		}
-	}
-	if QuadrantNames[0] != "SW" || QuadrantNames[3] != "NE" {
-		t.Fatal("quadrant names wrong")
 	}
 }
 
 // A dipole in a quadrant couples most strongly to that quadrant's coil.
 func TestQuadrantCouplingIsLocal(t *testing.T) {
 	grid := buildGrid()
-	coils := QuadrantSpirals(grid.Die, 6, 5e-6)
+	coils := SpiralGrid(grid.Die, 2, 2, 6, 5e-6)
 	src := Vec3{X: grid.Die.X * 0.25, Y: grid.Die.Y * 0.75, Z: 0} // NW
 	var flux [4]float64
 	for q, c := range coils {
@@ -426,7 +403,7 @@ func TestQuadrantCouplingIsLocal(t *testing.T) {
 
 func TestEMFIntoMatchesEMF(t *testing.T) {
 	grid := buildGrid()
-	coil := OnChipSpiral(grid.Die, 4, 5e-6)
+	coil := SpiralGrid(grid.Die, 1, 1, 4, 5e-6)[0]
 	cp, err := NewCoupling(coil, grid, 25e-12, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +440,7 @@ func TestEMFIntoMatchesEMF(t *testing.T) {
 
 func TestEMFIntoSkipsShortWaveforms(t *testing.T) {
 	grid := buildGrid()
-	coil := OnChipSpiral(grid.Die, 2, 5e-6)
+	coil := SpiralGrid(grid.Die, 1, 1, 2, 5e-6)[0]
 	cp, err := NewCoupling(coil, grid, 25e-12, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -493,12 +470,12 @@ func TestEMFIntoSkipsShortWaveforms(t *testing.T) {
 
 func TestCachedCouplingMemoizes(t *testing.T) {
 	grid := buildGrid()
-	coil := OnChipSpiral(grid.Die, 3, 5e-6)
+	coil := SpiralGrid(grid.Die, 1, 1, 3, 5e-6)[0]
 	a, err := CachedCoupling(coil, grid, 25e-12, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CachedCoupling(OnChipSpiral(grid.Die, 3, 5e-6), grid, 25e-12, 8)
+	b, err := CachedCoupling(SpiralGrid(grid.Die, 1, 1, 3, 5e-6)[0], grid, 25e-12, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +492,7 @@ func TestCachedCouplingMemoizes(t *testing.T) {
 		}
 	}
 	// Different geometry must miss.
-	c, err := CachedCoupling(OnChipSpiral(grid.Die, 4, 5e-6), grid, 25e-12, 8)
+	c, err := CachedCoupling(SpiralGrid(grid.Die, 1, 1, 4, 5e-6)[0], grid, 25e-12, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,34 +508,6 @@ func TestCachedCouplingMemoizes(t *testing.T) {
 	}
 }
 
-// The half-lines belong to the east/north quadrants: the quadrant test
-// is >=, so a point exactly on a dividing line lands up and to the
-// right, and the die corners map to their own quadrants.
-func TestQuadrantOfBoundaries(t *testing.T) {
-	die := layout.Point{X: 2, Y: 4}
-	cases := []struct {
-		p Vec3
-		q int
-	}{
-		{Vec3{0, 0, 0}, 0},         // SW corner
-		{Vec3{2, 0, 0}, 1},         // SE corner
-		{Vec3{0, 4, 0}, 2},         // NW corner
-		{Vec3{2, 4, 0}, 3},         // NE corner
-		{Vec3{1, 0.5, 0}, 1},       // on the vertical divider, south half
-		{Vec3{1, 3.5, 0}, 3},       // on the vertical divider, north half
-		{Vec3{0.5, 2, 0}, 2},       // on the horizontal divider, west half
-		{Vec3{1.5, 2, 0}, 3},       // on the horizontal divider, east half
-		{Vec3{1, 2, 0}, 3},         // die center: both dividers
-		{Vec3{0.999, 1.999, 0}, 0}, // just inside SW
-	}
-	for _, c := range cases {
-		if got := QuadrantOf(die, c.p); got != c.q {
-			t.Errorf("QuadrantOf(%v, %+v) = %d (%s), want %d (%s)",
-				die, c.p, got, QuadrantNames[got], c.q, QuadrantNames[c.q])
-		}
-	}
-}
-
 // Each quadrant spiral is the whole-die spiral scaled by half in both
 // axes: per-turn area is a quarter, so each quadrant coil has a quarter
 // of the whole-die coil's total area — the per-coil sensitivity cost of
@@ -566,16 +515,16 @@ func TestQuadrantOfBoundaries(t *testing.T) {
 func TestQuadrantSpiralAreas(t *testing.T) {
 	die := layout.Point{X: 1e-3, Y: 0.8e-3}
 	const turns = 6
-	whole := OnChipSpiral(die, turns, 5e-6)
-	quads := QuadrantSpirals(die, turns, 5e-6)
+	whole := SpiralGrid(die, 1, 1, turns, 5e-6)[0]
+	quads := SpiralGrid(die, 2, 2, turns, 5e-6)
 	relTol := func(got, want float64) bool {
 		return math.Abs(got-want) <= 1e-12*math.Max(math.Abs(got), math.Abs(want))
 	}
 	sum := 0.0
 	for q, c := range quads {
 		if !relTol(c.TotalArea(), whole.TotalArea()/4) {
-			t.Errorf("quadrant %s area %g, want 1/4 of whole-die %g",
-				QuadrantNames[q], c.TotalArea(), whole.TotalArea())
+			t.Errorf("quadrant %d area %g, want 1/4 of whole-die %g",
+				q, c.TotalArea(), whole.TotalArea())
 		}
 		// Every turn stays inside its quadrant.
 		for i, l := range c.Loops {
@@ -585,8 +534,8 @@ func TestQuadrantSpiralAreas(t *testing.T) {
 			qx, qy := float64(q%2), float64(q/2)
 			if xLo < qx*die.X/2-1e-15 || xHi > (qx+1)*die.X/2+1e-15 ||
 				yLo < qy*die.Y/2-1e-15 || yHi > (qy+1)*die.Y/2+1e-15 {
-				t.Errorf("quadrant %s turn %d [%g,%g]x[%g,%g] leaves its quadrant",
-					QuadrantNames[q], i, xLo, xHi, yLo, yHi)
+				t.Errorf("quadrant %d turn %d [%g,%g]x[%g,%g] leaves its quadrant",
+					q, i, xLo, xHi, yLo, yHi)
 			}
 		}
 		sum += c.TotalArea()
@@ -595,14 +544,14 @@ func TestQuadrantSpiralAreas(t *testing.T) {
 		t.Errorf("four quadrants sum to %g, want the whole-die %g", sum, whole.TotalArea())
 	}
 	// More turns never shrink the accumulated area.
-	if OnChipSpiral(die, 12, 5e-6).TotalArea() <= whole.TotalArea() {
+	if SpiralGrid(die, 1, 1, 12, 5e-6)[0].TotalArea() <= whole.TotalArea() {
 		t.Error("doubling turns did not grow the whole-die total area")
 	}
 }
 
 func TestEMFWeightedInto(t *testing.T) {
 	grid := buildGrid()
-	coil := OnChipSpiral(grid.Die, 4, 5e-6)
+	coil := SpiralGrid(grid.Die, 1, 1, 4, 5e-6)[0]
 	cp, err := NewCoupling(coil, grid, 25e-12, 8)
 	if err != nil {
 		t.Fatal(err)

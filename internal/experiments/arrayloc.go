@@ -128,18 +128,8 @@ func localizeGrid(cfg Config, n, channels, calFrames, evalFrames int) (Localizat
 	}
 
 	// Self-calibration on the deployed chip running its known workload,
-	// everything dormant; one warm-up frame absorbs the cold-start
-	// transient.
-	if _, err := scan(); err != nil {
-		return g, err
-	}
-	frames := make([]*sensorarray.Frame, calFrames)
-	for i := range frames {
-		if frames[i], err = scan(); err != nil {
-			return g, err
-		}
-	}
-	mon, err := sensorarray.Calibrate(arr, frames, core.DefaultSelfReferenceConfig())
+	// everything dormant.
+	mon, err := sensorarray.Calibrate(arr, calFrames, scan)
 	if err != nil {
 		return g, err
 	}

@@ -230,16 +230,7 @@ func campaignMember(cfg Config, goldenCfg chip.Config, m *campaign.Member) (Camp
 	scan := func() (*sensorarray.Frame, error) {
 		return arr.ScanEncryption(c, ach, cfg.Plaintext, cfg.Key, cfg.CaptureCycles)
 	}
-	if _, err := scan(); err != nil { // warm-up
-		return out, err
-	}
-	frames := make([]*sensorarray.Frame, campArrayCalFrames)
-	for i := range frames {
-		if frames[i], err = scan(); err != nil {
-			return out, err
-		}
-	}
-	mon, err := sensorarray.Calibrate(arr, frames, core.DefaultSelfReferenceConfig())
+	mon, err := sensorarray.Calibrate(arr, campArrayCalFrames, scan)
 	if err != nil {
 		return out, err
 	}

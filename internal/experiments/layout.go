@@ -37,8 +37,7 @@ func LayoutReport(cfg Config) (*LayoutResult, error) {
 	for _, region := range n.Regions() {
 		res.Regions[region] = n.Stats(region).Cells
 	}
-	spiral := emfield.OnChipSpiral(fp.Die, cfg.Chip.SpiralTurns, cfg.Chip.SpiralZ)
-	res.SpiralArea = spiral.TotalArea()
+	res.SpiralArea = emfield.SpiralGrid(fp.Die, 1, 1, cfg.Chip.SpiralTurns, cfg.Chip.SpiralZ)[0].TotalArea()
 	return res, nil
 }
 

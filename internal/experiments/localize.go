@@ -5,9 +5,14 @@ import (
 	"strings"
 
 	"emtrust/internal/dsp"
-	"emtrust/internal/emfield"
+	"emtrust/internal/layout"
+	"emtrust/internal/sensorarray"
 	"emtrust/internal/trojan"
 )
+
+// quadrantNames labels the cells of Localize's 2×2 spiral grid in cell
+// order: south-west, south-east, north-west, north-east.
+var quadrantNames = [4]string{"SW", "SE", "NW", "NE"}
 
 // LocalizeRow is one Trojan's localization outcome.
 type LocalizeRow struct {
@@ -25,9 +30,9 @@ type LocalizeRow struct {
 
 // LocalizeResult is the extension experiment for the sensor-enhancement
 // direction of the paper's future work: four quadrant spirals on the top
-// metal layer not only detect an activated Trojan but point at where it
-// sits — the "location awareness" the paper credits the EM side channel
-// with.
+// metal layer (a 2×2 sensor array, read out without noise) not only
+// detect an activated Trojan but point at where it sits — the "location
+// awareness" the paper credits the EM side channel with.
 type LocalizeResult struct {
 	Rows []LocalizeRow
 }
@@ -39,14 +44,15 @@ func Localize(cfg Config) (*LocalizeResult, error) {
 		return nil, err
 	}
 	fp := c.Floorplan()
-	coils := emfield.QuadrantSpirals(fp.Die, cfg.Chip.SpiralTurns/2+1, cfg.Chip.SpiralZ)
-	couplings := make([]*emfield.Coupling, 4)
-	for q, coil := range coils {
-		cp, err := emfield.CachedCoupling(coil, fp.Grid, cfg.Chip.TileLoopArea, cfg.Chip.Quad)
-		if err != nil {
-			return nil, err
-		}
-		couplings[q] = cp
+	quads, err := sensorarray.New(fp, sensorarray.Config{
+		NX: 2, NY: 2,
+		Turns:        cfg.Chip.SpiralTurns/2 + 1,
+		Z:            cfg.Chip.SpiralZ,
+		TileLoopArea: cfg.Chip.TileLoopArea,
+		Quad:         cfg.Chip.Quad,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Per-quadrant RMS of a capture's emf. Captures here are noise-free
@@ -64,7 +70,7 @@ func Localize(cfg Config) (*LocalizeResult, error) {
 			return [4]float64{}, err
 		}
 		var out [4]float64
-		for q, cp := range couplings {
+		for q, cp := range quads.Couplings {
 			emfBuf = cp.EMFInto(emfBuf, cap.Tiles, cap.Dt)
 			out[q] = dsp.RMS(emfBuf)
 		}
@@ -99,11 +105,11 @@ func Localize(cfg Config) (*LocalizeResult, error) {
 		if !ok {
 			return nil, fmt.Errorf("experiments: no block for %v", k)
 		}
-		expected := emfield.QuadrantOf(fp.Die, emfield.Vec3{X: blk.X + blk.W/2, Y: blk.Y + blk.H/2})
+		expected := quads.CellOf(layout.Point{X: blk.X + blk.W/2, Y: blk.Y + blk.H/2})
 		res.Rows = append(res.Rows, LocalizeRow{
 			Trojan:    k,
-			Expected:  emfield.QuadrantNames[expected],
-			Predicted: emfield.QuadrantNames[best],
+			Expected:  quadrantNames[expected],
+			Predicted: quadrantNames[best],
 			Increase:  bestInc,
 			Correct:   best == expected,
 		})

@@ -80,3 +80,37 @@ func TestFig6SpectraPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalizePinned pins the quadrant-localization table: each row's
+// expected and predicted quadrant exactly, its winning increase to
+// pinRelTol.
+func TestLocalizePinned(t *testing.T) {
+	if quadrantNames[0] != "SW" || quadrantNames[3] != "NE" {
+		t.Fatal("quadrant names wrong")
+	}
+	res, err := Localize(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		kind                trojan.Kind
+		expected, predicted string
+		increase            float64
+	}{
+		{trojan.T1AMLeaker, "SE", "SE", 1.1266098557807815},
+		{trojan.T2LeakageCurrent, "SE", "SE", 0.4741694363961888},
+		{trojan.T3CDMALeaker, "SE", "SE", 0.091787958603526842},
+		{trojan.T4PowerHog, "NE", "NE", 1.5950058181909643},
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(res.Rows), len(want))
+	}
+	for i, w := range want {
+		row := res.Rows[i]
+		if row.Trojan != w.kind || row.Expected != w.expected || row.Predicted != w.predicted {
+			t.Errorf("row %d: %v expected %s predicted %s, want %v expected %s predicted %s",
+				i, row.Trojan, row.Expected, row.Predicted, w.kind, w.expected, w.predicted)
+		}
+		pinClose(t, row.Trojan.String()+" Increase", row.Increase, w.increase)
+	}
+}

@@ -126,11 +126,12 @@ type Die struct {
 	// acqLo/acqHi are acquire's per-sample min/max scratch for the
 	// trimmed mean.
 	acqLo, acqHi []float64
-	// featBuf is the reused feature vector returned by features.
-	featBuf []float64
-	channel *degrade.Channel
-	health  *core.ChannelHealth
-	eval    *core.Evaluator
+	// featBuf is the reused feature vector returned by features;
+	// score/recon are the fingerprint's reused score and reconstruction
+	// buffers behind tick's distance.
+	featBuf, score, recon []float64
+	channel               *degrade.Channel
+	health                *core.ChannelHealth
 	// level/trend are the die's guarded Holt tracker over the projected
 	// score vector: level+trend predicts the next healthy-aging score,
 	// and the tracker learns only while the residual norm stays inside
@@ -300,20 +301,6 @@ func (p *Population) spawn(id int) (*Die, error) {
 		}
 	}
 	d.health = health
-
-	// The fleet does its own drift tracking (the Holt filter below), so
-	// the evaluator's level-only rebaseliner is disabled — it cannot
-	// follow the degrade profile's accelerating offset drift, and its
-	// freeze guard would ratchet fast-aging dies into permanent false
-	// alarms. The Eq. (1) threshold is likewise disarmed: alarming is
-	// the fleet ranking's job, in null-calibrated residual units.
-	opts := core.HardenedOptions(health)
-	opts.Rebaseline = core.RebaselineConfig{}
-	fp.Threshold = math.Inf(1)
-	d.eval, err = core.NewEvaluator(fp, nil, opts)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: die %d evaluator: %w", id, err)
-	}
 
 	// Null calibration runs on the live (already aging) channel, in two
 	// stages that mirror what monitoring will actually do. The first
@@ -734,18 +721,19 @@ func (d *Die) tick(round int) verdict {
 		t = d.acquire(idx, wave, g, purposeRetry, uint64(round))
 		hv = d.health.Check(t)
 	}
-	// The health verdict and features feed both the evaluator and the
-	// drift tracker below — checked once, extracted once.
-	var score []float64
-	if !hv.Rejected {
-		score = d.features(t)
-	}
-	v := d.eval.EvalChecked(t, hv, score)
-	z := math.NaN()
-	if v.Health.Rejected {
+	// A rejected round reports distance 0 and NaN z. An accepted one
+	// reports the fingerprint distance of its features, and the same
+	// features feed the drift tracker below: the die tracks drift and
+	// leaves alarming to the fleet ranking, so it needs no Eq. (1)
+	// threshold, debounce or re-baseliner.
+	distance, z := 0.0, math.NaN()
+	if hv.Rejected {
 		d.coast()
 	} else {
-		rn := d.residNorm(score)
+		feats := d.features(t)
+		d.score, d.recon = d.fp.ScoreInto(d.score, d.recon, feats)
+		distance = stats.MinDistanceToSet(d.score, d.fp.Golden)
+		rn := d.residNorm(feats)
 		zi := (rn - d.medR) / d.sigmaR
 		z = (d.integrate(rn, d.medR+thresholdK*d.sigmaR) - d.med) / d.sigma
 		if zi > thresholdK {
@@ -779,9 +767,9 @@ func (d *Die) tick(round int) verdict {
 				d.consecutiveLocalized = 0
 			}
 		} else {
-			d.track(score)
+			d.track(feats)
 			d.consecutiveLocalized = 0
 		}
 	}
-	return verdict{die: d.ID, round: round, distance: v.Time.Distance, z: z, rejected: v.Health.Rejected}
+	return verdict{die: d.ID, round: round, distance: distance, z: z, rejected: hv.Rejected}
 }

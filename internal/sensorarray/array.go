@@ -7,7 +7,7 @@
 // cell dominates that cell's reading instead of vanishing into the
 // whole-die aggregate.
 //
-// The package owns the geometry (coils, couplings, cell adjacency) and
+// The package owns the geometry (couplings, cell adjacency) and
 // the acquisition sequencing; the golden-model-free analysis on top of
 // the per-coil frames lives in internal/core (SelfReference) and is
 // glued together by Monitor in this package.
@@ -67,15 +67,14 @@ func ConfigFor(cc chip.Config, n int) Config {
 }
 
 // Array is one built sensor array over a specific floorplan: per-cell
-// coils with their tile couplings precomputed (once per geometry, via
-// the process-wide coupling cache).
+// coil couplings precomputed (once per geometry, via the process-wide
+// coupling cache).
 type Array struct {
 	Cfg  Config
 	Die  layout.Point
 	grid *layout.TileGrid
-	// Coils and Couplings are indexed by cell k = cy*NX + cx, matching
-	// the tile-grid convention (row 0 at the die bottom).
-	Coils     []*emfield.Coil
+	// Couplings is indexed by cell k = cy*NX + cx, matching the
+	// tile-grid convention (row 0 at the die bottom).
 	Couplings []*emfield.Coupling
 
 	// emfMu guards the emf slot: the per-coil emf waveforms (emfs) of
@@ -87,39 +86,24 @@ type Array struct {
 	emfs   [][]float64
 }
 
-// New builds the array coils over the floorplan and precomputes their
-// couplings. Coupling computation fans out over tiles through
-// internal/parallel (inside NewCoupling) and is memoized process-wide,
-// so rebuilding the same array geometry is free.
+// New builds the array's cell coils (emfield.SpiralGrid) over the
+// floorplan and precomputes their couplings. Coupling computation fans
+// out over tiles through internal/parallel (inside NewCoupling) and is
+// memoized process-wide, so rebuilding the same array geometry is free.
 func New(fp *layout.Floorplan, cfg Config) (*Array, error) {
 	if cfg.NX <= 0 || cfg.NY <= 0 {
 		return nil, fmt.Errorf("sensorarray: invalid grid %dx%d", cfg.NX, cfg.NY)
 	}
-	if cfg.Turns <= 0 {
-		cfg.Turns = 4
+	if cfg.Turns < 1 {
+		return nil, fmt.Errorf("sensorarray: cell coils need at least 1 turn, got %d", cfg.Turns)
 	}
 	a := &Array{Cfg: cfg, Die: fp.Die, grid: fp.Grid}
-	cw := fp.Die.X / float64(cfg.NX)
-	ch := fp.Die.Y / float64(cfg.NY)
-	for cy := 0; cy < cfg.NY; cy++ {
-		for cx := 0; cx < cfg.NX; cx++ {
-			coil := &emfield.Coil{Name: fmt.Sprintf("cell (%d,%d)", cx, cy)}
-			for t := 1; t <= cfg.Turns; t++ {
-				frac := float64(t) / float64(cfg.Turns)
-				coil.Loops = append(coil.Loops, emfield.RectLoop{
-					CX: (float64(cx) + 0.5) * cw,
-					CY: (float64(cy) + 0.5) * ch,
-					W:  cw * frac, H: ch * frac,
-					Z: cfg.Z,
-				})
-			}
-			cp, err := emfield.CachedCoupling(coil, fp.Grid, cfg.TileLoopArea, cfg.Quad)
-			if err != nil {
-				return nil, fmt.Errorf("sensorarray: cell (%d,%d): %w", cx, cy, err)
-			}
-			a.Coils = append(a.Coils, coil)
-			a.Couplings = append(a.Couplings, cp)
+	for _, coil := range emfield.SpiralGrid(fp.Die, cfg.NX, cfg.NY, cfg.Turns, cfg.Z) {
+		cp, err := emfield.CachedCoupling(coil, fp.Grid, cfg.TileLoopArea, cfg.Quad)
+		if err != nil {
+			return nil, fmt.Errorf("sensorarray: %w", err)
 		}
+		a.Couplings = append(a.Couplings, cp)
 	}
 	return a, nil
 }

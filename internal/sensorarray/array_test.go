@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"emtrust/internal/chip"
-	"emtrust/internal/emfield"
 	"emtrust/internal/layout"
 	"emtrust/internal/parallel"
 )
@@ -43,8 +42,8 @@ func TestArrayGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumCoils() != 16 || len(a.Coils) != 16 || len(a.Couplings) != 16 {
-		t.Fatalf("want 16 coils, got %d/%d/%d", a.NumCoils(), len(a.Coils), len(a.Couplings))
+	if a.NumCoils() != 16 || len(a.Couplings) != 16 {
+		t.Fatalf("want 16 coils, got %d/%d", a.NumCoils(), len(a.Couplings))
 	}
 	// Cell index round-trips through its own center, and the center lands
 	// in the expected grid cell.
@@ -84,27 +83,102 @@ func TestArrayGeometry(t *testing.T) {
 }
 
 // TestOneByOneMatchesWholeDieSpiral pins that the 1×1 array degenerates
-// to the paper's whole-die spiral: identical turn geometry, hence (via
-// the coupling cache) identical couplings.
+// to the paper's whole-die spiral: both are the 1×1 spiral grid, so they
+// share one coupling-cache entry.
 func TestOneByOneMatchesWholeDieSpiral(t *testing.T) {
-	fp := testFloorplan()
 	cc := chip.DefaultConfig()
-	a, err := New(fp, ConfigFor(cc, 1))
+	cc.WithTrojans = false
+	cc.WithA2 = false
+	c, err := chip.New(cc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := emfield.OnChipSpiral(fp.Die, cc.SpiralTurns, cc.SpiralZ)
-	got := a.Coils[0]
-	if len(got.Loops) != len(want.Loops) {
-		t.Fatalf("1x1 coil has %d turns, whole-die spiral %d", len(got.Loops), len(want.Loops))
+	a, err := New(c.Floorplan(), ConfigFor(cc, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got.Loops {
-		if got.Loops[i].(emfield.RectLoop) != want.Loops[i].(emfield.RectLoop) {
-			t.Errorf("turn %d: got %+v want %+v", i, got.Loops[i], want.Loops[i])
-		}
+	if a.Couplings[0] != c.SensorCoupling() {
+		t.Error("1x1 array coupling is not the chip's whole-die sensor coupling")
 	}
 	if a.Neighbors(0) != nil {
 		t.Errorf("1x1 array has neighbors: %v", a.Neighbors(0))
+	}
+}
+
+// TestNewRejectsZeroTurns pins that a coil turn count below 1 is an
+// error, for the array's cells and for the chip's own sensor and probe.
+func TestNewRejectsZeroTurns(t *testing.T) {
+	if _, err := New(testFloorplan(), Config{NX: 2, NY: 2, Turns: 0, Z: 5e-6, TileLoopArea: 25e-12, Quad: 8}); err == nil {
+		t.Error("sensorarray.New accepted 0 turns")
+	}
+	for _, zero := range []func(*chip.Config){
+		func(c *chip.Config) { c.SpiralTurns = 0 },
+		func(c *chip.Config) { c.ProbeTurns = 0 },
+	} {
+		cfg := chip.DefaultConfig()
+		zero(&cfg)
+		if _, err := chip.New(cfg); err == nil {
+			t.Errorf("chip.New accepted spiral %d, probe %d turns", cfg.SpiralTurns, cfg.ProbeTurns)
+		}
+	}
+}
+
+// quadrantArray builds the 2×2 array — the per-quadrant spirals — over
+// a die of the given size.
+func quadrantArray(t *testing.T, die layout.Point) *Array {
+	t.Helper()
+	fp := &layout.Floorplan{Die: die, Grid: &layout.TileGrid{NX: 4, NY: 4, Die: die}}
+	a, err := New(fp, Config{NX: 2, NY: 2, Turns: 1, Z: 5e-6, TileLoopArea: 25e-12, Quad: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestQuadrantOf pins the 2×2 array's cell order: south-west,
+// south-east, north-west, north-east.
+func TestQuadrantOf(t *testing.T) {
+	a := quadrantArray(t, layout.Point{X: 2, Y: 2})
+	cases := []struct {
+		p layout.Point
+		q int
+	}{
+		{layout.Point{X: 0.5, Y: 0.5}, 0}, {layout.Point{X: 1.5, Y: 0.5}, 1},
+		{layout.Point{X: 0.5, Y: 1.5}, 2}, {layout.Point{X: 1.5, Y: 1.5}, 3},
+		{layout.Point{X: 1, Y: 1}, 3}, // boundary goes to the upper-right
+	}
+	for _, c := range cases {
+		if got := a.CellOf(c.p); got != c.q {
+			t.Errorf("CellOf(%+v) = %d, want %d", c.p, got, c.q)
+		}
+	}
+}
+
+// The half-lines belong to the east/north quadrants: a point exactly on
+// a dividing line lands up and to the right, and the die corners map to
+// their own quadrants.
+func TestQuadrantOfBoundaries(t *testing.T) {
+	die := layout.Point{X: 2, Y: 4}
+	a := quadrantArray(t, die)
+	cases := []struct {
+		p layout.Point
+		q int
+	}{
+		{layout.Point{X: 0, Y: 0}, 0},         // SW corner
+		{layout.Point{X: 2, Y: 0}, 1},         // SE corner
+		{layout.Point{X: 0, Y: 4}, 2},         // NW corner
+		{layout.Point{X: 2, Y: 4}, 3},         // NE corner
+		{layout.Point{X: 1, Y: 0.5}, 1},       // on the vertical divider, south half
+		{layout.Point{X: 1, Y: 3.5}, 3},       // on the vertical divider, north half
+		{layout.Point{X: 0.5, Y: 2}, 2},       // on the horizontal divider, west half
+		{layout.Point{X: 1.5, Y: 2}, 3},       // on the horizontal divider, east half
+		{layout.Point{X: 1, Y: 2}, 3},         // die center: both dividers
+		{layout.Point{X: 0.999, Y: 1.999}, 0}, // just inside SW
+	}
+	for _, c := range cases {
+		if got := a.CellOf(c.p); got != c.q {
+			t.Errorf("CellOf(%v, %+v) = %d, want %d", die, c.p, got, c.q)
+		}
 	}
 }
 
@@ -201,7 +275,7 @@ func TestScanFrameWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestScanFrameEMFSlot pins the array's emf reuse: a CaptureFunc that
+// TestScanFrameEMFSlot pins the array's emf reuse: a captureFunc that
 // hands every window of two frames one chip *Capture scans exactly like
 // one that hands each window its own deep copy (no reuse possible), and
 // switching to a different capture re-synthesizes every coil.
@@ -233,7 +307,7 @@ func TestScanFrameEMFSlot(t *testing.T) {
 
 	// scan runs two frames on a fresh chip handle, so every call draws
 	// the same acquisition streams.
-	scan := func(a *Array, capture CaptureFunc) []*Frame {
+	scan := func(a *Array, capture captureFunc) []*Frame {
 		t.Helper()
 		sc, err := chip.New(cfg)
 		if err != nil {
@@ -241,7 +315,7 @@ func TestScanFrameEMFSlot(t *testing.T) {
 		}
 		var frames []*Frame
 		for i := 0; i < 2; i++ {
-			f, err := a.ScanFrame(sc, DefaultChannel(), capture)
+			f, err := a.scanFrame(sc, DefaultChannel(), capture)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,18 +16,26 @@ type Monitor struct {
 	Det   *core.SelfReference
 }
 
-// Calibrate fits the detector on each coil's RMS (Frame.RMS) over
-// frames captured while the chip runs its trusted workload — the
-// array's self-calibration, no golden chip involved.
-func Calibrate(a *Array, frames []*Frame, cfg core.SelfReferenceConfig) (*Monitor, error) {
-	feats := make([][]float64, len(frames))
-	for i, f := range frames {
+// Calibrate self-calibrates the array on the chip running its trusted
+// workload, no golden chip involved: it discards one scan (the warm-up,
+// which absorbs the cold-start transient), then fits the detector on
+// each coil's RMS (Frame.RMS) over the next n scans.
+func Calibrate(a *Array, n int, scan func() (*Frame, error)) (*Monitor, error) {
+	if _, err := scan(); err != nil {
+		return nil, fmt.Errorf("sensorarray: warm-up scan: %w", err)
+	}
+	feats := make([][]float64, n)
+	for i := range feats {
+		f, err := scan()
+		if err != nil {
+			return nil, fmt.Errorf("sensorarray: calibration scan %d: %w", i, err)
+		}
 		if len(f.Traces) != a.NumCoils() {
 			return nil, fmt.Errorf("sensorarray: calibration frame %d has %d coils, array has %d", i, len(f.Traces), a.NumCoils())
 		}
 		feats[i] = f.RMS()
 	}
-	det, err := core.CalibrateSelfReference(feats, a.Adjacency(), cfg)
+	det, err := core.CalibrateSelfReference(feats, a.Adjacency())
 	if err != nil {
 		return nil, err
 	}

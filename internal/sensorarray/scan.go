@@ -64,20 +64,20 @@ type Frame struct {
 	Dt      float64
 }
 
-// CaptureFunc produces the chip activity for one mux window. It is
+// captureFunc produces the chip activity for one mux window. It is
 // called once per window, serially and in window order, so stateful
 // workloads evolve across windows the way they would under a hardware
 // sequencer.
-type CaptureFunc func(w int) (*chip.Capture, error)
+type captureFunc func(w int) (*chip.Capture, error)
 
-// ScanFrame captures one full array frame: for each mux window it runs
+// scanFrame captures one full array frame: for each mux window it runs
 // one chip capture, then fans the window's coil group out over the
 // worker pool — per-coil emf synthesis plus acquisition with a private
 // (stream, cell)-derived generator. Each task writes only its own cell
 // index, so the frame is bit-identical for any worker count. The emf
 // synthesis completes before the next window's capture because
 // Capture.Tiles alias the recorder's buffers.
-func (a *Array) ScanFrame(c *chip.Chip, ch trace.Channel, capture CaptureFunc) (*Frame, error) {
+func (a *Array) scanFrame(c *chip.Chip, ch trace.Channel, capture captureFunc) (*Frame, error) {
 	k := a.NumCoils()
 	stream := c.NextStream()
 	f := &Frame{
@@ -153,7 +153,7 @@ func (a *Array) windowEMFs(cap *chip.Capture, coils []int) ([][]float64, error) 
 // encryption workload: every mux window runs one encryption of pt under
 // key.
 func (a *Array) ScanEncryption(c *chip.Chip, ch trace.Channel, pt, key []byte, cycles int) (*Frame, error) {
-	return a.ScanFrame(c, ch, func(int) (*chip.Capture, error) {
+	return a.scanFrame(c, ch, func(int) (*chip.Capture, error) {
 		return c.CapturePT(pt, key, cycles)
 	})
 }
