@@ -13,24 +13,25 @@ import (
 	"emtrust/internal/trojan"
 )
 
-// Batched capture: up to logic.MaxLanes plaintext lanes from the chip's
-// current state run through one bit-parallel wide simulation instead of
-// N scalar ones. The pipeline deduplicates identical plaintexts, replays
-// lanes the process-wide capture cache has seen before, and simulates
-// only the remainder, one uint64 word per net. Per-lane toggle
-// extraction books each toggle word on flux-mode lane recorders that
-// share the chip recorder's charge tables, and each lane streams its
-// per-tile currents straight into sensor and probe flux cycle by cycle,
-// so every lane's emf is bit-identical to an independent scalar capture
-// (pinned by the batch and determinism tests at every worker/lane
-// count).
+// Batched capture: up to logic.MaxLanes plaintext lanes, each from its
+// own start chip's current state, run through one bit-parallel wide
+// simulation instead of N scalar ones. The pipeline deduplicates lanes
+// with the same start and plaintext, replays lanes the process-wide
+// capture cache has seen before, and simulates only the remainder, one
+// uint64 word per net with one start state per lane bit. Per-lane
+// toggle extraction books each toggle word on flux-mode lane recorders
+// that share the chip recorder's charge tables, and each lane streams
+// its per-tile currents straight into sensor and probe flux cycle by
+// cycle, so every lane's emf is bit-identical to an independent scalar
+// capture from its start chip (pinned by the batch and determinism
+// tests at every worker/lane count).
 //
-// Batch captures are side-effect-free on the chip: the wide engine is
-// separate simulation state, so the chip's own simulator, recorder and
-// analog Trojan stay where they were. Returned captures carry no Tiles
-// (per-tile current waveforms): lanes never build them and cached
-// captures have none to give; consumers that need Tiles use the scalar
-// CapturePT/CaptureIdle.
+// Batch captures are side-effect-free on every chip: the wide engine is
+// separate simulation state, so no start chip's simulator, recorder or
+// analog Trojan moves, and the receiver's own state stays where it was.
+// Returned captures carry no Tiles (per-tile current waveforms): lanes
+// never build them and cached captures have none to give; consumers
+// that need Tiles use the scalar CapturePT/CaptureIdle.
 
 // batchLanes caps how many lanes one wide simulation carries; 0 (the
 // default) means logic.MaxLanes.
@@ -54,21 +55,38 @@ func SetBatchLanes(n int) (restore func()) {
 	return func() { batchLanes.Store(old) }
 }
 
-// batchGroup is one deduplicated plaintext lane and its capture-cache
-// entry.
+// batchGroup is one deduplicated lane: the start state and plaintext,
+// and its capture-cache entry.
 type batchGroup struct {
+	pre   state
 	pt    [16]byte
 	ck    captureKey
 	entry *captureEntry
 }
 
-// CaptureBatch fans up to 64 plaintext lanes from the chip's current
-// state through one wide simulation: lane i encrypts pts[i] under key.
-// It returns one *Capture per lane without advancing the chip's state;
-// lanes with equal plaintexts share one. Lanes the capture cache has
-// not seen simulate in wide chunks of BatchLanes, or as scalar captures
-// when the netlist is too wide to compile.
+// CaptureBatch is CaptureLanes with every lane starting from c: lane i
+// encrypts pts[i] under key from the chip's current state.
 func (c *Chip) CaptureBatch(pts [][]byte, key []byte, cycles int) ([]*Capture, error) {
+	from := make([]*Chip, len(pts))
+	for i := range from {
+		from[i] = c
+	}
+	return c.CaptureLanes(from, pts, key, cycles)
+}
+
+// CaptureLanes runs lane i's encryption of pts[i] under key from
+// from[i]'s current state and returns one *Capture per lane; lanes
+// with the same start chip and plaintext share one. Every start chip
+// must share c's design. Lanes the capture cache has not seen simulate
+// on c's wide engine in chunks of BatchLanes, or as scalar captures on
+// a scratch clone of c when the netlist is too wide to compile. No chip
+// advances and no start chip is written, so concurrent calls may share
+// start chips, their receivers among them; each receiver runs one call
+// at a time.
+func (c *Chip) CaptureLanes(from []*Chip, pts [][]byte, key []byte, cycles int) ([]*Capture, error) {
+	if len(from) != len(pts) {
+		return nil, fmt.Errorf("chip: %d start chips for %d lanes", len(from), len(pts))
+	}
 	if len(pts) == 0 {
 		return nil, nil
 	}
@@ -78,46 +96,62 @@ func (c *Chip) CaptureBatch(pts [][]byte, key []byte, cycles int) ([]*Capture, e
 	if err := checkCycles(cycles); err != nil {
 		return nil, err
 	}
-	ptA := make([][16]byte, len(pts))
+	var keyA [16]byte
+	copy(keyA[:], key)
+	type start struct {
+		pre  state
+		hash uint64
+	}
+	starts := make(map[*Chip]start)
+	type laneKey struct {
+		from *Chip
+		pt   [16]byte
+	}
+	groups := make(map[laneKey]*batchGroup)
+	lanes := make([]*batchGroup, len(pts))
+	var misses []*batchGroup
 	for i, pt := range pts {
 		if len(pt) != 16 {
 			return nil, fmt.Errorf("chip: lane %d: need 16-byte pt", i)
 		}
-		copy(ptA[i][:], pt)
-	}
-	var keyA [16]byte
-	copy(keyA[:], key)
-	pre := c.snapshot()
-	hash := pre.sim.ValueHash()
-	groups := make(map[[16]byte]*batchGroup)
-	var misses []*batchGroup
-	for _, pt := range ptA {
-		if groups[pt] != nil {
+		f := from[i]
+		if f.design != c.design {
+			return nil, fmt.Errorf("chip: lane %d starts from a chip of another design", i)
+		}
+		lk := laneKey{from: f}
+		copy(lk.pt[:], pt)
+		if g := groups[lk]; g != nil {
+			lanes[i] = g
 			continue
 		}
-		g := &batchGroup{pt: pt, ck: c.captureCacheKey(pt, keyA, cycles, false, pre, hash)}
-		g.entry = lookupCapture(g.ck, pre.sim)
-		groups[pt] = g
+		st, ok := starts[f]
+		if !ok {
+			st.pre = f.snapshot()
+			st.hash = st.pre.sim.ValueHash()
+			starts[f] = st
+		}
+		g := &batchGroup{pre: st.pre, pt: lk.pt, ck: c.captureCacheKey(lk.pt, keyA, cycles, false, st.pre, st.hash)}
+		g.entry = lookupCapture(g.ck, st.pre.sim)
+		groups[lk], lanes[i] = g, g
 		if g.entry == nil {
 			misses = append(misses, g)
 		}
 	}
 	if len(misses) > 0 {
 		if c.sim.Compiled() {
-			lanes := BatchLanes()
-			for lo := 0; lo < len(misses); lo += lanes {
-				hi := min(lo+lanes, len(misses))
-				if err := c.runWide(misses[lo:hi], pre, keyA, cycles); err != nil {
+			n := BatchLanes()
+			for lo := 0; lo < len(misses); lo += n {
+				if err := c.runWide(misses[lo:min(lo+n, len(misses))], keyA, cycles); err != nil {
 					return nil, err
 				}
 			}
-		} else if err := c.runScalarBatch(misses, pre, keyA, cycles); err != nil {
+		} else if err := c.runScalarBatch(misses, keyA, cycles); err != nil {
 			return nil, err
 		}
 	}
 	out := make([]*Capture, len(pts))
-	for i, pt := range ptA {
-		out[i] = groups[pt].entry.cap
+	for i, g := range lanes {
+		out[i] = g.entry.cap
 	}
 	return out, nil
 }
@@ -143,33 +177,37 @@ func (c *Chip) ensureWide(lanes int) error {
 	return nil
 }
 
-// runWide simulates up to MaxLanes miss groups from the pre state as
-// lanes of one wide capture, stores each lane's result in the capture
-// cache and fills the groups' entries. The capture sequence mirrors the
-// scalar encryption capture exactly: idle lead-in tick, per-lane
-// plaintext with broadcast key and start pulse, load edge, then the
-// remaining cycles — with the T2 crowbar and A2 charge-pump hooks
-// applied per lane from the lane's net word each cycle.
-func (c *Chip) runWide(groups []*batchGroup, pre state, key [16]byte, cycles int) error {
+// runWide simulates up to MaxLanes miss groups, each from its own start
+// state, as lanes of one wide capture, stores each lane's result in the
+// capture cache and fills the groups' entries. The capture sequence
+// mirrors the scalar encryption capture exactly: idle lead-in tick,
+// per-lane plaintext with broadcast key and start pulse, load edge,
+// then the remaining cycles — with the T2 crowbar hook applied per lane
+// from the lane's net word each cycle, and the A2 charge pump stepped
+// on each lane whose start state armed it.
+func (c *Chip) runWide(groups []*batchGroup, key [16]byte, cycles int) error {
 	lanes := len(groups)
 	if err := c.ensureWide(lanes); err != nil {
 		return err
 	}
 	w := c.wide
 	sts := make([]*logic.State, lanes)
-	for l := range sts {
-		sts[l] = pre.sim
+	for l, g := range groups {
+		sts[l] = g.pre.sim
 	}
 	if err := w.LoadStates(sts); err != nil {
 		return err
 	}
 	recs := c.recs[:lanes]
 	a2s := c.a2s[:lanes]
-	for l := range groups {
+	var armed uint64 // lanes whose analog Trojan runs
+	for l, g := range groups {
 		recs[l].Begin(cycles)
-		a2s[l] = pre.a2
+		a2s[l] = g.pre.a2
+		if c.a2 != nil && g.pre.a2On {
+			armed |= 1 << uint(l)
+		}
 	}
-	armed := c.a2 != nil && pre.a2On
 	// Per-lane toggle extraction: diff = old^new marks the lanes that
 	// changed; each set bit books the cell's switching charge on that
 	// lane's recorder, in the same order a scalar capture would.
@@ -190,9 +228,10 @@ func (c *Chip) runWide(groups []*batchGroup, pre state, key [16]byte, cycles int
 				}
 			}
 		}
-		if armed {
+		if armed != 0 {
 			vw := w.NetWord(c.a2Victim)
-			for l := 0; l < lanes; l++ {
+			for m := armed; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros64(m)
 				res := a2s[l].Step(uint8(vw >> uint(l) & 1))
 				if res.Pumped {
 					recs[l].AddFastToggles(c.a2Tile, 1, c.cfg.A2.PumpCharge)
@@ -249,7 +288,7 @@ func (c *Chip) runWide(groups []*batchGroup, pre state, key [16]byte, cycles int
 			postA2 = a2s[l]
 		}
 		e := &captureEntry{
-			pre: pre.sim,
+			pre: g.pre.sim,
 			cap: &Capture{
 				Sensor: emfield.FluxToEMF(flux[0], dt),
 				Probe:  emfield.FluxToEMF(flux[1], dt),
@@ -265,17 +304,17 @@ func (c *Chip) runWide(groups []*batchGroup, pre state, key [16]byte, cycles int
 // runScalarBatch is the fallback for netlists too wide to compile (and
 // the batch layer's semantic ground truth, which the batch tests pin
 // the wide path against on a reference-engine chip): each miss group
-// runs a plain scalar capture from the pre state, and the chip is
-// rewound to it afterwards.
-func (c *Chip) runScalarBatch(groups []*batchGroup, pre state, key [16]byte, cycles int) error {
-	defer c.restore(pre)
+// runs a plain scalar capture on a scratch clone of c restored to the
+// group's start state, so no chip moves.
+func (c *Chip) runScalarBatch(groups []*batchGroup, key [16]byte, cycles int) error {
+	x := c.Clone()
 	for _, g := range groups {
-		c.restore(pre)
-		cap, err := c.capture(g.pt, key, cycles, false)
+		x.restore(g.pre)
+		cap, err := x.capture(g.pt, key, cycles, false)
 		if err != nil {
 			return err
 		}
-		g.entry = storeCapture(g.ck, c.cacheEntry(pre.sim, cap))
+		g.entry = storeCapture(g.ck, x.cacheEntry(g.pre.sim, cap))
 	}
 	return nil
 }

@@ -1,9 +1,12 @@
 package chip
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
+	"emtrust/internal/analog"
 	"emtrust/internal/trojan"
 )
 
@@ -18,10 +21,7 @@ const batchCycles = 16
 // to capture (no fixed point, no trivial cache hits).
 func activeClone(t *testing.T, kind trojan.Kind) *Chip {
 	t.Helper()
-	c, err := infected(t).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := infected(t).Clone()
 	if err := c.SetTrojan(kind, true); err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,7 @@ func TestCaptureBatchMatchesScalar(t *testing.T) {
 	resetCaptureCache()
 	c := activeClone(t, trojan.T1AMLeaker)
 	c.EnableA2(true)
-	scalar, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scalar := c.Clone()
 
 	const lanes = 9
 	pts := make([][]byte, lanes)
@@ -127,10 +124,7 @@ func TestCaptureBatchFiringA2MatchesScalar(t *testing.T) {
 			if !c.a2.Firing() {
 				t.Fatal("A2 is not firing after the 600-cycle charge-up")
 			}
-			scalar, err := c.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+			scalar := c.Clone()
 			for _, cycles := range []int{16, 33, 512} {
 				before := c.snapshot()
 				caps, err := c.CaptureBatch(pts, testKey, cycles)
@@ -246,6 +240,270 @@ func TestCaptureBatchDedup(t *testing.T) {
 	}
 }
 
+// mixedStarts returns start chips of base's design in four pairwise
+// distinct states: dormant with A2 disarmed, T1 active, T1 three
+// captures further along its orbit, and T3 active. None of them is
+// base.
+func mixedStarts(t *testing.T, base *Chip) []*Chip {
+	t.Helper()
+	dormant := base.Clone()
+	if err := dormant.DeactivateAll(); err != nil {
+		t.Fatal(err)
+	}
+	dormant.EnableA2(false)
+	t1 := dormant.Clone()
+	if err := t1.SetTrojan(trojan.T1AMLeaker, true); err != nil {
+		t.Fatal(err)
+	}
+	t1Later := t1.Clone()
+	orbitStates(t, t1Later, make([]byte, 16), 3, func(int) {})
+	t3 := dormant.Clone()
+	if err := t3.SetTrojan(trojan.T3CDMALeaker, true); err != nil {
+		t.Fatal(err)
+	}
+	starts := []*Chip{dormant, t1, t1Later, t3}
+	for i := range starts {
+		for j := i + 1; j < len(starts); j++ {
+			if starts[i].at(starts[j].snapshot()) {
+				t.Fatalf("start chips %d and %d hold the same state", i, j)
+			}
+		}
+	}
+	return starts
+}
+
+// laneSet spreads lanes over the start chips round-robin and over
+// three plaintexts in blocks of len(starts), so the first block runs one
+// plaintext from every start and the fourth repeats the first block's
+// (start, plaintext) pairs.
+func laneSet(starts []*Chip, lanes int) (from []*Chip, pts [][]byte) {
+	for i := 0; i < lanes; i++ {
+		pt := make([]byte, 16)
+		pt[4] = byte(0x3c * (i / len(starts) % 3))
+		pt[11] = byte(i / len(starts) % 3)
+		from = append(from, starts[i%len(starts)])
+		pts = append(pts, pt)
+	}
+	return from, pts
+}
+
+// checkLanes asserts every lane is bit-identical to a scalar CapturePT
+// from a clone of its start chip, and that lanes share a capture
+// exactly when they share start and plaintext.
+func checkLanes(t *testing.T, label string, from []*Chip, pts [][]byte, caps []*Capture, cycles int) {
+	t.Helper()
+	for i := range pts {
+		want, err := from[i].Clone().CapturePT(pts[i], testKey, cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWave(t, fmt.Sprintf("%s lane %d", label, i), caps[i], want)
+		for j := 0; j < i; j++ {
+			same := from[i] == from[j] && bytes.Equal(pts[i], pts[j])
+			if same != (caps[i] == caps[j]) {
+				t.Fatalf("%s: lanes %d and %d share a capture: %v, share start and plaintext: %v", label, j, i, caps[i] == caps[j], same)
+			}
+		}
+	}
+}
+
+// frozen records each chip's state and cycle counter and returns a
+// check that fails the test if any of them moved since.
+func frozen(chips ...*Chip) func(t *testing.T, label string) {
+	st := make([]state, len(chips))
+	cycle := make([]int, len(chips))
+	for k, c := range chips {
+		st[k], cycle[k] = c.snapshot(), c.sim.Cycle()
+	}
+	return func(t *testing.T, label string) {
+		t.Helper()
+		for k, c := range chips {
+			if !c.at(st[k]) || c.sim.Cycle() != cycle[k] {
+				t.Fatalf("%s: chip %d moved (cycle %d, was %d)", label, k, c.sim.Cycle(), cycle[k])
+			}
+		}
+	}
+}
+
+// TestCaptureBatchMixedStarts pins CaptureLanes: lanes from four
+// distinct start states, with plaintexts repeated across and within
+// starts, each match a scalar capture from their start chip at lane caps
+// 64, 5 and 1; neither the start chips nor the receiver move; and a
+// second run replays every lane from the capture cache.
+func TestCaptureBatchMixedStarts(t *testing.T) {
+	starts := mixedStarts(t, infected(t))
+	recv := infected(t).Clone()
+	from, pts := laneSet(starts, 15) // 12 distinct (start, plaintext) lanes
+	unmoved := frozen(append([]*Chip{recv}, starts...)...)
+	for _, lanes := range []int{64, 5, 1} {
+		resetCaptureCache()
+		restore := SetBatchLanes(lanes)
+		caps, err := recv.CaptureLanes(from, pts, testKey, batchCycles)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("lanes=%d", lanes)
+		checkLanes(t, label, from, pts, caps, batchCycles)
+		unmoved(t, label)
+
+		s0 := Stats()
+		again, err := recv.CaptureLanes(from, pts, testKey, batchCycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1 := Stats()
+		if hits, misses := s1.CaptureHits-s0.CaptureHits, s1.CaptureMisses-s0.CaptureMisses; hits != 12 || misses != 0 {
+			t.Fatalf("lanes=%d: replay of 12 distinct lanes: %d hits, %d misses", lanes, hits, misses)
+		}
+		for i := range caps {
+			if again[i] != caps[i] {
+				t.Fatalf("lanes=%d: replayed lane %d returned another capture", lanes, i)
+			}
+		}
+	}
+}
+
+// TestCaptureBatchMixedA2Starts covers per-lane A2 arming: lanes from a
+// start whose armed A2 is firing (with T2's crowbar on), one armed but
+// still charging, one disarmed right after firing and one never armed
+// (T4 on) share wide runs at 16, 33 and 512 cycles, and each matches a
+// scalar capture from its start chip.
+func TestCaptureBatchMixedA2Starts(t *testing.T) {
+	resetCaptureCache()
+	firing := activeClone(t, trojan.T2LeakageCurrent)
+	firing.EnableA2(true)
+	if _, err := firing.CaptureIdle(600); err != nil {
+		t.Fatal(err)
+	}
+	if !firing.a2.Firing() {
+		t.Fatal("A2 is not firing after the 600-cycle charge-up")
+	}
+	charging := infected(t).Clone()
+	charging.EnableA2(true)
+	if _, err := charging.CaptureIdle(40); err != nil {
+		t.Fatal(err)
+	}
+	if charging.a2.Firing() || *charging.a2 == *analog.NewA2(charging.cfg.A2) {
+		t.Fatal("the charging start's A2 is firing or still at rest")
+	}
+	disarmed := firing.Clone()
+	disarmed.EnableA2(false)
+	never := activeClone(t, trojan.T4PowerHog)
+	never.EnableA2(false)
+	starts := []*Chip{firing, charging, disarmed, never}
+	recv := infected(t).Clone()
+	from, pts := laneSet(starts, 8)
+	unmoved := frozen(append([]*Chip{recv}, starts...)...)
+	for _, cycles := range []int{16, 33, 512} {
+		caps, err := recv.CaptureLanes(from, pts, testKey, cycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%d cycles", cycles)
+		checkLanes(t, label, from, pts, caps, cycles)
+		unmoved(t, label)
+	}
+}
+
+// TestCaptureBatchMixedStartsReferenceFallback pins the scalar fallback
+// with mixed starts: on a reference-engine chip every lane matches a
+// scalar capture from its start chip and the lane of a compiled chip
+// from the same start; no chip moves.
+func TestCaptureBatchMixedStartsReferenceFallback(t *testing.T) {
+	resetCaptureCache()
+	// Fresh builds on both engines start from the same state, unlike the
+	// shared infected chip, whose state depends on earlier tests.
+	ref, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	useReferenceEngine(t, ref)
+	cmp, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refStarts, cmpStarts := mixedStarts(t, ref), mixedStarts(t, cmp)
+	from, pts := laneSet(refStarts, 10)
+	cmpFrom, _ := laneSet(cmpStarts, 10)
+	unmoved := frozen(append([]*Chip{ref}, refStarts...)...)
+	caps, err := ref.CaptureLanes(from, pts, testKey, batchCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLanes(t, "reference", from, pts, caps, batchCycles)
+	unmoved(t, "reference")
+	cmpCaps, err := cmp.CaptureLanes(cmpFrom, pts, testKey, batchCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pts {
+		sameWave(t, fmt.Sprintf("engine lane %d", i), caps[i], cmpCaps[i])
+	}
+}
+
+// TestCaptureBatchSharedStartsConcurrent runs two receivers at once on
+// lanes from the same start chips, one receiver among them (as a worker
+// pool does with the chip it was handed); under -race this pins that
+// CaptureLanes writes no start chip.
+func TestCaptureBatchSharedStartsConcurrent(t *testing.T) {
+	resetCaptureCache()
+	a := activeClone(t, trojan.T1AMLeaker)
+	b := a.Clone()
+	starts := append(mixedStarts(t, infected(t)), a)
+	from, pts := laneSet(starts, 10)
+	var caps [2][]*Capture
+	var errs [2]error
+	var wg sync.WaitGroup
+	for k, recv := range []*Chip{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			caps[k], errs[k] = recv.CaptureLanes(from, pts, testKey, batchCycles)
+		}()
+	}
+	wg.Wait()
+	for k := range errs {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+	}
+	for i := range pts {
+		sameWave(t, fmt.Sprintf("lane %d", i), caps[0][i], caps[1][i])
+	}
+}
+
+// TestCaptureBatchForeignDesign: a lane whose start chip was built from
+// another design (the golden build, a stuck-at variant) is an error, as
+// is a lane count that differs from the start-chip count; a chip of the
+// receiver's configuration at another seed shares its design.
+func TestCaptureBatchForeignDesign(t *testing.T) {
+	recv := infected(t).Clone()
+	pt := make([]byte, 16)
+	variant, err := recv.WithStuckAt(recv.Trojan(trojan.T1AMLeaker).Active, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*Chip{"golden": golden(t), "stuck-at": variant} {
+		caps, err := recv.CaptureLanes([]*Chip{recv, f}, [][]byte{pt, pt}, testKey, batchCycles)
+		if err == nil || caps != nil {
+			t.Errorf("%s start: %d captures, %v; want an error", name, len(caps), err)
+		}
+	}
+	if caps, err := recv.CaptureLanes([]*Chip{recv}, [][]byte{pt, pt}, testKey, batchCycles); err == nil || caps != nil {
+		t.Errorf("2 lanes from 1 start chip: %d captures, %v; want an error", len(caps), err)
+	}
+	cfg := DefaultConfig()
+	cfg.Seed = 7
+	reseeded, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recv.CaptureLanes([]*Chip{reseeded}, [][]byte{pt}, testKey, batchCycles); err != nil {
+		t.Fatalf("start chip at another seed: %v", err)
+	}
+}
+
 // TestCaptureChainMatchesSerial pins CaptureChain's contract on an
 // evolving chip: waveforms and the state trajectory are bit-identical
 // to serial CapturePT calls, and a replayed chain (cache hits) returns
@@ -258,10 +516,7 @@ func TestCaptureChainMatchesSerial(t *testing.T) {
 	pt[5] = 0xa5
 	const count = 5
 
-	serial, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := c.Clone()
 	serial.restore(start)
 	want := make([]*Capture, count)
 	for j := range want {
@@ -276,10 +531,7 @@ func TestCaptureChainMatchesSerial(t *testing.T) {
 		}
 	}
 
-	chained, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	chained := c.Clone()
 	chained.restore(start)
 	got, err := chained.CaptureChain(pt, testKey, batchCycles, count)
 	if err != nil {
@@ -295,10 +547,7 @@ func TestCaptureChainMatchesSerial(t *testing.T) {
 		t.Fatalf("chain cycle %d != serial cycle %d", chained.sim.Cycle(), serial.sim.Cycle())
 	}
 
-	replay, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	replay := c.Clone()
 	replay.restore(start)
 	again, err := replay.CaptureChain(pt, testKey, batchCycles, count)
 	if err != nil {
@@ -327,10 +576,7 @@ func TestCaptureChainMatchesSerial(t *testing.T) {
 // *Capture, Tiles included, while still advancing the cycle counter,
 // and a different stimulus breaks the replay.
 func TestFixedPointMemo(t *testing.T) {
-	c, err := golden(t).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := golden(t).Clone()
 	pt := make([]byte, 16)
 	// Capture 1 moves the AES registers off the reset state; capture 2
 	// is the first fixed-point traversal and fills the slot.
@@ -402,10 +648,7 @@ func TestFixedPointMemo(t *testing.T) {
 // then a CaptureIdle (simulated, on the same recorder), then the same
 // CapturePT must return the Tiles a fresh clone's capture computes.
 func TestFixedPointSlotClearedBySimulation(t *testing.T) {
-	c, err := golden(t).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := golden(t).Clone()
 	pt := make([]byte, 16)
 	for i := 0; i < 2; i++ { // the second capture is a fixed point
 		if _, err := c.CapturePT(pt, testKey, batchCycles); err != nil {
@@ -418,10 +661,7 @@ func TestFixedPointSlotClearedBySimulation(t *testing.T) {
 	if _, err := c.CaptureIdle(batchCycles); err != nil {
 		t.Fatal(err)
 	}
-	clone, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := c.Clone()
 	want, err := clone.CapturePT(pt, testKey, batchCycles)
 	if err != nil {
 		t.Fatal(err)
@@ -449,10 +689,7 @@ func TestFixedPointSlotClearedBySimulation(t *testing.T) {
 // too, and a chain of count <= 0 is clamped to nil. None of them may
 // panic.
 func TestCaptureEdgeCases(t *testing.T) {
-	c, err := golden(t).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := golden(t).Clone()
 	pt := make([]byte, 16)
 	scalar := func(cap *Capture, err error) ([]*Capture, error) {
 		if cap == nil {

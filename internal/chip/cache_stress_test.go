@@ -73,10 +73,7 @@ func TestCacheStressConcurrent(t *testing.T) {
 	}()
 	// Concurrent overflow sweeps: batch lanes that never replay fill the
 	// cache past its cap while the workers' lookups mark entries.
-	overflow, err := infected(t).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	overflow := infected(t).Clone()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -49,10 +49,7 @@ func captureAtSeed(t *testing.T, seed int64) seedCaptures {
 		out.cycles = append(out.cycles, x.sim.Cycle())
 	}
 	clone := func() *Chip {
-		x, err := c.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := c.Clone()
 		return x
 	}
 
@@ -137,18 +134,12 @@ func TestCaptureCacheSharedAcrossSeeds(t *testing.T) {
 // captures apart.
 func TestCaptureCacheIsolatesStuckAtDesign(t *testing.T) {
 	resetCaptureCache()
-	parent, err := golden(t).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	parent := golden(t).Clone()
 	parent.ResetState()
 	pt := make([]byte, 16)
 	pt[0] = 0x3d
 
-	ran, err := parent.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ran := parent.Clone()
 	parentCaps, err := ran.CaptureChain(pt, testKey, batchCycles, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -210,10 +201,7 @@ func TestCaptureCacheEvictionKeepsReplayed(t *testing.T) {
 	pt[9] = 0xe1
 	const steps = 4
 	chain := func() ([]*Capture, uint64) {
-		x, err := c.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := c.Clone()
 		x.restore(start)
 		before := Stats()
 		caps, err := x.CaptureChain(pt, testKey, batchCycles, steps)
@@ -332,17 +320,11 @@ func TestCaptureChainReplayThenSimulate(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resetCaptureCache()
-			c, err := infected(t).Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := infected(t).Clone()
 			tc.setup(c)
 			start := c.snapshot()
 			from := func(cycleOffset int) *Chip {
-				x, err := c.Clone()
-				if err != nil {
-					t.Fatal(err)
-				}
+				x := c.Clone()
 				x.restore(start)
 				x.sim.SetCycle(x.sim.Cycle() + cycleOffset)
 				return x

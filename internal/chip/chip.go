@@ -355,25 +355,21 @@ func (c *Chip) at(s state) bool {
 }
 
 // Clone returns an independent chip sharing c's immutable structure
-// (netlist, floorplan, couplings, Trojan instances) with its own
-// simulator, activity recorder and analog Trojan state, all copied from
-// c's current state. A clone can capture on its own goroutine; the
-// logic.Simulator is single-goroutine, the chips' shared structures are
-// read-only.
-func (c *Chip) Clone() (*Chip, error) {
-	rec, err := power.NewRecorder(c.cfg.Power, c.fp)
-	if err != nil {
-		return nil, err
-	}
+// (netlist, floorplan, couplings, Trojan instances, the recorder's
+// charge tables) with its own simulator, activity recorder and analog
+// Trojan state, all copied from c's current state. A clone can capture
+// on its own goroutine; the logic.Simulator is single-goroutine, the
+// chips' shared structures are read-only.
+func (c *Chip) Clone() *Chip {
 	out := *c
 	out.sim = c.sim.Fork()
-	out.rec = rec
+	out.rec = c.rec.Fork()
 	if c.a2 != nil {
 		a2 := *c.a2
 		out.a2 = &a2
 	}
 	out.resetPrivate()
-	return &out, nil
+	return &out
 }
 
 // resetPrivate detaches the per-handle lazy machinery after a shallow
@@ -576,10 +572,11 @@ func (c *Chip) tick() error {
 
 // WithStuckAt returns a new chip identical to c except for a stuck-at
 // fault on the given net (a fabrication defect or a crude tampering
-// attempt). Floorplan and coil couplings are shared — the die geometry
-// does not change — but the gate-level simulator and activity recorder
-// are rebuilt for the mutated netlist, and the variant takes a fresh
-// design id so it never replays its parent's captures.
+// attempt). Floorplan, coil couplings and the recorder's charge tables
+// (computed from the floorplan's cells) are shared — the die geometry
+// does not change — but the gate-level simulator is rebuilt for the
+// mutated netlist, and the variant takes a fresh design id so it never
+// replays its parent's captures.
 func (c *Chip) WithStuckAt(net netlist.Net, value bool) (*Chip, error) {
 	mutated, err := c.n.StuckAt(net, value)
 	if err != nil {
@@ -589,15 +586,11 @@ func (c *Chip) WithStuckAt(net netlist.Net, value bool) (*Chip, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := power.NewRecorder(c.cfg.Power, c.fp)
-	if err != nil {
-		return nil, err
-	}
 	out := *c
 	out.design = designIDs.Add(1)
 	out.n = mutated
 	out.sim = sim
-	out.rec = rec
+	out.rec = c.rec.Fork()
 	if c.a2 != nil {
 		out.a2 = analog.NewA2(c.cfg.A2)
 	}

@@ -354,10 +354,7 @@ func TestNextStreamSharedWithDerivedChips(t *testing.T) {
 		t.Fatal(err)
 	}
 	s0 := c.NextStream()
-	clone, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := c.Clone()
 	s1 := clone.NextStream()
 	s2 := c.NextStream()
 	if s1 != s0+1 || s2 != s0+2 {
@@ -390,10 +387,7 @@ func TestCloneCapturesIdentically(t *testing.T) {
 	c := infected(t)
 	base := c.snapshot()
 	defer c.restore(base)
-	clone, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := c.Clone()
 	capC, err := c.CapturePT(make([]byte, 16), testKey, 16)
 	if err != nil {
 		t.Fatal(err)

@@ -10,18 +10,12 @@ import "testing"
 // chain from the cache.
 func TestCaptureIdleChainMatchesSerial(t *testing.T) {
 	resetCaptureCache()
-	c, err := infected(t).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := infected(t).Clone()
 	c.EnableA2(true)
 	start := c.snapshot()
 	const count = 5
 
-	serial, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := c.Clone()
 	serial.restore(start)
 	want := make([]*Capture, count)
 	for j := range want {
@@ -36,10 +30,7 @@ func TestCaptureIdleChainMatchesSerial(t *testing.T) {
 		}
 	}
 
-	chained, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	chained := c.Clone()
 	chained.restore(start)
 	got, err := chained.CaptureIdleChain(batchCycles, count)
 	if err != nil {
@@ -61,10 +52,7 @@ func TestCaptureIdleChainMatchesSerial(t *testing.T) {
 		t.Fatal("idle chain left the A2 in a different state")
 	}
 
-	replay, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	replay := c.Clone()
 	replay.restore(start)
 	again, err := replay.CaptureIdleChain(batchCycles, count)
 	if err != nil {
@@ -96,14 +84,8 @@ func TestCaptureIdleChainMatchesSerial(t *testing.T) {
 // advancing the cycle counter exactly like serial CaptureIdle calls.
 func TestCaptureIdleChainDormant(t *testing.T) {
 	resetCaptureCache()
-	c, err := golden(t).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := c.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := golden(t).Clone()
+	serial := c.Clone()
 	const count = 4
 	want := make([]*Capture, count)
 	for j := range want {

@@ -200,7 +200,6 @@ func ExternalProbe(die layout.Point, radius float64, turns int, z, pitch float64
 // Coupling holds the precomputed per-tile mutual coupling of a coil:
 // flux through the coil per ampere of tile loop current.
 type Coupling struct {
-	Coil *Coil
 	// M[tile] in webers per ampere (henries).
 	M []float64
 }
@@ -212,7 +211,7 @@ func NewCoupling(c *Coil, grid *layout.TileGrid, aeff float64, quad int) (*Coupl
 	if aeff <= 0 {
 		return nil, fmt.Errorf("emfield: effective tile loop area must be positive, got %g", aeff)
 	}
-	cp := &Coupling{Coil: c, M: make([]float64, grid.NumTiles())}
+	cp := &Coupling{M: make([]float64, grid.NumTiles())}
 	// Tiles are independent quadrature problems; each writes only its own
 	// M entry, so the fan-out is deterministic regardless of schedule.
 	err := parallel.For(grid.NumTiles(), func(t int) error {

@@ -27,15 +27,18 @@ import (
 //     serial captures sample that state diversity and the n acquisitions
 //     round-robin over them.
 //   - captureRandomSet: for distinct-stimulus sets (random plaintexts).
-//     Every trace starts from the chip's current state, so the set
-//     batches through the wide engine (chip.CaptureBatch) on worker
-//     clones.
+//     Each trace is a lane with its own start chip and generator
+//     (randomLanes makes a set's lanes from one chip); no start chip
+//     moves, so lanes from any mix of start chips run as one lane set
+//     through the wide engine (chip.CaptureLanes), one chunk per
+//     worker.
 //
 // All derive per-trace randomness from (cfg.Seed, stream, index) via
-// chip.SplitRand, with one stream id reserved per set, and turn their
-// captures into traces through acquireSet, so results are bit-identical
-// for any worker count and schedule, and the chip is left in the same
-// post-set state regardless of schedule.
+// chip.SplitRand, with one stream id reserved per set (per randomLanes
+// call when a random set mixes start chips), and turn their captures
+// into traces through acquireSet, so results are bit-identical for any
+// worker count and schedule, and the chip is left in the same post-set
+// state regardless of schedule.
 
 // dualSet holds matched sensor/probe trace sets from the same captures.
 type dualSet struct {
@@ -110,41 +113,63 @@ func captureSet(c *chip.Chip, cfg Config, ch chip.Channels, n, cycles int) (*dua
 	})
 }
 
-// captureRandomSet records n traces of encryptions of random plaintexts
-// (each drawn from the trace's private generator, so the plaintext
-// sequence is reproducible and order-independent). All n encryptions
-// start from the chip's current state, so they batch through the wide
-// engine: workers × lanes, each worker clone fanning up to BatchLanes
-// plaintexts through one bit-parallel simulation, which leaves the chip
-// where it was. Plaintexts are drawn from each trace's generator before
-// its acquisition noise, exactly as the old one-capture-per-trace loop
-// did, so the output is byte-identical at any worker or lane count.
-func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, n, cycles int) (*dualSet, error) {
+// randomLane is one trace of a random-plaintext set: the chip whose
+// current state the trace's encryption starts from, and the trace's
+// private generator.
+type randomLane struct {
+	from *chip.Chip
+	rng  *frand.Rand
+}
+
+// randomLanes reserves a seed stream on c and returns n lanes that
+// start from c, lane i drawing from the stream's generator i.
+func randomLanes(c *chip.Chip, n int) []randomLane {
 	if n <= 0 {
-		return &dualSet{}, nil
+		return nil
 	}
 	stream := c.NextStream()
-	rngs := make([]*frand.Rand, n)
-	pts := make([][]byte, n)
-	for i := range rngs {
-		rngs[i] = c.SplitRand(stream, uint64(i))
-		pts[i] = make([]byte, 16)
-		rngs[i].Read(pts[i])
+	lanes := make([]randomLane, n)
+	for i := range lanes {
+		lanes[i] = randomLane{from: c, rng: c.SplitRand(stream, uint64(i))}
 	}
-	lanes := chip.BatchLanes()
-	chunks := (n + lanes - 1) / lanes
+	return lanes
+}
+
+// captureRandomSet records one trace per lane: an encryption of a
+// random plaintext, drawn from the lane's generator, from the lane's
+// start chip. No start chip moves, so every lane runs through the wide
+// engine (chip.CaptureLanes) in one pass: the lanes are cut into one
+// chunk per worker, at most BatchLanes each, and every worker runs its
+// chunks on its own receiver, c or a clone of c (all lanes must share
+// c's design). Plaintexts are drawn from each trace's generator before
+// its acquisition noise, exactly as the old one-capture-per-trace loop
+// did, so the output is byte-identical at any worker or lane count.
+func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, lanes []randomLane, cycles int) (*dualSet, error) {
+	n := len(lanes)
+	if n == 0 {
+		return &dualSet{}, nil
+	}
+	from := make([]*chip.Chip, n)
+	pts := make([][]byte, n)
+	for i, l := range lanes {
+		from[i] = l.from
+		pts[i] = make([]byte, 16)
+		l.rng.Read(pts[i])
+	}
+	workers := parallel.Workers(n)
+	size := min((n+workers-1)/workers, chip.BatchLanes())
 	caps := make([]*chip.Capture, n)
-	err := parallel.Run(chunks,
+	err := parallel.Run((n+size-1)/size,
 		func(w int) (*chip.Chip, error) {
 			if w == 0 {
 				return c, nil
 			}
-			return c.Clone()
+			return c.Clone(), nil
 		},
 		func(w *chip.Chip, chunk int) error {
-			lo := chunk * lanes
-			hi := min(lo+lanes, n)
-			got, err := w.CaptureBatch(pts[lo:hi], key, cycles)
+			lo := chunk * size
+			hi := min(lo+size, n)
+			got, err := w.CaptureLanes(from[lo:hi], pts[lo:hi], key, cycles)
 			if err != nil {
 				return err
 			}
@@ -154,7 +179,7 @@ func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, n, cycles int)
 	if err != nil {
 		return nil, err
 	}
-	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) { return caps[i], rngs[i] })
+	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) { return caps[i], lanes[i].rng })
 }
 
 // idleTraces records n dual-channel traces with no encryption running

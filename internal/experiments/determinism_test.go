@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"emtrust/internal/chip"
 	"emtrust/internal/parallel"
 	"emtrust/internal/trace"
+	"emtrust/internal/trojan"
 )
 
 // The capture engine's core guarantee: per-trace seeds are derived from
@@ -25,7 +27,9 @@ func captureAllSets(t *testing.T, cfg Config) (fixed, random, idle *dualSet, mis
 	ch := chip.SimulationChannels()
 	sets := []func() (*dualSet, error){
 		func() (*dualSet, error) { return captureSet(c, cfg, ch, 12, cfg.CaptureCycles) },
-		func() (*dualSet, error) { return captureRandomSet(c, cfg.Key, ch, 12, cfg.CaptureCycles) },
+		func() (*dualSet, error) {
+			return captureRandomSet(c, cfg.Key, ch, randomLanes(c, 12), cfg.CaptureCycles)
+		},
 		func() (*dualSet, error) { return idleTraces(c, ch, 12, cfg.CaptureCycles) },
 	}
 	out := make([]*dualSet, len(sets))
@@ -106,6 +110,41 @@ func TestCaptureSetsDeterministicAcrossLaneCounts(t *testing.T) {
 			assertSetsEqual(t, "fixed", workers*1000+lanes, oneFixed, fixed)
 			assertSetsEqual(t, "random", workers*1000+lanes, oneRandom, random)
 			assertSetsEqual(t, "idle", workers*1000+lanes, oneIdle, idle)
+		}
+	}
+}
+
+// Fig6Spectra's lane set mixes start chips: golden lanes from a clone
+// of the dormant chip and one lane from a clone per activated Trojan,
+// split over the workers. It must be byte-identical, with the same
+// capture-cache misses, at every worker count and lane cap.
+func TestFig6SpectraSetDeterministicAcrossWorkersAndLanes(t *testing.T) {
+	cfg := testConfig()
+	capture := func(workers, lanes int) (*dualSet, uint64) {
+		chip.ResetCaptureCache()
+		defer parallel.SetMaxWorkers(workers)()
+		defer chip.SetBatchLanes(lanes)()
+		before := chip.Stats().CaptureMisses
+		set, nGolden, err := fig6SpectraSet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := nGolden + len(trojan.Kinds()); len(set.Sensor.Traces) != want {
+			t.Fatalf("%d traces, want %d golden + %d Trojan", len(set.Sensor.Traces), nGolden, len(trojan.Kinds()))
+		}
+		return set, chip.Stats().CaptureMisses - before
+	}
+	want, wantMisses := capture(1, 64)
+	for _, workers := range []int{1, 2, 8} {
+		for _, lanes := range []int{1, 5, 64} {
+			if workers == 1 && lanes == 64 {
+				continue
+			}
+			got, misses := capture(workers, lanes)
+			assertSetsEqual(t, fmt.Sprintf("fig6 spectra lanes=%d", lanes), workers, want, got)
+			if misses != wantMisses {
+				t.Fatalf("workers=%d lanes=%d: %d capture-cache misses, want %d", workers, lanes, misses, wantMisses)
+			}
 		}
 	}
 }

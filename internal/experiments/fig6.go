@@ -173,19 +173,11 @@ type SpectraResult struct {
 // with each Trojan activated, compared against the golden circuit's
 // spectrum.
 func Fig6Spectra(cfg Config) (*SpectraResult, error) {
-	c, err := infectedChip(cfg)
+	set, nGolden, err := fig6SpectraSet(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ch := chip.SimulationChannels()
-	cycles := cfg.SpectralCycles
-	nGolden := cfg.GoldenTraces/8 + 4
-
-	goldenSet, err := captureRandomSet(c, cfg.Key, ch, nGolden, cycles)
-	if err != nil {
-		return nil, err
-	}
-	golden := goldenSet.Sensor.Traces
+	golden := set.Sensor.Traces[:nGolden]
 	sd, err := core.BuildSpectralDetector(golden, cfg.Spectral)
 	if err != nil {
 		return nil, err
@@ -198,18 +190,8 @@ func Fig6Spectra(cfg Config) (*SpectraResult, error) {
 	// Spectrum header is rebuilt around it each iteration and fully
 	// consumed before the next overwrites it.
 	var amp []float64
-	for _, k := range trojan.Kinds() {
-		if err := c.SetTrojan(k, true); err != nil {
-			return nil, err
-		}
-		onSet, err := captureRandomSet(c, cfg.Key, ch, 1, cycles)
-		if err != nil {
-			return nil, err
-		}
-		s := onSet.Sensor.Traces[0]
-		if err := c.SetTrojan(k, false); err != nil {
-			return nil, err
-		}
+	for i, k := range trojan.Kinds() {
+		s := set.Sensor.Traces[nGolden+i]
 		p := dsp.PlanForLength(len(s.Samples))
 		amp = p.SpectrumInto(amp, s.Samples, cfg.Spectral.Window)
 		spec := &dsp.Spectrum{Amplitude: amp, DF: 1 / (float64(p.Size()) * s.Dt), N: p.Size()}
@@ -227,6 +209,32 @@ func Fig6Spectra(cfg Config) (*SpectraResult, error) {
 		res.Panels = append(res.Panels, panel)
 	}
 	return res, nil
+}
+
+// fig6SpectraSet captures Figure 6(i)-(l)'s traces as one random-
+// plaintext lane set: nGolden lanes from the dormant chip, then one lane
+// per Trojan, in trojan.Kinds() order, from the chip with only that
+// Trojan active. Each start is a clone taken while the chip holds that
+// state; seed streams are reserved golden first, then T1-T4.
+func fig6SpectraSet(cfg Config) (set *dualSet, nGolden int, err error) {
+	c, err := infectedChip(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	nGolden = cfg.GoldenTraces/8 + 4
+	lanes := randomLanes(c.Clone(), nGolden)
+	for _, k := range trojan.Kinds() {
+		if err := c.SetTrojan(k, true); err != nil {
+			return nil, 0, err
+		}
+		on := c.Clone()
+		if err := c.SetTrojan(k, false); err != nil {
+			return nil, 0, err
+		}
+		lanes = append(lanes, randomLanes(on, 1)...)
+	}
+	set, err = captureRandomSet(c, cfg.Key, chip.SimulationChannels(), lanes, cfg.SpectralCycles)
+	return set, nGolden, err
 }
 
 func bandAround(s *dsp.Spectrum, f float64) float64 {

@@ -54,7 +54,7 @@ func snr(cfg Config, ch chip.Channels, mode string) (*SNRResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	signal, err := captureRandomSet(c, cfg.Key, ch, records, 16)
+	signal, err := captureRandomSet(c, cfg.Key, ch, randomLanes(c, records), 16)
 	if err != nil {
 		return nil, err
 	}

@@ -83,10 +83,9 @@ type Recorder struct {
 	cfg    Config
 	grid   *layout.TileGrid
 	charge []float64 // per-cell switching charge (indexed by cell)
-	ffTile []int     // flip-flop cell -> tile, for the clock tree model
 	// clockCharge is the per-tile clock-tree charge drawn every cycle
-	// (the ffTile walk pre-summed), so EndCycle pays one add per tile
-	// instead of one per flip-flop.
+	// (every flip-flop's clock-pin charge pre-summed by tile), so
+	// EndCycle pays one add per tile instead of one per flip-flop.
 	clockCharge []float64
 
 	pulse       []float64 // unit-charge pulse shape (amps at dt spacing)
@@ -124,10 +123,15 @@ func NewRecorder(cfg Config, fp *layout.Floorplan) (*Recorder, error) {
 		return nil, fmt.Errorf("power: pulse fraction %g out of (0,1]", cfg.PulseFraction)
 	}
 	n := fp.Netlist()
+	tiles := fp.Grid.NumTiles()
 	r := &Recorder{
-		cfg:    cfg,
-		grid:   fp.Grid,
-		charge: make([]float64, len(n.Cells)),
+		cfg:         cfg,
+		grid:        fp.Grid,
+		charge:      make([]float64, len(n.Cells)),
+		clockCharge: make([]float64, tiles),
+		pulse:       pulseShape(cfg),
+		cycleCharge: make([]float64, tiles),
+		static:      make([]float64, tiles),
 	}
 	var vrng *frand.Rand
 	corner := 1.0
@@ -150,17 +154,24 @@ func NewRecorder(cfg Config, fp *layout.Floorplan) (*Recorder, error) {
 			r.charge[i] *= f
 		}
 		if c.Type.IsSequential() {
-			r.ffTile = append(r.ffTile, fp.Grid.CellTile[i])
+			r.clockCharge[fp.Grid.CellTile[i]] += cfg.ClockPinCharge
 		}
 	}
-	r.pulse = pulseShape(cfg)
-	r.cycleCharge = make([]float64, fp.Grid.NumTiles())
-	r.static = make([]float64, fp.Grid.NumTiles())
-	r.clockCharge = make([]float64, fp.Grid.NumTiles())
-	for _, tile := range r.ffTile {
-		r.clockCharge[tile] += cfg.ClockPinCharge
-	}
 	return r, nil
+}
+
+// Fork returns a recorder for another chip of r's build: it shares r's
+// immutable per-cell charge, clock-tree and pulse tables, so it books
+// exactly the charges r would, and owns its per-capture buffers. It is
+// what NewRecorder with r's config and floorplan would return, without
+// recomputing the tables.
+func (r *Recorder) Fork() *Recorder {
+	tiles := r.grid.NumTiles()
+	return &Recorder{
+		cfg: r.cfg, grid: r.grid, charge: r.charge, clockCharge: r.clockCharge, pulse: r.pulse,
+		cycleCharge: make([]float64, tiles),
+		static:      make([]float64, tiles),
+	}
 }
 
 // pulseShape builds the unit-charge double-exponential current pulse.
@@ -193,7 +204,7 @@ func pulseShape(cfg Config) []float64 {
 }
 
 // FluxLane returns a flux-mode recorder for one lane of a bit-parallel
-// capture. It shares r's per-cell charge, tile and clock tables, so it
+// capture. Like Fork it shares r's charge, clock and pulse tables, so it
 // books the same charges r would, but it keeps only the current cycle's
 // block of per-tile samples: each EndCycle folds the block into one
 // flux waveform per coil, weights[k][tile] being coil k's flux per
@@ -201,15 +212,11 @@ func pulseShape(cfg Config) []float64 {
 // Currents holds no capture waveforms in this mode.
 func (r *Recorder) FluxLane(weights ...[]float64) *Recorder {
 	tiles, s := r.grid.NumTiles(), r.cfg.SamplesPerCycle
-	l := &Recorder{
-		cfg: r.cfg, grid: r.grid, charge: r.charge, clockCharge: r.clockCharge, pulse: r.pulse,
-		cycleCharge: make([]float64, tiles),
-		static:      make([]float64, tiles),
-		currents:    make([][]float64, tiles),
-		coils:       weights,
-		flux:        make([][]float64, len(weights)),
-		written:     make([]int, tiles),
-	}
+	l := r.Fork()
+	l.currents = make([][]float64, tiles)
+	l.coils = weights
+	l.flux = make([][]float64, len(weights))
+	l.written = make([]int, tiles)
 	block := make([]float64, tiles*s)
 	for t := range l.currents {
 		l.currents[t] = block[t*s : (t+1)*s : (t+1)*s]

@@ -37,11 +37,11 @@ func (r *Recorder) TotalCharge() float64 {
 }
 
 // TileFFCount returns the number of flip-flops per tile (the clock-load
-// map).
+// map), read back from the per-tile clock-tree charge.
 func (r *Recorder) TileFFCount() []int {
 	counts := make([]int, r.grid.NumTiles())
-	for _, t := range r.ffTile {
-		counts[t]++
+	for t, q := range r.clockCharge {
+		counts[t] = int(math.Round(q / r.cfg.ClockPinCharge))
 	}
 	return counts
 }
@@ -315,6 +315,58 @@ func TestProcessVariation(t *testing.T) {
 	// Variation is bounded: within ~50% of nominal at sigma 0.1.
 	if sampleA < nominal*0.5 || sampleA > nominal*1.5 {
 		t.Fatalf("variation unreasonable: %g vs %g", sampleA, nominal)
+	}
+}
+
+// TestForkMatchesNewRecorder pins Fork's contract: a fork of a
+// recorder with process variation shares its tables and records the
+// same activity bit-identically to a second NewRecorder of the same
+// config and floorplan, and a capture on the fork leaves the source's
+// waveforms alone.
+func TestForkMatchesNewRecorder(t *testing.T) {
+	fp, n := smallPlan(t)
+	cfg := DefaultConfig()
+	cfg.VariationSigma, cfg.CornerSigma, cfg.VariationSeed = 0.1, 0.1, 9
+	src, err := NewRecorder(cfg, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewRecorder(cfg, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork := src.Fork()
+	if &fork.charge[0] != &src.charge[0] || &fork.clockCharge[0] != &src.clockCharge[0] || &fork.pulse[0] != &src.pulse[0] {
+		t.Fatal("fork copied a table instead of sharing it")
+	}
+	record := func(r *Recorder) [][]float64 {
+		r.Begin(3)
+		for cycle := 0; cycle < 3; cycle++ {
+			var batch []logic.ToggleEvent
+			for i := cycle; i < len(n.Cells); i += 2 {
+				batch = append(batch, logic.ToggleEvent(i)<<1)
+			}
+			r.DrainToggles(batch)
+			r.AddStaticCurrent(cycle, 1e-6)
+			r.AddFastToggles(1, 3, 2e-15)
+			if err := r.EndCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r.Currents()
+	}
+	want := record(fresh)
+	src.Begin(1)
+	got := record(fork)
+	for tile := range want {
+		for i, v := range want[tile] {
+			if got[tile][i] != v {
+				t.Fatalf("tile %d sample %d: fork %v, NewRecorder %v", tile, i, got[tile][i], v)
+			}
+		}
+	}
+	if len(src.Currents()[0]) != cfg.SamplesPerCycle {
+		t.Fatalf("fork's capture resized the source's waveforms to %d samples", len(src.Currents()[0]))
 	}
 }
 
