@@ -532,10 +532,11 @@ func BenchmarkCleanCapture(b *testing.B) {
 // BenchmarkBatchLane times simulated captures at 16, 32 and 512 cycles:
 // one CaptureBatch of BatchLanes random plaintexts, then a ResetState and
 // scalar CapturePT for each of the first batchLaneScalars of them, all
-// from the reset state of the dormant chip with the capture cache
-// emptied, so every lane and every scalar capture simulates. It reports
-// the cost per batched lane, per scalar ResetState+CapturePT and their
-// ratio, and the ResetState share of the scalar cost.
+// from the reset state of the dormant chip. Batched lanes always
+// simulate, and each scalar capture has a fresh plaintext, so the
+// fixed-point slot never replays one. It reports the cost per batched
+// lane, per scalar ResetState+CapturePT and their ratio, and the
+// ResetState share of the scalar cost.
 func BenchmarkBatchLane(b *testing.B) {
 	const batchLaneScalars = 8
 	cfg := benchConfig()
@@ -562,7 +563,6 @@ func BenchmarkBatchLane(b *testing.B) {
 				for _, pt := range pts {
 					rng.Read(pt)
 				}
-				chip.ResetCaptureCache()
 				c.ResetState()
 				start := time.Now()
 				if _, err := c.CaptureBatch(pts, cfg.Key, cycles); err != nil {

@@ -10,7 +10,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-steps="build vet perfbench gofmt engine rng replay race campaign experiments trustmon"
+steps="build vet perfbench gofmt engine rng replay race campaign experiments trustmon fleet"
 
 step_build() {
     echo "== go build =="
@@ -51,7 +51,7 @@ step_rng() {
 }
 
 step_replay() {
-    echo "== capture replay differential (batch, chain, fixed-point slot, caches, cross-seed capture sets, array emf slot, flux lanes) =="
+    echo "== capture replay differential (batch lanes, chain, fixed-point slot, caches, cross-seed capture sets, array emf slot, flux lanes) =="
     go test -run 'Batch|Chain|FixedPoint|Memo|Cache|ScanFrame|FluxLane' -count=1 ./internal/chip/ ./internal/sensorarray/ ./internal/power/ ./internal/experiments/
 }
 
@@ -84,23 +84,47 @@ step_experiments() {
 }
 
 step_trustmon() {
-    echo "== trustmon single-die smoke (verdict loop on a healthy and a degraded channel) =="
+    echo "== trustmon single-die smoke (verdict loop on a healthy and a degraded channel, count-flag check) =="
     # The single-die demo evaluates each trace in its own capture loop; no
     # test drives that loop, so run it plain and with injected faults and
-    # check the verdict stream: 12 verdict lines, then the summary.
+    # check the verdict stream: 12 verdict lines, then the summary. Then
+    # a negative count flag must be a usage error (exit 2), not a panic.
+    # go run reports any failing program as exit status 1, so run a
+    # built binary to see its own exit code.
+    dir="$(mktemp -d)"
+    go build -o "$dir/trustmon" ./cmd/trustmon
+    failed=""
     for flags in "" "-inject 2"; do
         # $flags is split on purpose: "" adds no argument.
-        out="$(go run ./cmd/trustmon -traces 12 -golden 10 $flags 2>/dev/null)" || {
-            echo "trustmon -traces 12 -golden 10 $flags exited nonzero" >&2
-            exit 1
-        }
+        if ! out="$("$dir/trustmon" -traces 12 -golden 10 $flags 2>/dev/null)"; then
+            failed="trustmon -traces 12 -golden 10 $flags exited nonzero"
+            break
+        fi
         verdicts="$(printf '%s\n' "$out" | grep -cE '^trace [0-9]+:' || true)"
         last="$(printf '%s\n' "$out" | tail -n 1)"
         if [ "$verdicts" != 12 ] || [ "${last#monitored 12 traces}" = "$last" ]; then
-            echo "trustmon $flags: $verdicts verdict lines, last line: $last" >&2
-            exit 1
+            failed="trustmon $flags: $verdicts verdict lines, last line: $last"
+            break
         fi
     done
+    if [ -z "$failed" ]; then
+        code=0
+        out="$("$dir/trustmon" -golden -1 2>&1)" || code=$?
+        if [ "$code" != 2 ] || printf '%s\n' "$out" | grep -q panic; then
+            failed="trustmon -golden -1: exit $code, want 2 without a panic; output: $out"
+        fi
+    fi
+    rm -rf "$dir"
+    if [ -n "$failed" ]; then
+        echo "$failed" >&2
+        exit 1
+    fi
+}
+
+step_fleet() {
+    echo "== fleet smoke (enroll, sharded ticking, aggregation, drain on the deadline) =="
+    # A panic in any worker or a failed drain exits nonzero.
+    go run ./cmd/trustmon -fleet -dies 64 -duration 2s
 }
 
 # Reject unknown names before running anything.

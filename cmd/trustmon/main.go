@@ -74,6 +74,16 @@ func main() {
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile of the run to this file")
 	blockprofile := flag.String("blockprofile", "", "write a blocking (off-CPU wait) profile of the run to this file")
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"traces", *nTraces}, {"golden", *nGolden}, {"array", *array}, {"channels", *channels}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "trustmon: -%s must not be negative, got %d\n", f.name, f.v)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 
 	defer startContentionProfiles(*mutexprofile, *blockprofile)()
 

@@ -90,8 +90,8 @@ func hypothesis(model string, p, k byte) float64 {
 // Run collects traces from the chip (which must be Trojan-free and use a
 // fixed key) and mounts the CPA. Every trace is captured from the chip's
 // reset state so the load-edge Hamming model holds: Run draws all the
-// plaintexts from rng, resets the chip once, captures them in batches of
-// chip.BatchLanes from that state and acquires the traces in order,
+// plaintexts from rng, resets the chip once, captures them in one
+// CaptureBatch from that state and acquires the traces in order,
 // drawing their noise from rng after the plaintexts. The result depends
 // on the seed of rng alone. The chip ends in the reset state.
 func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *frand.Rand) (*Result, error) {
@@ -114,23 +114,20 @@ func Run(c *chip.Chip, key []byte, cfg CPAConfig, rng *frand.Rand) (*Result, err
 		rng.Read(pts[t])
 	}
 	c.ResetState()
+	caps, err := c.CaptureBatch(pts, key, cfg.Cycles)
+	if err != nil {
+		return nil, err
+	}
 	samples := make([][]float64, n) // [trace][windowSample]
-	lanes := chip.BatchLanes()
-	for lo := 0; lo < n; lo += lanes {
-		caps, err := c.CaptureBatch(pts[lo:min(lo+lanes, n)], key, cfg.Cycles)
-		if err != nil {
-			return nil, err
+	for t, cap := range caps {
+		s, _ := rx.Acquire(cap, rng)
+		if cfg.WindowEnd > len(s.Samples) {
+			return nil, fmt.Errorf("attack: window [%d,%d) exceeds trace of %d samples",
+				cfg.WindowStart, cfg.WindowEnd, len(s.Samples))
 		}
-		for i, cap := range caps {
-			s, _ := rx.Acquire(cap, rng)
-			if cfg.WindowEnd > len(s.Samples) {
-				return nil, fmt.Errorf("attack: window [%d,%d) exceeds trace of %d samples",
-					cfg.WindowStart, cfg.WindowEnd, len(s.Samples))
-			}
-			row := make([]float64, w)
-			copy(row, s.Samples[cfg.WindowStart:cfg.WindowEnd])
-			samples[lo+i] = row
-		}
+		row := make([]float64, w)
+		copy(row, s.Samples[cfg.WindowStart:cfg.WindowEnd])
+		samples[t] = row
 	}
 
 	// Per-sample means and standard deviations, shared by every

@@ -15,23 +15,23 @@ import (
 
 // Batched capture: up to logic.MaxLanes plaintext lanes, each from its
 // own start chip's current state, run through one bit-parallel wide
-// simulation instead of N scalar ones. The pipeline deduplicates lanes
-// with the same start and plaintext, replays lanes the process-wide
-// capture cache has seen before, and simulates only the remainder, one
-// uint64 word per net with one start state per lane bit. Per-lane
-// toggle extraction books each toggle word on flux-mode lane recorders
-// that share the chip recorder's charge tables, and each lane streams
-// its per-tile currents straight into sensor and probe flux cycle by
-// cycle, so every lane's emf is bit-identical to an independent scalar
-// capture from its start chip (pinned by the batch and determinism
-// tests at every worker/lane count).
+// simulation instead of N scalar ones. The pipeline snapshots each
+// distinct start chip once, then simulates every lane, one uint64 word
+// per net with one start state per lane bit. Per-lane toggle extraction
+// books each toggle word on flux-mode lane recorders that share the chip
+// recorder's charge tables, and each lane streams its per-tile currents
+// straight into sensor and probe flux cycle by cycle, so every lane's
+// emf is bit-identical to an independent scalar capture from its start
+// chip (pinned by the batch and determinism tests at every worker/lane
+// count). Batched lanes are random-plaintext traces that never repeat,
+// so they neither look up nor store capture-cache entries.
 //
 // Batch captures are side-effect-free on every chip: the wide engine is
 // separate simulation state, so no start chip's simulator, recorder or
 // analog Trojan moves, and the receiver's own state stays where it was.
 // Returned captures carry no Tiles (per-tile current waveforms): lanes
-// never build them and cached captures have none to give; consumers
-// that need Tiles use the scalar CapturePT/CaptureIdle.
+// never build them; consumers that need Tiles use the scalar
+// CapturePT/CaptureIdle.
 
 // batchLanes caps how many lanes one wide simulation carries; 0 (the
 // default) means logic.MaxLanes.
@@ -55,13 +55,10 @@ func SetBatchLanes(n int) (restore func()) {
 	return func() { batchLanes.Store(old) }
 }
 
-// batchGroup is one deduplicated lane: the start state and plaintext,
-// and its capture-cache entry.
-type batchGroup struct {
-	pre   state
-	pt    [16]byte
-	ck    captureKey
-	entry *captureEntry
+// batchLane is one lane: its start state and plaintext.
+type batchLane struct {
+	pre state
+	pt  [16]byte
 }
 
 // CaptureBatch is CaptureLanes with every lane starting from c: lane i
@@ -75,14 +72,13 @@ func (c *Chip) CaptureBatch(pts [][]byte, key []byte, cycles int) ([]*Capture, e
 }
 
 // CaptureLanes runs lane i's encryption of pts[i] under key from
-// from[i]'s current state and returns one *Capture per lane; lanes
-// with the same start chip and plaintext share one. Every start chip
-// must share c's design. Lanes the capture cache has not seen simulate
-// on c's wide engine in chunks of BatchLanes, or as scalar captures on
-// a scratch clone of c when the netlist is too wide to compile. No chip
-// advances and no start chip is written, so concurrent calls may share
-// start chips, their receivers among them; each receiver runs one call
-// at a time.
+// from[i]'s current state and returns one fresh *Capture per lane.
+// Every start chip must share c's design. The lanes simulate on c's
+// wide engine in chunks of BatchLanes, or as scalar captures on a
+// scratch clone of c when the netlist is too wide to compile; the
+// capture cache is neither read nor written. No chip advances and no
+// start chip is written, so concurrent calls may share start chips,
+// their receivers among them; each receiver runs one call at a time.
 func (c *Chip) CaptureLanes(from []*Chip, pts [][]byte, key []byte, cycles int) ([]*Capture, error) {
 	if len(from) != len(pts) {
 		return nil, fmt.Errorf("chip: %d start chips for %d lanes", len(from), len(pts))
@@ -98,18 +94,8 @@ func (c *Chip) CaptureLanes(from []*Chip, pts [][]byte, key []byte, cycles int) 
 	}
 	var keyA [16]byte
 	copy(keyA[:], key)
-	type start struct {
-		pre  state
-		hash uint64
-	}
-	starts := make(map[*Chip]start)
-	type laneKey struct {
-		from *Chip
-		pt   [16]byte
-	}
-	groups := make(map[laneKey]*batchGroup)
-	lanes := make([]*batchGroup, len(pts))
-	var misses []*batchGroup
+	starts := make(map[*Chip]state)
+	lanes := make([]batchLane, len(pts))
 	for i, pt := range pts {
 		if len(pt) != 16 {
 			return nil, fmt.Errorf("chip: lane %d: need 16-byte pt", i)
@@ -118,40 +104,27 @@ func (c *Chip) CaptureLanes(from []*Chip, pts [][]byte, key []byte, cycles int) 
 		if f.design != c.design {
 			return nil, fmt.Errorf("chip: lane %d starts from a chip of another design", i)
 		}
-		lk := laneKey{from: f}
-		copy(lk.pt[:], pt)
-		if g := groups[lk]; g != nil {
-			lanes[i] = g
-			continue
-		}
 		st, ok := starts[f]
 		if !ok {
-			st.pre = f.snapshot()
-			st.hash = st.pre.sim.ValueHash()
+			st = f.snapshot()
 			starts[f] = st
 		}
-		g := &batchGroup{pre: st.pre, pt: lk.pt, ck: c.captureCacheKey(lk.pt, keyA, cycles, false, st.pre, st.hash)}
-		g.entry = lookupCapture(g.ck, st.pre.sim)
-		groups[lk], lanes[i] = g, g
-		if g.entry == nil {
-			misses = append(misses, g)
-		}
-	}
-	if len(misses) > 0 {
-		if c.sim.Compiled() {
-			n := BatchLanes()
-			for lo := 0; lo < len(misses); lo += n {
-				if err := c.runWide(misses[lo:min(lo+n, len(misses))], keyA, cycles); err != nil {
-					return nil, err
-				}
-			}
-		} else if err := c.runScalarBatch(misses, keyA, cycles); err != nil {
-			return nil, err
-		}
+		lanes[i].pre = st
+		copy(lanes[i].pt[:], pt)
 	}
 	out := make([]*Capture, len(pts))
-	for i, g := range lanes {
-		out[i] = g.entry.cap
+	if !c.sim.Compiled() {
+		if err := c.runScalarBatch(lanes, keyA, cycles, out); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	n := BatchLanes()
+	for lo := 0; lo < len(lanes); lo += n {
+		hi := min(lo+n, len(lanes))
+		if err := c.runWide(lanes[lo:hi], keyA, cycles, out[lo:hi]); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -177,23 +150,22 @@ func (c *Chip) ensureWide(lanes int) error {
 	return nil
 }
 
-// runWide simulates up to MaxLanes miss groups, each from its own start
-// state, as lanes of one wide capture, stores each lane's result in the
-// capture cache and fills the groups' entries. The capture sequence
-// mirrors the scalar encryption capture exactly: idle lead-in tick,
-// per-lane plaintext with broadcast key and start pulse, load edge,
-// then the remaining cycles — with the T2 crowbar hook applied per lane
-// from the lane's net word each cycle, and the A2 charge pump stepped
-// on each lane whose start state armed it.
-func (c *Chip) runWide(groups []*batchGroup, key [16]byte, cycles int) error {
-	lanes := len(groups)
+// runWide simulates up to MaxLanes lanes, each from its own start
+// state, as one wide capture and writes lane l's capture to out[l]. The
+// capture sequence mirrors the scalar encryption capture exactly: idle
+// lead-in tick, per-lane plaintext with broadcast key and start pulse,
+// load edge, then the remaining cycles — with the T2 crowbar hook
+// applied per lane from the lane's net word each cycle, and the A2
+// charge pump stepped on each lane whose start state armed it.
+func (c *Chip) runWide(batch []batchLane, key [16]byte, cycles int, out []*Capture) error {
+	lanes := len(batch)
 	if err := c.ensureWide(lanes); err != nil {
 		return err
 	}
 	w := c.wide
 	sts := make([]*logic.State, lanes)
-	for l, g := range groups {
-		sts[l] = g.pre.sim
+	for l, b := range batch {
+		sts[l] = b.pre.sim
 	}
 	if err := w.LoadStates(sts); err != nil {
 		return err
@@ -201,10 +173,10 @@ func (c *Chip) runWide(groups []*batchGroup, key [16]byte, cycles int) error {
 	recs := c.recs[:lanes]
 	a2s := c.a2s[:lanes]
 	var armed uint64 // lanes whose analog Trojan runs
-	for l, g := range groups {
+	for l, b := range batch {
 		recs[l].Begin(cycles)
-		a2s[l] = g.pre.a2
-		if c.a2 != nil && g.pre.a2On {
+		a2s[l] = b.pre.a2
+		if c.a2 != nil && b.pre.a2On {
 			armed |= 1 << uint(l)
 		}
 	}
@@ -253,8 +225,8 @@ func (c *Chip) runWide(groups []*batchGroup, key [16]byte, cycles int) error {
 		return err
 	}
 	laneBits := make([][]uint8, lanes)
-	for l, g := range groups {
-		laneBits[l] = aes.BytesToBits(g.pt[:])
+	for l, b := range batch {
+		laneBits[l] = aes.BytesToBits(b.pt[:])
 	}
 	if err := w.SetPortLanesBits(aes.PortPT, laneBits); err != nil {
 		return err
@@ -280,41 +252,32 @@ func (c *Chip) runWide(groups []*batchGroup, key [16]byte, cycles int) error {
 	}
 
 	dt := c.rec.Dt()
-	for l, g := range groups {
+	for l := range out {
 		flux := recs[l].Flux() // sensor, probe: ensureWide's weight order
-		post := w.LaneState(l)
-		var postA2 analog.A2
-		if c.a2 != nil {
-			postA2 = a2s[l]
+		out[l] = &Capture{
+			Sensor: emfield.FluxToEMF(flux[0], dt),
+			Probe:  emfield.FluxToEMF(flux[1], dt),
+			Dt:     dt,
 		}
-		e := &captureEntry{
-			pre: g.pre.sim,
-			cap: &Capture{
-				Sensor: emfield.FluxToEMF(flux[0], dt),
-				Probe:  emfield.FluxToEMF(flux[1], dt),
-				Dt:     dt,
-			},
-			post: post, postA2: postA2, postHash: post.ValueHash(),
-		}
-		g.entry = storeCapture(g.ck, e)
 	}
 	return nil
 }
 
 // runScalarBatch is the fallback for netlists too wide to compile (and
 // the batch layer's semantic ground truth, which the batch tests pin
-// the wide path against on a reference-engine chip): each miss group
-// runs a plain scalar capture on a scratch clone of c restored to the
-// group's start state, so no chip moves.
-func (c *Chip) runScalarBatch(groups []*batchGroup, key [16]byte, cycles int) error {
+// the wide path against on a reference-engine chip): each lane runs a
+// plain scalar capture on a scratch clone of c restored to the lane's
+// start state, so no chip moves, and writes its capture, without Tiles,
+// to out.
+func (c *Chip) runScalarBatch(lanes []batchLane, key [16]byte, cycles int, out []*Capture) error {
 	x := c.Clone()
-	for _, g := range groups {
-		x.restore(g.pre)
-		cap, err := x.capture(g.pt, key, cycles, false)
+	for i, l := range lanes {
+		x.restore(l.pre)
+		cap, err := x.capture(l.pt, key, cycles, false)
 		if err != nil {
 			return err
 		}
-		g.entry = storeCapture(g.ck, x.cacheEntry(g.pre.sim, cap))
+		out[i] = &Capture{Sensor: cap.Sensor, Probe: cap.Probe, Dt: cap.Dt}
 	}
 	return nil
 }

@@ -220,10 +220,10 @@ func TestCaptureBatchReferenceFallback(t *testing.T) {
 	}
 }
 
-// TestCaptureBatchDedup: lanes with identical plaintexts share one
-// simulation and one result object.
+// TestCaptureBatchDedup: lanes with identical plaintexts simulate
+// separately into bit-identical waveforms, each lane with its own
+// *Capture, while a distinct plaintext changes the waveform.
 func TestCaptureBatchDedup(t *testing.T) {
-	resetCaptureCache()
 	c := activeClone(t, trojan.T1AMLeaker)
 	pt := make([]byte, 16)
 	other := make([]byte, 16)
@@ -232,11 +232,16 @@ func TestCaptureBatchDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if caps[0] != caps[2] {
-		t.Fatal("identical lanes returned distinct captures")
+	if caps[0] == caps[2] {
+		t.Fatal("identical lanes share one *Capture")
 	}
-	if caps[0] == caps[1] {
-		t.Fatal("distinct plaintexts returned the same capture")
+	sameWave(t, "identical lanes", caps[0], caps[2])
+	differs := false
+	for i := range caps[0].Sensor {
+		differs = differs || caps[0].Sensor[i] != caps[1].Sensor[i]
+	}
+	if !differs {
+		t.Fatal("distinct plaintexts gave the same waveform")
 	}
 }
 
@@ -288,8 +293,8 @@ func laneSet(starts []*Chip, lanes int) (from []*Chip, pts [][]byte) {
 }
 
 // checkLanes asserts every lane is bit-identical to a scalar CapturePT
-// from a clone of its start chip, and that lanes share a capture
-// exactly when they share start and plaintext.
+// from a clone of its start chip, and that no two lanes share a
+// *Capture, even when they share start and plaintext.
 func checkLanes(t *testing.T, label string, from []*Chip, pts [][]byte, caps []*Capture, cycles int) {
 	t.Helper()
 	for i := range pts {
@@ -299,9 +304,8 @@ func checkLanes(t *testing.T, label string, from []*Chip, pts [][]byte, caps []*
 		}
 		sameWave(t, fmt.Sprintf("%s lane %d", label, i), caps[i], want)
 		for j := 0; j < i; j++ {
-			same := from[i] == from[j] && bytes.Equal(pts[i], pts[j])
-			if same != (caps[i] == caps[j]) {
-				t.Fatalf("%s: lanes %d and %d share a capture: %v, share start and plaintext: %v", label, j, i, caps[i] == caps[j], same)
+			if caps[i] == caps[j] {
+				t.Fatalf("%s: lanes %d and %d share a capture (same start and plaintext: %v)", label, j, i, from[i] == from[j] && bytes.Equal(pts[i], pts[j]))
 			}
 		}
 	}
@@ -328,39 +332,47 @@ func frozen(chips ...*Chip) func(t *testing.T, label string) {
 // TestCaptureBatchMixedStarts pins CaptureLanes: lanes from four
 // distinct start states, with plaintexts repeated across and within
 // starts, each match a scalar capture from their start chip at lane caps
-// 64, 5 and 1; neither the start chips nor the receiver move; and a
-// second run replays every lane from the capture cache.
+// 64, 5 and 1; neither the start chips nor the receiver move; and no
+// call touches the capture cache: every Stats counter and the cache's
+// entry count stay put, with the cache empty and with a chain's entries
+// in it.
 func TestCaptureBatchMixedStarts(t *testing.T) {
 	starts := mixedStarts(t, infected(t))
 	recv := infected(t).Clone()
 	from, pts := laneSet(starts, 15) // 12 distinct (start, plaintext) lanes
 	unmoved := frozen(append([]*Chip{recv}, starts...)...)
-	for _, lanes := range []int{64, 5, 1} {
-		resetCaptureCache()
+	captureLanes := func(label string, lanes int) []*Capture {
+		t.Helper()
+		s0, n0 := Stats(), cachedEntries()
 		restore := SetBatchLanes(lanes)
 		caps, err := recv.CaptureLanes(from, pts, testKey, batchCycles)
 		restore()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if s1, n1 := Stats(), cachedEntries(); s1 != s0 || n1 != n0 {
+			t.Fatalf("%s: CaptureLanes moved the cache: stats %+v -> %+v, entries %d -> %d", label, s0, s1, n0, n1)
+		}
+		return caps
+	}
+	for _, lanes := range []int{64, 5, 1} {
+		resetCaptureCache()
 		label := fmt.Sprintf("lanes=%d", lanes)
+		caps := captureLanes(label, lanes)
 		checkLanes(t, label, from, pts, caps, batchCycles)
 		unmoved(t, label)
 
-		s0 := Stats()
-		again, err := recv.CaptureLanes(from, pts, testKey, batchCycles)
-		if err != nil {
+		if _, err := starts[1].Clone().CaptureChain(pts[0], testKey, batchCycles, 3); err != nil {
 			t.Fatal(err)
 		}
-		s1 := Stats()
-		if hits, misses := s1.CaptureHits-s0.CaptureHits, s1.CaptureMisses-s0.CaptureMisses; hits != 12 || misses != 0 {
-			t.Fatalf("lanes=%d: replay of 12 distinct lanes: %d hits, %d misses", lanes, hits, misses)
+		if cachedEntries() == 0 {
+			t.Fatal("the chain stored no cache entry")
 		}
+		again := captureLanes(label+" with a warm cache", lanes)
 		for i := range caps {
-			if again[i] != caps[i] {
-				t.Fatalf("lanes=%d: replayed lane %d returned another capture", lanes, i)
-			}
+			sameWave(t, fmt.Sprintf("%s second call lane %d", label, i), again[i], caps[i])
 		}
+		unmoved(t, label+" second call")
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 	"emtrust/internal/trojan"
 )
 
-// Two process-wide replay caches complement the bit-parallel capture
-// engine (batch.go). Both exploit the same fact the determinism
+// Two process-wide replay caches: chip builds, and the steps of
+// CaptureChain and CaptureIdleChain (batch.go; batched lanes never
+// touch the capture cache). Both exploit the same fact the determinism
 // contract rests on: a capture is a pure function of (design,
 // pre-capture state, stimulus) — never of the chip's seed; see
 // captureKey — so replaying one is indistinguishable from
@@ -76,7 +77,7 @@ var cacheStats struct {
 // A "miss" is a lookup that found no usable entry, whether that capture
 // never ran or its entry was evicted, so hits+misses equals the number
 // of lookups, not the number of simulations. CaptureEvictions counts
-// the entries overflow sweeps dropped (ResetCaptureCache is not
+// the entries a full capture cache dropped (ResetCaptureCache is not
 // counted).
 type CacheStats struct {
 	BuildHits, BuildMisses     uint64
@@ -137,21 +138,18 @@ type captureKey struct {
 	simHash uint64
 }
 
-// captureEntry is one memoized capture: the exact pre-state it applies
-// to, the clean waveforms, a stable *Capture handle (Tiles nil — batch
-// and replayed captures do not carry per-tile currents), and the
+// captureEntry is one memoized chain step: the exact pre-state it
+// applies to, the clean waveforms, a stable *Capture handle (Tiles nil —
+// replayed captures do not carry per-tile currents), and the
 // post-capture state so a replay can advance a chip without
-// simulating. Every field but replayed is immutable once stored, so a
-// chain can start its next step from post without copying it.
-// replayed marks an entry a lookup returned since the last overflow
-// sweep; it is read and written under the cache lock only.
+// simulating. It is immutable once stored, so a chain can start its
+// next step from post without copying it.
 type captureEntry struct {
 	pre      *logic.State
 	cap      *Capture
 	post     *logic.State
 	postA2   analog.A2
 	postHash uint64
-	replayed bool
 }
 
 var captureCache = struct {
@@ -162,19 +160,19 @@ var captureCache = struct {
 
 // maxCaptureEntries bounds the capture cache (an entry holds two state
 // snapshots and two waveforms, ~100 KB on the default design). A store
-// into a full cache sweeps it (evictCaptures); correctness never
-// depends on residency.
+// into a full cache drops every entry, as the build cache does: a seed
+// sweep's chains need a few dozen entries; correctness never depends on
+// residency.
 const maxCaptureEntries = 256
 
 // lookupCapture returns the entry matching key with an exactly equal
-// pre-state, marked as replayed, or nil.
+// pre-state, or nil.
 func lookupCapture(key captureKey, pre *logic.State) *captureEntry {
 	captureCache.Lock()
 	defer captureCache.Unlock()
 	for _, e := range captureCache.m[key] {
 		if e.pre.ValuesEqual(pre) {
 			cacheStats.captureHits.Add(1)
-			e.replayed = true
 			return e
 		}
 	}
@@ -194,35 +192,12 @@ func storeCapture(key captureKey, e *captureEntry) *captureEntry {
 		}
 	}
 	if captureCache.count >= maxCaptureEntries {
-		evictCaptures()
+		cacheStats.captureEvictions.Add(uint64(captureCache.count))
+		captureCache.m, captureCache.count = make(map[captureKey][]*captureEntry), 0
 	}
 	captureCache.m[key] = append(captureCache.m[key], e)
 	captureCache.count++
 	return e
-}
-
-// evictCaptures makes room in the full cache; the caller holds the
-// lock. The entries a lookup returned since the last sweep stay, with
-// their marks cleared, when they fill at most half the cache: a seed
-// sweep replays the same fixed-stimulus captures at every seed, while
-// its random-plaintext lanes never replay. Otherwise every entry goes.
-func evictCaptures() {
-	kept := make(map[captureKey][]*captureEntry)
-	n := 0
-	for k, es := range captureCache.m {
-		for _, e := range es {
-			if e.replayed {
-				e.replayed = false
-				kept[k] = append(kept[k], e)
-				n++
-			}
-		}
-	}
-	if n > maxCaptureEntries/2 {
-		kept, n = make(map[captureKey][]*captureEntry), 0
-	}
-	cacheStats.captureEvictions.Add(uint64(captureCache.count - n))
-	captureCache.m, captureCache.count = kept, n
 }
 
 // ResetCaptureCache drops every memoized capture result. Outputs never

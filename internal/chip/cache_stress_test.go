@@ -71,14 +71,15 @@ func TestCacheStressConcurrent(t *testing.T) {
 			ResetCaptureCache()
 		}
 	}()
-	// Concurrent overflow sweeps: batch lanes that never replay fill the
-	// cache past its cap while the workers' lookups mark entries.
+	// Concurrent overflows: one-step chains of distinct plaintexts fill
+	// the cache past its cap, so full-cache drops race the workers'
+	// lookups and stores.
 	overflow := infected(t).Clone()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for lo := 0; lo <= maxCaptureEntries; lo += 64 {
-			if _, err := overflow.CaptureBatch(laneTexts(lo, 64), testKey, batchCycles); err != nil {
+		for _, pt := range laneTexts(0, maxCaptureEntries+64) {
+			if _, err := overflow.CaptureChain(pt, testKey, fillCycles, 1); err != nil {
 				t.Error(err)
 				return
 			}

@@ -24,7 +24,8 @@ func laneTexts(first, n int) [][]byte {
 	return pts
 }
 
-// seedCaptures is what one seed's chips record through the cache paths.
+// seedCaptures is what one seed's chips record through the chain and
+// batch paths.
 type seedCaptures struct {
 	chain, idle, batch []*Capture
 	ends               []state
@@ -189,11 +190,17 @@ func TestCaptureCacheIsolatesStuckAtDesign(t *testing.T) {
 	}
 }
 
-// TestCaptureCacheEvictionKeepsReplayed pins the overflow sweep: lanes
-// that never replay overflow the cache, and a chain replayed before the
-// overflow still replays after it without a miss. The entry count never
-// passes the cap, and CaptureEvictions counts the dropped lanes.
-func TestCaptureCacheEvictionKeepsReplayed(t *testing.T) {
+// fillCycles is the window of the one-step chains that fill the capture
+// cache: the shortest encryption capture (lead-in and load edge), so a
+// full cache costs the fewest simulated cycles.
+const fillCycles = 2
+
+// TestCaptureCacheEvictionDropsAll pins the wholesale drop: one-step
+// chains of distinct plaintexts fill the cache to its cap without
+// passing it, the store that finds it full drops every entry and
+// counts them in CaptureEvictions, and a chain warmed before the drop
+// misses once per step after it, then replays.
+func TestCaptureCacheEvictionDropsAll(t *testing.T) {
 	resetCaptureCache()
 	c := activeClone(t, trojan.T3CDMALeaker)
 	start := c.snapshot()
@@ -218,69 +225,42 @@ func TestCaptureCacheEvictionKeepsReplayed(t *testing.T) {
 		t.Fatalf("warm chain missed %d times", misses)
 	}
 
-	const lanes = 300
+	fill := c.Clone()
 	before := Stats()
-	for lo := 0; lo < lanes; lo += 64 {
-		if _, err := c.CaptureBatch(laneTexts(lo, min(64, lanes-lo)), testKey, batchCycles); err != nil {
+	for i := 0; cachedEntries() < maxCaptureEntries; i++ {
+		if i == maxCaptureEntries {
+			t.Fatalf("%d distinct one-step chains left %d entries", i, cachedEntries())
+		}
+		if _, err := fill.CaptureChain(laneTexts(i, 1)[0], testKey, fillCycles, 1); err != nil {
 			t.Fatal(err)
 		}
 		if n := cachedEntries(); n > maxCaptureEntries {
 			t.Fatalf("cache holds %d entries, cap %d", n, maxCaptureEntries)
 		}
 	}
-	// The store that finds steps+252 entries sweeps the 252 lanes.
-	dropped := uint64(maxCaptureEntries - steps)
-	if n := Stats().CaptureEvictions - before.CaptureEvictions; n != dropped {
-		t.Fatalf("CaptureEvictions rose by %d, want %d", n, dropped)
+	if n := Stats().CaptureEvictions - before.CaptureEvictions; n != 0 {
+		t.Fatalf("filling the cache to its cap evicted %d entries", n)
 	}
-	if n, want := cachedEntries(), steps+lanes-int(dropped); n != want {
-		t.Fatalf("cache holds %d entries after the sweep, want %d", n, want)
+	before = Stats()
+	if _, err := fill.CaptureChain(laneTexts(maxCaptureEntries, 1)[0], testKey, fillCycles, 1); err != nil {
+		t.Fatal(err)
 	}
+	if n := Stats().CaptureEvictions - before.CaptureEvictions; n != maxCaptureEntries {
+		t.Fatalf("the store into a full cache evicted %d entries, want %d", n, maxCaptureEntries)
+	}
+	if n := cachedEntries(); n != 1 {
+		t.Fatalf("cache holds %d entries after the drop, want 1", n)
+	}
+
 	got, misses := chain()
-	if misses != 0 {
-		t.Fatalf("replayed chain missed %d times after the overflow", misses)
+	if misses != steps {
+		t.Fatalf("chain after the drop missed %d times, want %d", misses, steps)
 	}
 	for j := range want {
-		sameWave(t, "chain after overflow", got[j], want[j])
+		sameWave(t, "chain after the drop", got[j], want[j])
 	}
-}
-
-// TestCaptureCacheEvictionMarkedHalf pins the sweep's limit: replayed
-// entries survive when they fill at most half the cache, and when more
-// are marked the sweep drops everything.
-func TestCaptureCacheEvictionMarkedHalf(t *testing.T) {
-	c := activeClone(t, trojan.T1AMLeaker)
-	for _, marked := range []int{maxCaptureEntries / 2, maxCaptureEntries/2 + 1} {
-		resetCaptureCache()
-		replayed := laneTexts(0, marked)
-		for range 2 { // store, then replay (mark) every lane
-			if _, err := c.CaptureBatch(replayed, testKey, batchCycles); err != nil {
-				t.Fatal(err)
-			}
-		}
-		before := Stats()
-		fill := maxCaptureEntries - marked + 1 // the last lane's store sweeps
-		if _, err := c.CaptureBatch(laneTexts(marked, fill), testKey, batchCycles); err != nil {
-			t.Fatal(err)
-		}
-		evicted := Stats().CaptureEvictions - before.CaptureEvictions
-		kept, wantEvicted := marked, uint64(maxCaptureEntries-marked)
-		if marked > maxCaptureEntries/2 {
-			kept, wantEvicted = 0, maxCaptureEntries
-		}
-		if evicted != wantEvicted {
-			t.Fatalf("%d marked: sweep evicted %d entries, want %d", marked, evicted, wantEvicted)
-		}
-		if n := cachedEntries(); n != kept+1 {
-			t.Fatalf("%d marked: cache holds %d entries, want %d", marked, n, kept+1)
-		}
-		before = Stats()
-		if _, err := c.CaptureBatch(replayed, testKey, batchCycles); err != nil {
-			t.Fatal(err)
-		}
-		if n := Stats().CaptureMisses - before.CaptureMisses; n != uint64(marked-kept) {
-			t.Fatalf("%d marked: replay missed %d times, want %d", marked, n, marked-kept)
-		}
+	if _, misses := chain(); misses != 0 {
+		t.Fatalf("chain rewarmed after the drop missed %d times", misses)
 	}
 }
 

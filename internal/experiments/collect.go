@@ -31,7 +31,8 @@ import (
 //     (randomLanes makes a set's lanes from one chip); no start chip
 //     moves, so lanes from any mix of start chips run as one lane set
 //     through the wide engine (chip.CaptureLanes), one chunk per
-//     worker.
+//     worker. Every lane simulates: random plaintexts never repeat,
+//     so lanes bypass the capture cache.
 //
 // All derive per-trace randomness from (cfg.Seed, stream, index) via
 // chip.SplitRand, with one stream id reserved per set (per randomLanes
@@ -139,10 +140,11 @@ func randomLanes(c *chip.Chip, n int) []randomLane {
 // random plaintext, drawn from the lane's generator, from the lane's
 // start chip. No start chip moves, so every lane runs through the wide
 // engine (chip.CaptureLanes) in one pass: the lanes are cut into one
-// chunk per worker, at most BatchLanes each, and every worker runs its
-// chunks on its own receiver, c or a clone of c (all lanes must share
-// c's design). Plaintexts are drawn from each trace's generator before
-// its acquisition noise, exactly as the old one-capture-per-trace loop
+// chunk per worker, and every worker runs its chunk on its own
+// receiver, c or a clone of c (all lanes must share c's design), which
+// splits it into wide passes of at most chip.BatchLanes lanes.
+// Plaintexts are drawn from each trace's generator before its
+// acquisition noise, exactly as the old one-capture-per-trace loop
 // did, so the output is byte-identical at any worker or lane count.
 func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, lanes []randomLane, cycles int) (*dualSet, error) {
 	n := len(lanes)
@@ -157,7 +159,7 @@ func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, lanes []random
 		l.rng.Read(pts[i])
 	}
 	workers := parallel.Workers(n)
-	size := min((n+workers-1)/workers, chip.BatchLanes())
+	size := (n + workers - 1) / workers
 	caps := make([]*chip.Capture, n)
 	err := parallel.Run((n+size-1)/size,
 		func(w int) (*chip.Chip, error) {

@@ -115,16 +115,16 @@ func TestCaptureSetsDeterministicAcrossLaneCounts(t *testing.T) {
 }
 
 // Fig6Spectra's lane set mixes start chips: golden lanes from a clone
-// of the dormant chip and one lane from a clone per activated Trojan,
-// split over the workers. It must be byte-identical, with the same
-// capture-cache misses, at every worker count and lane cap.
+// of the dormant chip and one lane per activated Trojan, split over the
+// workers. It must be byte-identical at every worker count and lane
+// cap, and make no capture-cache lookup: every lane simulates.
 func TestFig6SpectraSetDeterministicAcrossWorkersAndLanes(t *testing.T) {
 	cfg := testConfig()
-	capture := func(workers, lanes int) (*dualSet, uint64) {
+	capture := func(workers, lanes int) *dualSet {
 		chip.ResetCaptureCache()
 		defer parallel.SetMaxWorkers(workers)()
 		defer chip.SetBatchLanes(lanes)()
-		before := chip.Stats().CaptureMisses
+		before := chip.Stats()
 		set, nGolden, err := fig6SpectraSet(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -132,19 +132,20 @@ func TestFig6SpectraSetDeterministicAcrossWorkersAndLanes(t *testing.T) {
 		if want := nGolden + len(trojan.Kinds()); len(set.Sensor.Traces) != want {
 			t.Fatalf("%d traces, want %d golden + %d Trojan", len(set.Sensor.Traces), nGolden, len(trojan.Kinds()))
 		}
-		return set, chip.Stats().CaptureMisses - before
+		after := chip.Stats()
+		if hits, misses := after.CaptureHits-before.CaptureHits, after.CaptureMisses-before.CaptureMisses; hits != 0 || misses != 0 {
+			t.Fatalf("workers=%d lanes=%d: %d capture-cache hits and %d misses, want none", workers, lanes, hits, misses)
+		}
+		return set
 	}
-	want, wantMisses := capture(1, 64)
+	want := capture(1, 64)
 	for _, workers := range []int{1, 2, 8} {
 		for _, lanes := range []int{1, 5, 64} {
 			if workers == 1 && lanes == 64 {
 				continue
 			}
-			got, misses := capture(workers, lanes)
+			got := capture(workers, lanes)
 			assertSetsEqual(t, fmt.Sprintf("fig6 spectra lanes=%d", lanes), workers, want, got)
-			if misses != wantMisses {
-				t.Fatalf("workers=%d lanes=%d: %d capture-cache misses, want %d", workers, lanes, misses, wantMisses)
-			}
 		}
 	}
 }

@@ -162,17 +162,6 @@ func (w *WideState) LoadStates(sts []*State) error {
 	return nil
 }
 
-// LaneState extracts one lane as a scalar snapshot, restorable into a
-// Simulator of the same netlist via SetState (it carries no scheduling
-// information, so the restore schedules a full settle).
-func (w *WideState) LaneState(lane int) *State {
-	v := make([]uint8, len(w.values))
-	for i, word := range w.values {
-		v[i] = uint8(word >> uint(lane) & 1)
-	}
-	return &State{values: v, cycle: w.cycle}
-}
-
 func (w *WideState) markAll() {
 	nc := len(w.prog.ins)
 	if nc == 0 {

@@ -13,6 +13,17 @@ import (
 // Cycle returns the number of Tick calls since the last LoadStates.
 func (w *WideState) Cycle() int { return w.cycle }
 
+// LaneState extracts one lane as a scalar snapshot, restorable into a
+// Simulator of the same netlist via SetState (it carries no scheduling
+// information, so the restore schedules a full settle).
+func (w *WideState) LaneState(lane int) *State {
+	v := make([]uint8, len(w.values))
+	for i, word := range w.values {
+		v[i] = uint8(word >> uint(lane) & 1)
+	}
+	return &State{values: v, cycle: w.cycle}
+}
+
 // SetPortLaneUint drives up to 64 bits of a named input port on a
 // single lane, leaving the other lanes' values unchanged.
 func (w *WideState) SetPortLaneUint(name string, lane int, v uint64) error {
