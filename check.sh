@@ -51,8 +51,8 @@ step_rng() {
 }
 
 step_replay() {
-    echo "== capture replay differential (batch lanes, chain, fixed-point slot, caches, cross-seed capture sets, array emf slot, flux lanes) =="
-    go test -run 'Batch|Chain|FixedPoint|Memo|Cache|ScanFrame|FluxLane' -count=1 ./internal/chip/ ./internal/sensorarray/ ./internal/power/ ./internal/experiments/
+    echo "== capture replay differential (batch lanes, chain, fixed-point slot, caches, cross-seed capture sets, array emf slot, flux lanes against tile recorders, projected emf against EMF over Tiles) =="
+    go test -run 'Batch|Chain|FixedPoint|Memo|Cache|ScanFrame|FluxLane|Projection' -count=1 ./internal/chip/ ./internal/sensorarray/ ./internal/power/ ./internal/experiments/
 }
 
 step_race() {

@@ -7,7 +7,6 @@ import (
 
 	"emtrust/internal/aes"
 	"emtrust/internal/analog"
-	"emtrust/internal/emfield"
 	"emtrust/internal/logic"
 	"emtrust/internal/power"
 	"emtrust/internal/trojan"
@@ -18,9 +17,10 @@ import (
 // simulation instead of N scalar ones. The pipeline snapshots each
 // distinct start chip once, then simulates every lane, one uint64 word
 // per net with one start state per lane bit. Per-lane toggle extraction
-// books each toggle word on flux-mode lane recorders that share the chip
-// recorder's charge tables, and each lane streams its per-tile currents
-// straight into sensor and probe flux cycle by cycle, so every lane's
+// books each toggle word on flux lane recorders that share the chip
+// recorder's charge tables and coil weights, and each lane projects its
+// cycle's per-tile charges onto the sensor and probe coils, as the
+// scalar capture's recorder does with the same code, so every lane's
 // emf is bit-identical to an independent scalar capture from its start
 // chip (pinned by the batch and determinism tests at every worker/lane
 // count). Batched lanes are random-plaintext traces that never repeat,
@@ -101,8 +101,8 @@ func (c *Chip) CaptureLanes(from []*Chip, pts [][]byte, key []byte, cycles int) 
 			return nil, fmt.Errorf("chip: lane %d: need 16-byte pt", i)
 		}
 		f := from[i]
-		if f.design != c.design {
-			return nil, fmt.Errorf("chip: lane %d starts from a chip of another design", i)
+		if f == nil || f.design != c.design {
+			return nil, fmt.Errorf("chip: lane %d starts from no chip of this design", i)
 		}
 		st, ok := starts[f]
 		if !ok {
@@ -130,9 +130,9 @@ func (c *Chip) CaptureLanes(from []*Chip, pts [][]byte, key []byte, cycles int) 
 }
 
 // ensureWide lazily builds the chip's wide engine and grows the pooled
-// flux-mode lane recorders and analog-Trojan scratch to the given lane
-// count. The lanes share the chip recorder's per-cell charge and tile
-// tables, so they book exactly the charges a scalar capture does.
+// flux lane recorders and analog-Trojan scratch to the given lane
+// count. The lanes share the chip recorder's per-cell charge, tile and
+// coil tables, so they book exactly the flux a scalar capture does.
 func (c *Chip) ensureWide(lanes int) error {
 	if c.wide == nil {
 		w, err := c.sim.Wide()
@@ -142,7 +142,7 @@ func (c *Chip) ensureWide(lanes int) error {
 		c.wide = w
 	}
 	for len(c.recs) < lanes {
-		c.recs = append(c.recs, c.rec.FluxLane(c.sensor.M, c.probe.M))
+		c.recs = append(c.recs, c.rec.FluxLane())
 	}
 	if len(c.a2s) < lanes {
 		c.a2s = make([]analog.A2, lanes)
@@ -251,14 +251,8 @@ func (c *Chip) runWide(batch []batchLane, key [16]byte, cycles int, out []*Captu
 		}
 	}
 
-	dt := c.rec.Dt()
 	for l := range out {
-		flux := recs[l].Flux() // sensor, probe: ensureWide's weight order
-		out[l] = &Capture{
-			Sensor: emfield.FluxToEMF(flux[0], dt),
-			Probe:  emfield.FluxToEMF(flux[1], dt),
-			Dt:     dt,
-		}
+		out[l] = recorded(recs[l])
 	}
 	return nil
 }

@@ -486,9 +486,10 @@ func TestCaptureBatchSharedStartsConcurrent(t *testing.T) {
 }
 
 // TestCaptureBatchForeignDesign: a lane whose start chip was built from
-// another design (the golden build, a stuck-at variant) is an error, as
-// is a lane count that differs from the start-chip count; a chip of the
-// receiver's configuration at another seed shares its design.
+// another design (the golden build, a stuck-at variant) or is nil is an
+// error, as is a lane count that differs from the start-chip count; a
+// chip of the receiver's configuration at another seed shares its
+// design.
 func TestCaptureBatchForeignDesign(t *testing.T) {
 	recv := infected(t).Clone()
 	pt := make([]byte, 16)
@@ -496,7 +497,7 @@ func TestCaptureBatchForeignDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, f := range map[string]*Chip{"golden": golden(t), "stuck-at": variant} {
+	for name, f := range map[string]*Chip{"golden": golden(t), "stuck-at": variant, "nil": nil} {
 		caps, err := recv.CaptureLanes([]*Chip{recv, f}, [][]byte{pt, pt}, testKey, batchCycles)
 		if err == nil || caps != nil {
 			t.Errorf("%s start: %d captures, %v; want an error", name, len(caps), err)

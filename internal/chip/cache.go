@@ -10,6 +10,7 @@ import (
 	"emtrust/internal/layout"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
+	"emtrust/internal/power"
 	"emtrust/internal/trojan"
 )
 
@@ -34,16 +35,17 @@ type buildKey struct {
 
 // built holds the immutable parts of a chip build, shared by every chip
 // constructed with an equivalent configuration. The template simulator
-// is never ticked; chips fork it, which shares the compiled program and
-// levelization while giving each chip private mutable state. id is the
+// and recorder never capture; chips fork them, which shares the
+// compiled program and levelization, the charge tables and the coil
+// weights while giving each chip private mutable state. id is the
 // build's design id (see captureKey).
 type built struct {
 	id       uint64
 	n        *netlist.Netlist
 	core     *aes.Core
 	fp       *layout.Floorplan
+	rec      *power.Recorder
 	sensor   *emfield.Coupling
-	probe    *emfield.Coupling
 	trojans  map[trojan.Kind]*trojan.Instance
 	template *logic.Simulator
 	t2Tile   int

@@ -114,7 +114,6 @@ type Chip struct {
 	design uint64
 
 	sensor *emfield.Coupling
-	probe  *emfield.Coupling
 
 	trojans map[trojan.Kind]*trojan.Instance
 	t2Tile  int // tile of the T2 crowbar cells
@@ -130,7 +129,7 @@ type Chip struct {
 	streams *atomic.Uint64
 
 	// Lazy batch-capture machinery (batch.go): the wide engine, its
-	// pooled flux-mode lane recorders (sharing rec's tables) and
+	// pooled flux lane recorders (FluxLanes of rec) and
 	// analog-Trojan scratch. Private to this chip handle — Clone and
 	// WithStuckAt reset them.
 	wide *logic.WideState
@@ -168,7 +167,8 @@ type state struct {
 // New builds, places and couples a chip. Builds are memoized
 // process-wide: chips whose configurations differ only in Seed share
 // one immutable structure (netlist, floorplan, coil couplings, compiled
-// program) and differ only in their private mutable state.
+// program, the recorder's charge tables) and differ only in their
+// private mutable state.
 func New(cfg Config) (*Chip, error) {
 	if cfg.SpiralTurns < 1 || cfg.ProbeTurns < 1 {
 		return nil, fmt.Errorf("chip: coil turn counts must be at least 1, got spiral %d, probe %d", cfg.SpiralTurns, cfg.ProbeTurns)
@@ -184,13 +184,9 @@ func New(cfg Config) (*Chip, error) {
 		}
 		storeBuild(key, b)
 	}
-	rec, err := power.NewRecorder(cfg.Power, b.fp)
-	if err != nil {
-		return nil, err
-	}
 	c := &Chip{
-		cfg: cfg, design: b.id, n: b.n, sim: b.template.Fork(), fp: b.fp, rec: rec, core: b.core,
-		sensor: b.sensor, probe: b.probe,
+		cfg: cfg, design: b.id, n: b.n, sim: b.template.Fork(), fp: b.fp, rec: b.rec.Fork(), core: b.core,
+		sensor:  b.sensor,
 		trojans: b.trojans,
 		t2Tile:  b.t2Tile,
 		streams: new(atomic.Uint64),
@@ -247,11 +243,15 @@ func buildChip(cfg Config) (*built, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Capture reads the coils' flux in this order: sensor, then probe.
+	rec, err := power.NewRecorder(cfg.Power, fp, sensor.M, probe.M)
+	if err != nil {
+		return nil, err
+	}
 
 	out := &built{
-		id: designIDs.Add(1), n: n, core: core, fp: fp,
-		sensor: sensor, probe: probe,
-		trojans: trojans, template: template,
+		id: designIDs.Add(1), n: n, core: core, fp: fp, rec: rec,
+		sensor: sensor, trojans: trojans, template: template,
 	}
 	if inst, ok := trojans[trojan.T2LeakageCurrent]; ok {
 		// The crowbar pairs sit with the rest of the T2 block; use the
@@ -529,18 +529,24 @@ func (c *Chip) capture(pt, key [16]byte, cycles int, idle bool) (*Capture, error
 			return nil, err
 		}
 	}
-	currents := c.rec.Currents()
-	dt := c.rec.Dt()
-	cap := &Capture{
-		Sensor: c.sensor.EMF(currents, dt),
-		Probe:  c.probe.EMF(currents, dt),
-		Dt:     dt,
-		Tiles:  currents,
-	}
+	cap := recorded(c.rec)
 	if c.at(pre) {
 		c.fixed = &fixedPoint{pre: pre, pt: pt, key: key, cycles: cycles, idle: idle, cap: cap}
 	}
 	return cap, nil
+}
+
+// recorded returns the capture rec has just recorded: the sensor and
+// probe emf from its coils' flux (in buildChip's order) and its per-tile
+// waveforms, which a flux lane does not keep.
+func recorded(rec *power.Recorder) *Capture {
+	flux, dt := rec.Flux(), rec.Dt()
+	return &Capture{
+		Sensor: emfield.FluxToEMF(flux[0], dt),
+		Probe:  emfield.FluxToEMF(flux[1], dt),
+		Dt:     dt,
+		Tiles:  rec.Currents(),
+	}
 }
 
 // tick advances one clock cycle inside a capture: gate-level simulation,
@@ -623,8 +629,10 @@ type Capture struct {
 	Sensor []float64 // on-chip spiral emf (volts)
 	Probe  []float64 // external probe emf (volts)
 	Dt     float64
-	// Tiles holds the per-tile supply-current waveforms behind the emf
-	// synthesis, indexed [tile][sample]. The slices alias the
+	// Tiles holds the per-tile supply-current waveforms of the window,
+	// indexed [tile][sample]. Sensor and Probe are projected from the
+	// same activity cycle by cycle, so they match the couplings' EMF over
+	// Tiles to rounding, not bit for bit. The slices alias the
 	// recorder's buffers and are only valid until the chip's next
 	// simulated capture — a replayed fixed-point capture's Tiles alias
 	// the recorder too, until then; consumers (like the ring-oscillator

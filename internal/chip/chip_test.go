@@ -2,12 +2,15 @@ package chip
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"emtrust/internal/aes"
 	"emtrust/internal/dsp"
+	"emtrust/internal/emfield"
 	"emtrust/internal/frand"
 	"emtrust/internal/logic"
 	"emtrust/internal/netlist"
@@ -406,6 +409,99 @@ func TestCloneCapturesIdentically(t *testing.T) {
 	// disturb the original's recorder buffers.
 	if _, err := clone.CaptureIdle(8); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewForksBuildRecorder: chips that New builds from one cached
+// build share the build recorder's charge table instead of each
+// recomputing it, and two such chips at different seeds capture
+// bit-identically, Tiles included.
+func TestNewForksBuildRecorder(t *testing.T) {
+	cfg := DefaultConfig()
+	chips := make([]*Chip, 2)
+	for i := range chips {
+		cfg.Seed = int64(11 + i)
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chips[i] = c
+	}
+	table := func(c *Chip) uintptr { return reflect.ValueOf(c.rec).Elem().FieldByName("charge").Pointer() }
+	if chips[0].rec == chips[1].rec || table(chips[0]) != table(chips[1]) {
+		t.Fatal("chips of one build must own their recorders and share one charge table")
+	}
+	pt := []byte("sixteen byte pt!")
+	caps := make([]*Capture, 2)
+	for i, c := range chips {
+		cap, err := c.CapturePT(pt, testKey, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps[i] = cap
+	}
+	sameWave(t, "seeds 11 and 12", caps[0], caps[1])
+	for tile, w := range caps[0].Tiles {
+		for i, v := range w {
+			if caps[1].Tiles[tile][i] != v {
+				t.Fatalf("tile %d sample %d: seed 12 %v, seed 11 %v", tile, i, caps[1].Tiles[tile][i], v)
+			}
+		}
+	}
+}
+
+// TestCaptureProjectionMatchesTiles keeps a scalar capture's two
+// outputs describing one capture: with T2's crowbar current on and the
+// A2 firing, the sensor and probe emf that CapturePT and CaptureIdle
+// project cycle by cycle stay within 1e-12 of the waveform's peak of the
+// sensor and probe couplings' EMF over the capture's Tiles, which the
+// fleet, the sensor array, localization and the RON baseline read.
+func TestCaptureProjectionMatchesTiles(t *testing.T) {
+	c := activeClone(t, trojan.T2LeakageCurrent)
+	c.EnableA2(true)
+	if _, err := c.CaptureIdle(600); err != nil {
+		t.Fatal(err)
+	}
+	cfg := c.Config()
+	probeCoil := emfield.ExternalProbe(c.fp.Die, cfg.ProbeRadius, cfg.ProbeTurns, cfg.ProbeZ, cfg.ProbePitch)
+	probe, err := emfield.CachedCoupling(probeCoil, c.fp.Grid, cfg.TileLoopArea, cfg.Quad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cycles := range []int{32, 512} {
+		for _, idle := range []bool{false, true} {
+			if !c.a2.Firing() {
+				t.Fatal("A2 is not firing")
+			}
+			var cap *Capture
+			if idle {
+				cap, err = c.CaptureIdle(cycles)
+			} else {
+				cap, err = c.CapturePT([]byte("projected plaint"), testKey, cycles)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ch := range []struct {
+				name string
+				emf  []float64
+				cp   *emfield.Coupling
+			}{{"sensor", cap.Sensor, c.sensor}, {"probe", cap.Probe, probe}} {
+				ref := ch.cp.EMF(cap.Tiles, cap.Dt)
+				if len(ch.emf) != len(ref) {
+					t.Fatalf("%d cycles, idle %v: %s has %d samples, want %d", cycles, idle, ch.name, len(ch.emf), len(ref))
+				}
+				peak := 0.0
+				for _, v := range ref {
+					peak = max(peak, math.Abs(v))
+				}
+				for i, v := range ref {
+					if d := math.Abs(ch.emf[i] - v); d > 1e-12*peak {
+						t.Fatalf("%d cycles, idle %v: %s sample %d: projected %v, EMF(Tiles) %v (|diff| %.3g of peak)", cycles, idle, ch.name, i, ch.emf[i], v, d/peak)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -5,13 +5,17 @@
 // clock tree draws a charge per flip-flop every cycle, and static
 // injections model the T2 crowbar leakage and the A2 charge pump.
 //
-// A Recorder keeps the whole capture's per-tile waveforms, which the
-// scalar captures hand out as Capture.Tiles. Its flux lanes (FluxLane)
-// record the lanes of a bit-parallel capture, whose callers want only
-// the coils' emfs: they keep one cycle's block of per-tile samples and
-// fold it into each coil's flux after every cycle, with the same
-// per-sample additions in the same order, so the flux and the emf
-// derived from it are bit-identical to the full-waveform path.
+// A Recorder also projects the activity onto measurement coils. A
+// coil's flux is linear in the tile currents, so each cycle's per-tile
+// charges are weighted by the coil's coupling and summed before the
+// pulse convolution, straight into one whole-window flux waveform per
+// coil. Recorders from NewRecorder and Fork keep the per-tile waveforms
+// as well, which scalar captures hand out as Capture.Tiles; a flux lane
+// (FluxLane) records one lane of a bit-parallel capture and keeps only
+// the flux. Both run the one projection, so a lane's flux is
+// bit-identical to a tile-keeping recorder's for the same activity, and
+// both match emfield's synthesis over the tile waveforms to rounding
+// (the sums run in another order).
 package power
 
 import (
@@ -87,25 +91,19 @@ type Recorder struct {
 	// (every flip-flop's clock-pin charge pre-summed by tile), so
 	// EndCycle pays one add per tile instead of one per flip-flop.
 	clockCharge []float64
-
 	pulse       []float64 // unit-charge pulse shape (amps at dt spacing)
+	// coils[k][tile] is coil k's flux per ampere of tile current.
+	coils [][]float64
+
 	cycleCharge []float64 // per-tile charge accumulated this cycle
 	static      []float64 // per-tile static current this cycle (amps)
 	sub         []subEvent
-	// currents holds the per-tile waveforms; in flux mode, each tile's
-	// block of the current cycle's samples followed by the samples
-	// sub-cycle pulses carry past it.
+	// currents holds the per-tile waveforms; nil on a flux lane, which
+	// keeps none. flux[k] is coil k's flux waveform.
 	currents  [][]float64
+	flux      [][]float64
 	cycle     int
 	numCycles int
-
-	// Flux mode (FluxLane): coils[k][tile] is coil k's flux per ampere
-	// of tile current, flux[k] its flux waveform, and written[tile] the
-	// length of the tile's block prefix that activity reached. Samples
-	// at or past written[tile] are zero.
-	coils   [][]float64
-	flux    [][]float64
-	written []int
 }
 
 type subEvent struct {
@@ -114,8 +112,11 @@ type subEvent struct {
 	count  int
 }
 
-// NewRecorder builds a recorder for the placed netlist.
-func NewRecorder(cfg Config, fp *layout.Floorplan) (*Recorder, error) {
+// NewRecorder builds a recorder for the placed netlist that keeps the
+// per-tile waveforms and projects the activity onto the given coils:
+// coils[k][tile] is coil k's flux per ampere of tile current, one entry
+// per tile of fp's grid.
+func NewRecorder(cfg Config, fp *layout.Floorplan, coils ...[]float64) (*Recorder, error) {
 	if cfg.ClockHz <= 0 || cfg.SamplesPerCycle <= 0 {
 		return nil, fmt.Errorf("power: invalid config %+v", cfg)
 	}
@@ -130,8 +131,7 @@ func NewRecorder(cfg Config, fp *layout.Floorplan) (*Recorder, error) {
 		charge:      make([]float64, len(n.Cells)),
 		clockCharge: make([]float64, tiles),
 		pulse:       pulseShape(cfg),
-		cycleCharge: make([]float64, tiles),
-		static:      make([]float64, tiles),
+		coils:       coils,
 	}
 	var vrng *frand.Rand
 	corner := 1.0
@@ -157,20 +157,31 @@ func NewRecorder(cfg Config, fp *layout.Floorplan) (*Recorder, error) {
 			r.clockCharge[fp.Grid.CellTile[i]] += cfg.ClockPinCharge
 		}
 	}
-	return r, nil
+	return r.Fork(), nil
 }
 
 // Fork returns a recorder for another chip of r's build: it shares r's
-// immutable per-cell charge, clock-tree and pulse tables, so it books
-// exactly the charges r would, and owns its per-capture buffers. It is
-// what NewRecorder with r's config and floorplan would return, without
-// recomputing the tables.
+// immutable per-cell charge, clock-tree, pulse and coil tables, so it
+// books exactly the charges r would, and owns its per-capture buffers.
+// It is what NewRecorder with r's config, floorplan and coils would
+// return, without recomputing the tables.
 func (r *Recorder) Fork() *Recorder {
+	f := r.FluxLane()
+	f.currents = make([][]float64, r.grid.NumTiles())
+	return f
+}
+
+// FluxLane returns a recorder for one lane of a bit-parallel capture:
+// Fork without the per-tile waveforms. It books the same charges and
+// runs the same projection, so its flux is bit-identical to the flux
+// r's forks record for the same activity; Currents returns nil.
+func (r *Recorder) FluxLane() *Recorder {
 	tiles := r.grid.NumTiles()
 	return &Recorder{
-		cfg: r.cfg, grid: r.grid, charge: r.charge, clockCharge: r.clockCharge, pulse: r.pulse,
+		cfg: r.cfg, grid: r.grid, charge: r.charge, clockCharge: r.clockCharge, pulse: r.pulse, coils: r.coils,
 		cycleCharge: make([]float64, tiles),
 		static:      make([]float64, tiles),
+		flux:        make([][]float64, len(r.coils)),
 	}
 }
 
@@ -203,27 +214,6 @@ func pulseShape(cfg Config) []float64 {
 	return shape
 }
 
-// FluxLane returns a flux-mode recorder for one lane of a bit-parallel
-// capture. Like Fork it shares r's charge, clock and pulse tables, so it
-// books the same charges r would, but it keeps only the current cycle's
-// block of per-tile samples: each EndCycle folds the block into one
-// flux waveform per coil, weights[k][tile] being coil k's flux per
-// ampere of tile current, and clears it. Flux returns the waveforms;
-// Currents holds no capture waveforms in this mode.
-func (r *Recorder) FluxLane(weights ...[]float64) *Recorder {
-	tiles, s := r.grid.NumTiles(), r.cfg.SamplesPerCycle
-	l := r.Fork()
-	l.currents = make([][]float64, tiles)
-	l.coils = weights
-	l.flux = make([][]float64, len(weights))
-	l.written = make([]int, tiles)
-	block := make([]float64, tiles*s)
-	for t := range l.currents {
-		l.currents[t] = block[t*s : (t+1)*s : (t+1)*s]
-	}
-	return l
-}
-
 // WideToggles returns a logic.WideState.OnWideToggle hook that books
 // the toggle words of a bit-parallel capture on its lanes, which must
 // be FluxLanes of one recorder: it loads the toggled cell's tile and
@@ -246,43 +236,28 @@ func WideToggles(lanes []*Recorder) func(cell int32, diff, nv uint64) {
 	}
 }
 
-// Begin starts a capture of numCycles clock cycles. Waveform buffers are
-// reused across captures when the dimensions still fit, which is why
-// Capture.Tiles documents its slices as valid only until the next
-// capture on the same chip. In flux mode Begin allocates new flux
-// waveforms, so those Flux returned stay with the caller.
+// Begin starts a capture of numCycles clock cycles. Per-tile waveform
+// buffers are reused across captures when the dimensions still fit,
+// which is why Capture.Tiles documents its slices as valid only until
+// the next capture on the same chip. The flux waveforms are new on
+// every Begin, so those Flux returned stay with the caller.
 func (r *Recorder) Begin(numCycles int) {
 	r.numCycles = numCycles
 	r.cycle = 0
 	total := numCycles * r.cfg.SamplesPerCycle
-	if r.coils != nil {
-		for k := range r.flux {
-			r.flux[k] = make([]float64, total)
-		}
-		for t, n := range r.written { // left by an unfinished capture
-			clear(r.currents[t][:n])
-			r.written[t] = 0
-		}
-	} else {
-		if len(r.currents) != r.grid.NumTiles() {
-			r.currents = make([][]float64, r.grid.NumTiles())
-		}
-		for t := range r.currents {
-			if cap(r.currents[t]) >= total {
-				w := r.currents[t][:total]
-				for i := range w {
-					w[i] = 0
-				}
-				r.currents[t] = w
-			} else {
-				r.currents[t] = make([]float64, total)
-			}
+	for k := range r.flux {
+		r.flux[k] = make([]float64, total)
+	}
+	for t, w := range r.currents {
+		if cap(w) >= total {
+			r.currents[t] = w[:total]
+			clear(r.currents[t])
+		} else {
+			r.currents[t] = make([]float64, total)
 		}
 	}
-	for t := range r.cycleCharge {
-		r.cycleCharge[t] = 0
-		r.static[t] = 0
-	}
+	clear(r.cycleCharge)
+	clear(r.static)
 	r.sub = r.sub[:0]
 }
 
@@ -316,133 +291,98 @@ func (r *Recorder) AddFastToggles(tile int, count int, charge float64) {
 }
 
 // EndCycle flushes the cycle's booked activity into the waveforms and
-// advances to the next cycle; in flux mode it then folds the cycle's
-// samples into the coils' flux. Calling it more than numCycles times is
+// advances to the next cycle. Calling it more than numCycles times is
 // an error.
+//
+// A coil's flux is linear in the tile currents, so each coil's share of
+// the cycle is projected before the pulse convolution: the cycle's
+// switching plus clock-tree charge, weighted by the coil's per-tile
+// coupling and summed in ascending tile order, scales one unit pulse;
+// the static current is projected the same way, and each fast-toggle
+// pulse is scaled by its tile's coupling. Every sample lands straight in
+// the whole-window flux waveform, so nothing carries past the cycle.
 func (r *Recorder) EndCycle() error {
 	if r.cycle >= r.numCycles {
 		return fmt.Errorf("power: EndCycle past the %d-cycle capture", r.numCycles)
 	}
 	s := r.cfg.SamplesPerCycle
-	// base is the cycle's first sample and end the window's end, as
-	// waveform indices or, in flux mode, relative to the cycle's block.
+	// base is the cycle's first sample, stop the end of its samples and
+	// end the window's: samples at or past end are dropped.
 	base, end := r.cycle*s, r.numCycles*s
-	if r.coils != nil {
-		base, end = 0, end-base
-	}
-	// Clock tree: every flip-flop's clock pin draws charge each cycle
-	// (pre-summed per tile in clockCharge), on top of the cycle's
-	// switching charge.
-	for tile, q := range r.cycleCharge {
-		if tq := q + r.clockCharge[tile]; tq != 0 {
-			r.deposit(tile, base, end, tq)
+	stop := min(base+s, end)
+	cyc := r.cycleCharge
+	clock, static := r.clockCharge[:len(cyc)], r.static[:len(cyc)]
+	for k, m := range r.coils {
+		m := m[:len(cyc)]
+		var q, amps float64
+		for tile, c := range cyc {
+			q += m[tile] * (c + clock[tile])
+			amps += m[tile] * static[tile]
 		}
-		if q != 0 {
-			r.cycleCharge[tile] = 0
-		}
-	}
-	for tile, amps := range r.static {
-		if amps != 0 {
-			e := min(base+s, end)
-			w := r.currents[tile][base:e]
-			for k := range w {
-				w[k] += amps
-			}
-			r.wrote(tile, e)
-			r.static[tile] = 0
+		f := r.flux[k]
+		r.deposit(f, base, end, q)
+		addStatic(f[base:stop], amps)
+		for _, ev := range r.sub {
+			r.burst(f, base, end, ev.count, m[ev.tile]*ev.charge)
 		}
 	}
-	for _, ev := range r.sub {
-		stride := s / ev.count
-		if stride < 1 {
-			stride = 1
-		}
-		if r.coils != nil { // the burst may carry further past the cycle than any before
-			r.grow(ev.tile, min(base+(ev.count-1)*stride+stride/2+len(r.pulse), end))
-		}
-		// Center each pulse in its sub-interval so the injected tones
-		// sit in quadrature with the cycle-aligned clock pulses and
-		// always add energy instead of sometimes cancelling.
-		for j := 0; j < ev.count; j++ {
-			r.deposit(ev.tile, base+j*stride+stride/2, end, ev.charge)
+	for tile, w := range r.currents {
+		r.deposit(w, base, end, cyc[tile]+clock[tile])
+		addStatic(w[base:stop], static[tile])
+	}
+	if r.currents != nil {
+		for _, ev := range r.sub {
+			r.burst(r.currents[ev.tile], base, end, ev.count, ev.charge)
 		}
 	}
+	clear(r.cycleCharge)
+	clear(r.static)
 	r.sub = r.sub[:0]
-	if r.coils != nil {
-		r.fold()
-	}
 	r.cycle++
 	return nil
 }
 
-// deposit adds a charge pulse starting at sample index start, dropping
-// the samples at or past end.
-func (r *Recorder) deposit(tile, start, end int, q float64) {
+// deposit adds a pulse carrying charge q to w from sample start on,
+// dropping the samples at or past end.
+func (r *Recorder) deposit(w []float64, start, end int, q float64) {
 	end = min(end, start+len(r.pulse))
-	if start >= end {
+	if start >= end || q == 0 {
 		return
 	}
-	w := r.currents[tile][start:end]
+	w = w[start:end]
 	for k, p := range r.pulse[:len(w)] {
 		w[k] += q * p
 	}
-	r.wrote(tile, end)
 }
 
-// wrote records, in flux mode, that tile's block holds activity up to
-// sample n.
-func (r *Recorder) wrote(tile, n int) {
-	if r.written != nil {
-		r.written[tile] = max(r.written[tile], n)
+// burst deposits count evenly spaced pulses of charge q each into the
+// cycle starting at sample base. Each pulse is centered in its
+// sub-interval so the injected tones sit in quadrature with the
+// cycle-aligned clock pulses and always add energy instead of sometimes
+// cancelling.
+func (r *Recorder) burst(w []float64, base, end, count int, q float64) {
+	stride := max(r.cfg.SamplesPerCycle/count, 1)
+	for j := 0; j < count; j++ {
+		r.deposit(w, base+j*stride+stride/2, end, q)
 	}
 }
 
-// grow extends tile's flux-mode block to at least n samples.
-func (r *Recorder) grow(tile, n int) {
-	if w := r.currents[tile]; n > len(w) {
-		r.currents[tile] = append(w, make([]float64, n-len(w))...)
+// addStatic adds a constant current to every sample of w.
+func addStatic(w []float64, amps float64) {
+	if amps == 0 {
+		return
+	}
+	for i := range w {
+		w[i] += amps
 	}
 }
 
-// fold adds the cycle's block of every written tile into each coil's
-// flux, visiting tiles in ascending order so every flux sample receives
-// its tile terms in accumulateFlux's order and with its x += m*w
-// expression (internal/emfield). Skipping the unwritten samples and the
-// zero-weight tiles drops only terms m·(±0), which leave a sum that
-// starts at +0 unchanged. The block is then cleared and the samples
-// carried past the cycle move to its start.
-func (r *Recorder) fold() {
-	s := r.cfg.SamplesPerCycle
-	base := r.cycle * s
-	for tile, n := range r.written {
-		if n == 0 {
-			continue
-		}
-		w := r.currents[tile]
-		blk := w[:min(n, s)]
-		for k, m := range r.coils {
-			if mt := m[tile]; mt != 0 {
-				f := r.flux[k][base : base+len(blk)]
-				for i, v := range blk {
-					f[i] += mt * v
-				}
-			}
-		}
-		clear(blk)
-		r.written[tile] = max(n-s, 0)
-		if n > s {
-			copy(w, w[s:n])
-			clear(w[max(s, n-s):n])
-		}
-	}
-}
-
-// Currents returns the per-tile waveforms captured so far.
+// Currents returns the per-tile waveforms captured so far: nil on a
+// flux lane.
 func (r *Recorder) Currents() [][]float64 { return r.currents }
 
-// Flux returns a flux-mode recorder's per-coil flux waveforms, in
-// FluxLane's weight order. They stay with the caller: the next Begin
-// allocates new ones.
+// Flux returns the per-coil flux waveforms, in the coils' order. They
+// stay with the caller: the next Begin allocates new ones.
 func (r *Recorder) Flux() [][]float64 { return r.flux }
 
 // Dt returns the waveform sample spacing in seconds.

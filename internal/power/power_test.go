@@ -420,21 +420,18 @@ func TestDrainTogglesMatchesOnToggle(t *testing.T) {
 	}
 }
 
-// TestFluxLaneMatchesEMFInto is the flux-mode property test: under
-// random per-cycle toggles, static currents and fast-toggle events, a
-// flux lane's emf must equal Coupling.EMFInto over the full waveforms
-// of a recorder fed the same activity, bit for bit. The events include
-// counts above 2×SamplesPerCycle (pulses carried several cycles on),
-// events in the last cycle truncated at the window end, windows of 1
-// and 2 cycles, and captures abandoned halfway, whose leftovers the
-// next Begin must clear.
-func TestFluxLaneMatchesEMFInto(t *testing.T) {
+// TestFluxLaneMatchesTileRecorder is the projection's property test:
+// under random per-cycle toggles, static currents and fast-toggle
+// events, a flux lane's flux must equal, bit for bit, the flux of a
+// tile-keeping recorder with the same coils fed the same activity, and
+// the emf of both must stay within 1e-12 of the waveform's peak of
+// Coupling.EMFInto over that recorder's tile waveforms. The events
+// include counts above 2×SamplesPerCycle (pulses carried several cycles
+// on), events in the last cycle truncated at the window end, windows of
+// 1 and 2 cycles, and captures abandoned halfway.
+func TestFluxLaneMatchesTileRecorder(t *testing.T) {
 	fp, n := smallPlan(t)
 	cfg := DefaultConfig()
-	rec, err := NewRecorder(cfg, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(7))
 	tiles, s := fp.Grid.NumTiles(), cfg.SamplesPerCycle
 	coils := make([]*emfield.Coupling, 2)
@@ -448,7 +445,11 @@ func TestFluxLaneMatchesEMFInto(t *testing.T) {
 		}
 		coils[k], weights[k] = &emfield.Coupling{M: m}, m
 	}
-	lane := rec.FluxLane(weights...)
+	rec, err := NewRecorder(cfg, fp, weights...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := rec.FluxLane()
 	wide := WideToggles([]*Recorder{lane})
 	// activity books one random cycle on both recorders; last marks the
 	// window's final cycle, which always gets a long fast-toggle burst.
@@ -501,16 +502,25 @@ func TestFluxLaneMatchesEMFInto(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		flux := lane.Flux()
 		for k, cp := range coils {
-			want := cp.EMFInto(nil, rec.Currents(), rec.Dt())
-			got := emfield.FluxToEMF(flux[k], lane.Dt())
-			if len(got) != len(want) {
-				t.Fatalf("trial %d coil %d: %d samples, want %d", trial, k, len(got), len(want))
+			want, got := rec.Flux()[k], lane.Flux()[k]
+			if len(got) != cycles*s || len(want) != cycles*s {
+				t.Fatalf("trial %d coil %d: flux of %d and %d samples, want %d", trial, k, len(got), len(want), cycles*s)
 			}
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("trial %d (%d cycles) coil %d sample %d: flux lane %v, EMFInto %v", trial, cycles, k, i, got[i], want[i])
+					t.Fatalf("trial %d (%d cycles) coil %d sample %d: flux lane %v, tile recorder %v", trial, cycles, k, i, got[i], want[i])
+				}
+			}
+			ref := cp.EMFInto(nil, rec.Currents(), rec.Dt())
+			emf := emfield.FluxToEMF(got, lane.Dt())
+			peak := 0.0
+			for _, v := range ref {
+				peak = max(peak, math.Abs(v))
+			}
+			for i := range ref {
+				if d := math.Abs(emf[i] - ref[i]); d > 1e-12*peak {
+					t.Fatalf("trial %d (%d cycles) coil %d sample %d: projected emf %v, EMFInto %v (|diff| %.3g of peak)", trial, cycles, k, i, emf[i], ref[i], d/peak)
 				}
 			}
 		}
