@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"emtrust/internal/aes"
 	"emtrust/internal/analog"
 	"emtrust/internal/emfield"
 	"emtrust/internal/layout"
@@ -42,7 +41,6 @@ type buildKey struct {
 type built struct {
 	id       uint64
 	n        *netlist.Netlist
-	core     *aes.Core
 	fp       *layout.Floorplan
 	rec      *power.Recorder
 	sensor   *emfield.Coupling
@@ -71,6 +69,7 @@ var designIDs atomic.Uint64
 // before/after snapshots without racing a zeroing write.
 var cacheStats struct {
 	buildHits, buildMisses     atomic.Uint64
+	buildEvictions             atomic.Uint64
 	captureHits, captureMisses atomic.Uint64
 	captureEvictions           atomic.Uint64
 }
@@ -78,11 +77,12 @@ var cacheStats struct {
 // CacheStats is a point-in-time snapshot of the replay caches' traffic.
 // A "miss" is a lookup that found no usable entry, whether that capture
 // never ran or its entry was evicted, so hits+misses equals the number
-// of lookups, not the number of simulations. CaptureEvictions counts
-// the entries a full capture cache dropped (ResetCaptureCache is not
-// counted).
+// of lookups, not the number of simulations. BuildEvictions and
+// CaptureEvictions count the entries a full build or capture cache
+// dropped (ResetCaptureCache is not counted).
 type CacheStats struct {
 	BuildHits, BuildMisses     uint64
+	BuildEvictions             uint64
 	CaptureHits, CaptureMisses uint64
 	CaptureEvictions           uint64
 }
@@ -92,6 +92,7 @@ func Stats() CacheStats {
 	return CacheStats{
 		BuildHits:        cacheStats.buildHits.Load(),
 		BuildMisses:      cacheStats.buildMisses.Load(),
+		BuildEvictions:   cacheStats.buildEvictions.Load(),
 		CaptureHits:      cacheStats.captureHits.Load(),
 		CaptureMisses:    cacheStats.captureMisses.Load(),
 		CaptureEvictions: cacheStats.captureEvictions.Load(),
@@ -114,6 +115,7 @@ func storeBuild(key buildKey, b *built) {
 	buildCache.Lock()
 	defer buildCache.Unlock()
 	if len(buildCache.m) >= maxBuilds {
+		cacheStats.buildEvictions.Add(uint64(len(buildCache.m)))
 		buildCache.m = make(map[buildKey]*built)
 	}
 	buildCache.m[key] = b

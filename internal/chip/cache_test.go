@@ -1,8 +1,10 @@
 package chip
 
 import (
+	"strings"
 	"testing"
 
+	"emtrust/internal/campaign"
 	"emtrust/internal/netlist"
 	"emtrust/internal/trojan"
 )
@@ -350,5 +352,99 @@ func TestCaptureChainReplayThenSimulate(t *testing.T) {
 				t.Fatal("chain left the A2 in a different state")
 			}
 		})
+	}
+}
+
+// resetBuildCache drops every chip build, so the next New of any
+// configuration builds again.
+func resetBuildCache() {
+	buildCache.Lock()
+	buildCache.m = make(map[buildKey]*built)
+	buildCache.Unlock()
+}
+
+// isolateBuildCache gives the test an empty build cache and puts the
+// previous entries back when it ends, so chips other tests built keep
+// sharing their design with a New of the same configuration.
+func isolateBuildCache(t *testing.T) {
+	buildCache.Lock()
+	saved := buildCache.m
+	buildCache.Unlock()
+	resetBuildCache()
+	t.Cleanup(func() {
+		buildCache.Lock()
+		buildCache.m = saved
+		buildCache.Unlock()
+	})
+}
+
+// TestBuildEvictionsCounted pins the build cache's drop counter: stores
+// up to maxBuilds entries evict nothing, and the store that finds the
+// cache full drops every entry and counts them in BuildEvictions. The
+// entries are keyed on nonzero seeds, which no New ever looks up.
+func TestBuildEvictionsCounted(t *testing.T) {
+	isolateBuildCache(t)
+	before := Stats()
+	for i := 1; i <= maxBuilds; i++ {
+		storeBuild(buildKey{cfg: Config{Seed: int64(i)}}, &built{})
+	}
+	if n := Stats().BuildEvictions - before.BuildEvictions; n != 0 {
+		t.Fatalf("filling the build cache to its cap evicted %d entries", n)
+	}
+	storeBuild(buildKey{cfg: Config{Seed: maxBuilds + 1}}, &built{})
+	if n := Stats().BuildEvictions - before.BuildEvictions; n != maxBuilds {
+		t.Fatalf("the store into a full build cache evicted %d entries, want %d", n, maxBuilds)
+	}
+	buildCache.Lock()
+	defer buildCache.Unlock()
+	if n := len(buildCache.m); n != 1 {
+		t.Fatalf("build cache holds %d entries after the drop, want 1", n)
+	}
+}
+
+// TestBuildCloneIsolated builds campaign member A, then member B, then
+// A again from an empty build cache. Each build edits its own clone of
+// the base design (new cells, a rewired victim fanout, patched payload
+// registers), so the second A must come out identical to the first.
+func TestBuildCloneIsolated(t *testing.T) {
+	gn := golden(t).Netlist()
+	isolateBuildCache(t)
+	// Victims and trigger terms: outputs of AES cells with readers.
+	readers := make([]int, gn.NumNets())
+	for _, c := range gn.Cells {
+		for _, in := range c.Inputs {
+			readers[in]++
+		}
+	}
+	var nets []netlist.Net
+	for _, c := range gn.Cells {
+		if strings.HasPrefix(c.Region, "aes") && readers[c.Output] > 0 {
+			nets = append(nets, c.Output)
+		}
+	}
+	member := func(id int, victim, term netlist.Net) *campaign.Member {
+		return &campaign.Member{
+			ID: id, K: 1, Trigger: []campaign.Term{{Net: term, RareValue: 1}},
+			Victim: victim, PayloadStages: 4,
+		}
+	}
+	a := member(1, nets[100], nets[200])
+	b := member(2, nets[300], nets[400])
+	build := func(m *campaign.Member) uint64 {
+		cfg := golden(t).Config()
+		cfg.Insert = m
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return campaign.NetlistHash(c.Netlist())
+	}
+	first := build(a)
+	if build(b) == first {
+		t.Fatal("members A and B built the same netlist")
+	}
+	resetBuildCache()
+	if again := build(a); again != first {
+		t.Errorf("member A rebuilt after B: netlist hash %016x, first build %016x", again, first)
 	}
 }

@@ -8,6 +8,8 @@ package chip
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"sync/atomic"
 
 	"emtrust/internal/aes"
@@ -23,19 +25,21 @@ import (
 )
 
 // Inserter injects extra logic into the chip's netlist after the AES
-// core and the clock divider are generated (a campaign-generated Trojan,
-// an instrumentation block). Implementations must be deterministic —
-// the same inserter value must always build the same cells — and must
-// be comparable pointer types: chip builds are memoized in a map keyed
-// on Config, so the dynamic value participates in map-key comparison
-// (identity, for a pointer).
+// core and the clock divider (a campaign-generated Trojan, an
+// instrumentation block). Implementations must be deterministic — the
+// same inserter value must always build the same cells — and
+// comparable, ideally pointer types: chip builds are memoized in a map
+// keyed on Config, so the dynamic value participates in map-key
+// comparison (identity, for a pointer). New returns an error for a
+// value that cannot be compared.
 type Inserter interface {
 	// InsertName tags the built netlist (and the build-cache key); two
 	// inserters that build different logic must report different names.
 	InsertName() string
-	// Insert appends logic to the partially built design. The base
-	// design's cells and nets are already in place, so the inserter can
-	// reference and rewire them by the ids of the golden build.
+	// Insert appends logic to the partially built design, a private
+	// clone of the base design. The base's cells and nets are already
+	// in place, so the inserter can reference and rewire them by the
+	// ids of the golden build.
 	Insert(b *netlist.Builder) error
 }
 
@@ -104,12 +108,11 @@ func DefaultConfig() Config {
 
 // Chip is one built and placed device with its measurement coils.
 type Chip struct {
-	cfg  Config
-	n    *netlist.Netlist
-	sim  *logic.Simulator
-	fp   *layout.Floorplan
-	rec  *power.Recorder
-	core *aes.Core
+	cfg Config
+	n   *netlist.Netlist
+	sim *logic.Simulator
+	fp  *layout.Floorplan
+	rec *power.Recorder
 	// design is the capture cache's design id (see captureKey).
 	design uint64
 
@@ -173,6 +176,9 @@ func New(cfg Config) (*Chip, error) {
 	if cfg.SpiralTurns < 1 || cfg.ProbeTurns < 1 {
 		return nil, fmt.Errorf("chip: coil turn counts must be at least 1, got spiral %d, probe %d", cfg.SpiralTurns, cfg.ProbeTurns)
 	}
+	if cfg.Insert != nil && !reflect.ValueOf(cfg.Insert).Comparable() {
+		return nil, fmt.Errorf("chip: inserter %s of type %T is not comparable, so it cannot key the build cache", cfg.Insert.InsertName(), cfg.Insert)
+	}
 	key := buildKey{cfg: cfg}
 	key.cfg.Seed = 0
 	b := lookupBuild(key)
@@ -185,7 +191,7 @@ func New(cfg Config) (*Chip, error) {
 		storeBuild(key, b)
 	}
 	c := &Chip{
-		cfg: cfg, design: b.id, n: b.n, sim: b.template.Fork(), fp: b.fp, rec: b.rec.Fork(), core: b.core,
+		cfg: cfg, design: b.id, n: b.n, sim: b.template.Fork(), fp: b.fp, rec: b.rec.Fork(),
 		sensor:  b.sensor,
 		trojans: b.trojans,
 		t2Tile:  b.t2Tile,
@@ -199,9 +205,13 @@ func New(cfg Config) (*Chip, error) {
 	return c, nil
 }
 
-// buildChip constructs the immutable part of a chip build.
-func buildChip(cfg Config) (*built, error) {
-	b := netlist.NewBuilder(chipName(cfg))
+// baseDesign is the part of every chip's netlist that no Config
+// changes: the AES core, then the clock divider. It is generated once
+// per process and kept (about 2 MB); each build starts from a clone of
+// the builder, and the core's nets, which every clone shares, are only
+// read.
+var baseDesign = sync.OnceValues(func() (*netlist.Builder, *aes.Core) {
+	b := netlist.NewBuilder("aes_base")
 	core := aes.Generate(b)
 
 	// Clock-division wire: bit 0 of a free-running divider toggles every
@@ -212,6 +222,14 @@ func buildChip(cfg Config) (*built, error) {
 	div := b.Counter(2, netlist.InvalidNet)
 	b.Output("clkdiv", div)
 	b.SetRegion("")
+	return b, core
+})
+
+// buildChip constructs the immutable part of a chip build: a clone of
+// the base design, then the paper's Trojans and the inserted logic.
+func buildChip(cfg Config) (*built, error) {
+	base, core := baseDesign()
+	b := base.Clone(chipName(cfg))
 
 	trojans := make(map[trojan.Kind]*trojan.Instance)
 	if cfg.WithTrojans {
@@ -250,7 +268,7 @@ func buildChip(cfg Config) (*built, error) {
 	}
 
 	out := &built{
-		id: designIDs.Add(1), n: n, core: core, fp: fp, rec: rec,
+		id: designIDs.Add(1), n: n, fp: fp, rec: rec,
 		sensor: sensor, trojans: trojans, template: template,
 	}
 	if inst, ok := trojans[trojan.T2LeakageCurrent]; ok {

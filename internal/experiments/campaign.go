@@ -125,13 +125,20 @@ func campaignGenConfig(cfg Config) campaign.Config {
 	return gen
 }
 
+// campaignGoldenConfig is the uninfected chip every member is inserted
+// into: cfg.Chip without the paper's Trojans and the A2.
+func campaignGoldenConfig(cfg Config) chip.Config {
+	golden := cfg.Chip
+	golden.WithTrojans = false
+	golden.WithA2 = false
+	return golden
+}
+
 // Campaign generates the Trojan family and runs every detector over it.
 func Campaign(cfg Config) (*CampaignResult, error) {
 	// Golden build: the profile, the floorplan tiles, and the victim
 	// pool all come from the uninfected design.
-	goldenCfg := cfg.Chip
-	goldenCfg.WithTrojans = false
-	goldenCfg.WithA2 = false
+	goldenCfg := campaignGoldenConfig(cfg)
 	golden, err := chip.New(goldenCfg)
 	if err != nil {
 		return nil, err
@@ -155,21 +162,39 @@ func Campaign(cfg Config) (*CampaignResult, error) {
 	}
 	res.Reproducible = again.Hash() == res.Hash
 
-	// Measure every member. Members are independent, so they shard
+	// Measure every member, and run the stimulus searchers on an even
+	// subset of them (the first subset members at a stride of every),
+	// on one build per member. Members are independent, so they shard
 	// across workers; results are index-addressed.
+	subset := min(max(cfg.CampaignSearchMembers, 1), len(camp.Members))
+	every := len(camp.Members) / subset
+	res.SearchMembers = subset
+	res.SearchBudget = cfg.CampaignSearchPop * cfg.CampaignSearchGens
+	searchers := []campaign.Searcher{campaign.GA{}, campaign.Random{}, campaign.MERO{}}
+	// searches[k][s] is searcher s on the k-th subset member.
+	searches := make([][]*campaign.SearchResult, subset)
 	res.PerMember = make([]CampaignMemberResult, len(camp.Members))
 	err = parallel.For(len(camp.Members), func(i int) error {
-		mr, err := campaignMember(cfg, goldenCfg, camp.Members[i])
+		m := camp.Members[i]
+		chipCfg := goldenCfg
+		chipCfg.Insert = m
+		c, err := chip.New(chipCfg)
 		if err != nil {
-			return fmt.Errorf("member %d: %w", camp.Members[i].ID, err)
+			return fmt.Errorf("member %d: %w", m.ID, err)
 		}
-		res.PerMember[i] = mr
+		if i == 0 {
+			res.SampleNetlistHash = campaign.NetlistHash(c.Netlist())
+		}
+		if i%every == 0 && i/every < subset {
+			if searches[i/every], err = campaignSearch(cfg, c.Netlist(), stim, camp.Cfg.Seed, m, searchers); err != nil {
+				return fmt.Errorf("member %d: %w", m.ID, err)
+			}
+		}
+		if res.PerMember[i], err = campaignMember(cfg, c, m); err != nil {
+			return fmt.Errorf("member %d: %w", m.ID, err)
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.SampleNetlistHash, err = campaignNetlistHash(goldenCfg, camp.Members[0])
 	if err != nil {
 		return nil, err
 	}
@@ -180,26 +205,27 @@ func Campaign(cfg Config) (*CampaignResult, error) {
 	res.ByTile = groupBy(res.PerMember, func(m CampaignMemberResult) string {
 		return tileQuadrant(m.Tile, gfp.Grid.NX, gfp.Grid.NY)
 	})
-
-	if err := campaignSearch(cfg, goldenCfg, camp, stim, res); err != nil {
-		return nil, err
+	// Searcher stats sum over the subset in ascending member order.
+	for si, s := range searchers {
+		st := CampaignSearchStat{Searcher: s.Name()}
+		for _, srs := range searches {
+			st.MeanFrac += srs[si].BestFrac / float64(subset)
+			if srs[si].FullLanes > 0 {
+				st.FullTriggers++
+			}
+		}
+		res.Search = append(res.Search, st)
 	}
 	return res, nil
 }
 
-// campaignMember measures one member: enrollment on the dormant chip,
-// then fingerprint, hardened-monitor, and sensor-array verdicts on the
-// forced-active chip.
-func campaignMember(cfg Config, goldenCfg chip.Config, m *campaign.Member) (CampaignMemberResult, error) {
+// campaignMember measures one member on its chip c: enrollment on the
+// dormant chip, then fingerprint, hardened-monitor, and sensor-array
+// verdicts on the forced-active chip.
+func campaignMember(cfg Config, c *chip.Chip, m *campaign.Member) (CampaignMemberResult, error) {
 	out := CampaignMemberResult{
 		ID: m.ID, K: m.K, RarityMax: m.RarityMax,
 		TriggerProb: m.TriggerProb, Tile: m.VictimTile,
-	}
-	chipCfg := goldenCfg
-	chipCfg.Insert = m
-	c, err := chip.New(chipCfg)
-	if err != nil {
-		return out, err
 	}
 	c.EnableA2(false)
 	ch := chip.SimulationChannels()
@@ -222,7 +248,7 @@ func campaignMember(cfg Config, goldenCfg chip.Config, m *campaign.Member) (Camp
 		return out, err
 	}
 
-	arr, err := sensorarray.New(c.Floorplan(), sensorarray.ConfigFor(chipCfg, campArrayN))
+	arr, err := sensorarray.New(c.Floorplan(), sensorarray.ConfigFor(c.Config(), campArrayN))
 	if err != nil {
 		return out, err
 	}
@@ -291,80 +317,22 @@ func campaignMember(cfg Config, goldenCfg chip.Config, m *campaign.Member) (Camp
 	return out, nil
 }
 
-// campaignNetlistHash builds one member's infected netlist and digests
-// it (the structural half of the reproducibility witness).
-func campaignNetlistHash(goldenCfg chip.Config, m *campaign.Member) (uint64, error) {
-	chipCfg := goldenCfg
-	chipCfg.Insert = m
-	c, err := chip.New(chipCfg)
+// campaignSearch runs each searcher on member m of netlist n at an
+// identical simulation budget. One evaluator serves them in turn:
+// Evaluate reloads every lane from the same start state.
+func campaignSearch(cfg Config, n *netlist.Netlist, stim campaign.Stimulus, seed int64, m *campaign.Member, searchers []campaign.Searcher) ([]*campaign.SearchResult, error) {
+	e, err := campaign.NewEvaluator(n, stim, m, 0)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return campaign.NetlistHash(c.Netlist()), nil
-}
-
-// campaignSearch compares the stimulus searchers on an even subset of
-// members at an identical simulation budget.
-func campaignSearch(cfg Config, goldenCfg chip.Config, camp *campaign.Campaign, stim campaign.Stimulus, res *CampaignResult) error {
-	n := cfg.CampaignSearchMembers
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(camp.Members) {
-		n = len(camp.Members)
-	}
-	step := len(camp.Members) / n
-	if step < 1 {
-		step = 1
-	}
-	var subset []*campaign.Member
-	for i := 0; i < len(camp.Members) && len(subset) < n; i += step {
-		subset = append(subset, camp.Members[i])
-	}
-	pop, gens := cfg.CampaignSearchPop, cfg.CampaignSearchGens
-	res.SearchMembers = len(subset)
-	res.SearchBudget = pop * gens
-
-	searchers := []campaign.Searcher{campaign.GA{}, campaign.Random{}, campaign.MERO{}}
-	// results[s][m] is searcher s on subset member m.
-	results := make([][]*campaign.SearchResult, len(searchers))
-	for si := range results {
-		results[si] = make([]*campaign.SearchResult, len(subset))
-	}
-	err := parallel.For(len(searchers)*len(subset), func(i int) error {
-		si, mi := i/len(subset), i%len(subset)
-		m := subset[mi]
-		chipCfg := goldenCfg
-		chipCfg.Insert = m
-		c, err := chip.New(chipCfg) // build-cached: shares the measurement pass's netlist
-		if err != nil {
-			return err
-		}
-		e, err := campaign.NewEvaluator(c.Netlist(), stim, m, 0)
-		if err != nil {
-			return err
-		}
-		sr, err := campaign.Search(e, searchers[si], pop, gens, campaign.SearchSeed(camp.Cfg.Seed, m.ID))
-		if err != nil {
-			return err
-		}
-		results[si][mi] = sr
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+	out := make([]*campaign.SearchResult, len(searchers))
 	for si, s := range searchers {
-		st := CampaignSearchStat{Searcher: s.Name()}
-		for _, sr := range results[si] {
-			st.MeanFrac += sr.BestFrac / float64(len(subset))
-			if sr.FullLanes > 0 {
-				st.FullTriggers++
-			}
+		out[si], err = campaign.Search(e, s, cfg.CampaignSearchPop, cfg.CampaignSearchGens, campaign.SearchSeed(seed, m.ID))
+		if err != nil {
+			return nil, err
 		}
-		res.Search = append(res.Search, st)
 	}
-	return nil
+	return out, nil
 }
 
 // campaignROC pools the threshold-normalized distances of every member

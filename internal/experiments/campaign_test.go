@@ -64,6 +64,111 @@ func TestCampaignSmall(t *testing.T) {
 	}
 }
 
+// TestCampaignBuildsEachNetlistOnce pins that one Campaign call looks
+// up one chip build per distinct netlist: the golden design and each
+// member. The stimulus searchers run on the member pass's chips and the
+// sample netlist hash reads member 0's, so neither builds again.
+func TestCampaignBuildsEachNetlistOnce(t *testing.T) {
+	cfg := smallCampaignConfig()
+	before := chip.Stats()
+	if _, err := Campaign(cfg); err != nil {
+		t.Fatal(err)
+	}
+	after := chip.Stats()
+	lookups := after.BuildHits + after.BuildMisses - before.BuildHits - before.BuildMisses
+	if want := uint64(1 + cfg.CampaignMembers); lookups != want {
+		t.Errorf("Campaign looked up %d chip builds, want %d (the golden design and %d members)", lookups, want, cfg.CampaignMembers)
+	}
+}
+
+// regenerateCampaign builds the golden chip of cfg and generates the
+// campaign from it, as Campaign does.
+func regenerateCampaign(t *testing.T, cfg Config) *campaign.Campaign {
+	t.Helper()
+	golden, err := chip.New(campaignGoldenConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gn, gfp := golden.Netlist(), golden.Floorplan()
+	tileOf := func(v netlist.Net) int { return gfp.Grid.CellTile[gn.Driver(v)] }
+	camp, err := campaign.Generate(gn, campaign.AESStimulus(), tileOf, campaignGenConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return camp
+}
+
+// memberNetlist builds member m's chip on cfg's golden configuration
+// and returns its netlist.
+func memberNetlist(t *testing.T, cfg Config, m *campaign.Member) *netlist.Netlist {
+	t.Helper()
+	chipCfg := campaignGoldenConfig(cfg)
+	chipCfg.Insert = m
+	c, err := chip.New(chipCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Netlist()
+}
+
+// TestNetlistHashesPinned pins the netlists of the chip build path as
+// absolute values at DefaultConfig: the golden and infected builds, the
+// default campaign's member specs, and two member netlists. Member 0
+// carries a payload bank (every default member does) and pads its
+// footprint with inverters only; member 1's padding takes the
+// odd-quarter buffer. The other netlist witnesses regenerate through the
+// same build path they check, so a drift in how builds start (the AES,
+// the clock divider, the base design a build copies) fails only here.
+func TestNetlistHashesPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, pin := range []struct {
+		name  string
+		cfg   chip.Config
+		cells int
+		hash  uint64
+	}{
+		{"golden", campaignGoldenConfig(cfg), 20919, 0xf406be237df99ab8},
+		{"infected with A2", cfg.Chip, 25600, 0x1c3f42b3173b4329},
+	} {
+		c, err := chip.New(pin.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.Netlist()
+		if got := campaign.NetlistHash(n); got != pin.hash || len(n.Cells) != pin.cells {
+			t.Errorf("%s netlist: hash %016x with %d cells, want %016x with %d", pin.name, got, len(n.Cells), pin.hash, pin.cells)
+		}
+	}
+
+	camp := regenerateCampaign(t, cfg)
+	if got := camp.Hash(); got != 0x3b3d10de48e47a0c {
+		t.Errorf("campaign hash %016x, want 3b3d10de48e47a0c", got)
+	}
+	for _, pin := range []struct {
+		id   int
+		bufs int // padding buffers: 1 when the odd-quarter branch ran
+		hash uint64
+	}{
+		{0, 0, 0x35f6c2eb345fc800},
+		{1, 1, 0x92174f5b913d6984},
+	} {
+		m := camp.Members[pin.id]
+		n := memberNetlist(t, cfg, m)
+		bufs := 0
+		for _, c := range n.Cells {
+			if c.Region == campaign.Region && c.Type == netlist.Buf {
+				bufs++
+			}
+		}
+		if m.PayloadStages == 0 || bufs != pin.bufs {
+			t.Errorf("member %d: %d payload stages and %d padding buffers, want stages > 0 and %d buffers", pin.id, m.PayloadStages, bufs, pin.bufs)
+		}
+		if got := campaign.NetlistHash(n); got != pin.hash {
+			t.Errorf("member %d netlist hash %016x, want %016x", pin.id, got, pin.hash)
+		}
+	}
+}
+
 // TestCampaignAcceptance pins the issue's acceptance criteria on the
 // full campaign: at least 100 generated Trojans at a fixed seed, a
 // detector ROC over trigger rarity/size/placement, the GA strictly
@@ -88,23 +193,8 @@ func TestCampaignAcceptance(t *testing.T) {
 	// netlist bytes. Both hashes come from campaign.Generate and one
 	// netlist build, so the members' detection is not re-run.
 	cfg := campaignAcceptanceConfig()
-	goldenCfg := cfg.Chip
-	goldenCfg.WithTrojans = false
-	goldenCfg.WithA2 = false
-	golden, err := chip.New(goldenCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gn, gfp := golden.Netlist(), golden.Floorplan()
-	tileOf := func(v netlist.Net) int { return gfp.Grid.CellTile[gn.Driver(v)] }
-	again, err := campaign.Generate(gn, campaign.AESStimulus(), tileOf, campaignGenConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	netHash, err := campaignNetlistHash(goldenCfg, again.Members[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := regenerateCampaign(t, cfg)
+	netHash := campaign.NetlistHash(memberNetlist(t, cfg, again.Members[0]))
 	if again.Hash() != res.Hash || netHash != res.SampleNetlistHash {
 		t.Errorf("regenerated campaign differs: %016x/%016x vs %016x/%016x",
 			again.Hash(), netHash, res.Hash, res.SampleNetlistHash)

@@ -115,9 +115,12 @@ func (s *Simulator) Compiled() bool { return s.prog != nil }
 // Kahn's algorithm. Sequential cell outputs and primary inputs are
 // sources.
 func levelize(n *netlist.Netlist) ([]int, error) {
-	// fanout lists and in-degrees over combinational cells only.
-	indeg := make([]int, len(n.Cells))
-	fanout := make([][]int32, n.NumNets())
+	// In-degrees over combinational cells and edges only, and a per-net
+	// CSR of combinational readers: readers of net m are
+	// fanout[start[m]:start[m+1]], in ascending cell order. The sort
+	// walks only the lists of nets a combinational cell drives.
+	indeg := make([]int32, len(n.Cells))
+	start := make([]int32, n.NumNets()+1)
 	comb := 0
 	for i, c := range n.Cells {
 		if c.Type.IsSequential() {
@@ -125,28 +128,40 @@ func levelize(n *netlist.Netlist) ([]int, error) {
 		}
 		comb++
 		for _, in := range c.Inputs {
-			d := n.Driver(in)
-			if d >= 0 && !n.Cells[d].Type.IsSequential() {
+			start[in+1]++
+			if d := n.Driver(in); d >= 0 && !n.Cells[d].Type.IsSequential() {
 				indeg[i]++
-				fanout[in] = append(fanout[in], int32(i))
 			}
 		}
 	}
-	order := make([]int, 0, comb)
-	queue := make([]int, 0, comb)
+	for m := 1; m < len(start); m++ {
+		start[m] += start[m-1]
+	}
+	fanout := make([]int32, start[len(start)-1])
+	fill := append([]int32(nil), start[:len(start)-1]...)
 	for i, c := range n.Cells {
-		if !c.Type.IsSequential() && indeg[i] == 0 {
-			queue = append(queue, i)
+		if c.Type.IsSequential() {
+			continue
+		}
+		for _, in := range c.Inputs {
+			fanout[fill[in]] = int32(i)
+			fill[in]++
 		}
 	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, i)
-		for _, j := range fanout[n.Cells[i].Output] {
+	// Kahn's algorithm with a FIFO queue: order is the queue itself, in
+	// push order, and head marks the next cell to pop.
+	order := make([]int, 0, comb)
+	for i, c := range n.Cells {
+		if !c.Type.IsSequential() && indeg[i] == 0 {
+			order = append(order, i)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		out := n.Cells[order[head]].Output
+		for _, j := range fanout[start[out]:start[out+1]] {
 			indeg[j]--
 			if indeg[j] == 0 {
-				queue = append(queue, int(j))
+				order = append(order, int(j))
 			}
 		}
 	}

@@ -23,6 +23,47 @@ func NewBuilder(name string) *Builder {
 	}
 }
 
+// Clone returns an independent copy of the builder's design under a new
+// name: further edits to either one, including ReplaceFanout and
+// PatchCellInput rewiring the copied cells in place, never reach the
+// other. Every cell's inputs share one backing array, each cell's
+// sub-slice capped at its own pins. The copy has room for a quarter
+// more cells and nets, so logic added to it (a Trojan is a few percent
+// of a design) appends without regrowing them.
+func (b *Builder) Clone(name string) *Builder {
+	pins := 0
+	for _, c := range b.cells {
+		pins += len(c.Inputs)
+	}
+	flat := make([]Net, 0, pins)
+	cells := make([]Cell, len(b.cells), len(b.cells)*5/4)
+	for i, c := range b.cells {
+		lo := len(flat)
+		flat = append(flat, c.Inputs...)
+		c.Inputs = flat[lo:len(flat):len(flat)]
+		cells[i] = c
+	}
+	return &Builder{
+		name:    name,
+		cells:   cells,
+		inputs:  clonePorts(b.inputs),
+		outputs: clonePorts(b.outputs),
+		driver:  append(make([]int, 0, len(b.driver)*5/4), b.driver...),
+		region:  b.region,
+		stack:   append([]string(nil), b.stack...),
+		lo:      b.lo,
+		hi:      b.hi,
+	}
+}
+
+func clonePorts(ports []Port) []Port {
+	out := make([]Port, len(ports))
+	for i, p := range ports {
+		out[i] = Port{Name: p.Name, Nets: append([]Net(nil), p.Nets...)}
+	}
+	return out
+}
+
 // SetRegion sets the region tag applied to subsequently created cells.
 func (b *Builder) SetRegion(region string) { b.region = region }
 

@@ -5,6 +5,7 @@ import (
 
 	"emtrust/internal/chip"
 	"emtrust/internal/layout"
+	"emtrust/internal/netlist"
 	"emtrust/internal/parallel"
 )
 
@@ -120,6 +121,24 @@ func TestNewRejectsZeroTurns(t *testing.T) {
 		if _, err := chip.New(cfg); err == nil {
 			t.Errorf("chip.New accepted spiral %d, probe %d turns", cfg.SpiralTurns, cfg.ProbeTurns)
 		}
+	}
+}
+
+// sliceInsert is an Inserter with a slice field and value receivers:
+// its values cannot be compared, so none can key the build cache.
+type sliceInsert struct{ nets []netlist.Net }
+
+func (sliceInsert) InsertName() string            { return "slice" }
+func (sliceInsert) Insert(*netlist.Builder) error { return nil }
+
+// TestNewRejectsNonComparableInserter pins that chip.New returns an
+// error, not a map-hash panic, for an Inserter value that cannot be
+// compared.
+func TestNewRejectsNonComparableInserter(t *testing.T) {
+	cfg := chip.DefaultConfig()
+	cfg.Insert = sliceInsert{nets: []netlist.Net{1}}
+	if _, err := chip.New(cfg); err == nil {
+		t.Error("chip.New accepted a non-comparable inserter")
 	}
 }
 
