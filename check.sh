@@ -41,7 +41,7 @@ step_gofmt() {
 }
 
 step_engine() {
-    echo "== engine differential (wide vs compiled vs reference, S-box toggle profile) =="
+    echo "== engine differential (wide vs compiled vs reference, the wide settle's sweep switch at forced budgets and its sweep decision, S-box toggle profile) =="
     go test -run 'Differential|CompiledVsReference|Wide|SBoxToggleCharge' -count=1 ./internal/logic/ ./internal/aes/
 }
 
@@ -61,14 +61,15 @@ step_race() {
 }
 
 step_campaign() {
-    echo "== campaign smoke (generate, search, export) and build pins (absolute netlist hashes, clone isolation, one build per netlist) =="
+    echo "== campaign smoke (generate, search, export) and build pins (absolute netlist and floorplan hashes, clone isolation, one build per netlist) =="
     # Tiny 8-Trojan campaign with a 2-generation search; cmd/netlist exits
     # nonzero if the search finds no partial-trigger coverage at all.
     go run ./cmd/netlist -campaign 8 -member 1 -search 2 -stats=false -verilog /dev/null >/dev/null
     # Every chip build starts from a clone of one base design. These name
-    # the failure when the base drifts, when a clone's edits reach the
-    # base or a sibling, or when a Campaign call builds a netlist twice.
-    go test -run 'NetlistHashesPinned|CloneIsolated|BuildEvictionsCounted|BuildsEachNetlistOnce' -count=1 ./internal/netlist/ ./internal/chip/ ./internal/experiments/
+    # the failure when the base drifts, when a placement moves a cell or
+    # a region by a bit, when a clone's edits reach the base or a
+    # sibling, or when a Campaign call builds a netlist twice.
+    go test -run 'NetlistHashesPinned|FloorplansPinned|CloneIsolated|BuildEvictionsCounted|BuildsEachNetlistOnce' -count=1 ./internal/netlist/ ./internal/chip/ ./internal/experiments/
 }
 
 step_experiments() {

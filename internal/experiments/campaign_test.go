@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"sort"
 	"testing"
 
 	"emtrust/internal/campaign"
 	"emtrust/internal/chip"
+	"emtrust/internal/layout"
 	"emtrust/internal/netlist"
 )
 
@@ -98,9 +103,8 @@ func regenerateCampaign(t *testing.T, cfg Config) *campaign.Campaign {
 	return camp
 }
 
-// memberNetlist builds member m's chip on cfg's golden configuration
-// and returns its netlist.
-func memberNetlist(t *testing.T, cfg Config, m *campaign.Member) *netlist.Netlist {
+// memberChip builds member m's chip on cfg's golden configuration.
+func memberChip(t *testing.T, cfg Config, m *campaign.Member) *chip.Chip {
 	t.Helper()
 	chipCfg := campaignGoldenConfig(cfg)
 	chipCfg.Insert = m
@@ -108,7 +112,7 @@ func memberNetlist(t *testing.T, cfg Config, m *campaign.Member) *netlist.Netlis
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Netlist()
+	return c
 }
 
 // TestNetlistHashesPinned pins the netlists of the chip build path as
@@ -153,7 +157,7 @@ func TestNetlistHashesPinned(t *testing.T) {
 		{1, 1, 0x92174f5b913d6984},
 	} {
 		m := camp.Members[pin.id]
-		n := memberNetlist(t, cfg, m)
+		n := memberChip(t, cfg, m).Netlist()
 		bufs := 0
 		for _, c := range n.Cells {
 			if c.Region == campaign.Region && c.Type == netlist.Buf {
@@ -165,6 +169,69 @@ func TestNetlistHashesPinned(t *testing.T) {
 		}
 		if got := campaign.NetlistHash(n); got != pin.hash {
 			t.Errorf("member %d netlist hash %016x, want %016x", pin.id, got, pin.hash)
+		}
+	}
+}
+
+// floorplanHash digests a floorplan's geometry as float bits: the die
+// size, every region's rectangle in name order and every cell's
+// position.
+func floorplanHash(fp *layout.Floorplan) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(fs ...float64) {
+		for _, f := range fs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
+			h.Write(buf[:])
+		}
+	}
+	put(fp.Die.X, fp.Die.Y)
+	names := make([]string, 0, len(fp.Regions))
+	for r := range fp.Regions {
+		names = append(names, r)
+	}
+	sort.Strings(names)
+	for _, r := range names {
+		h.Write([]byte(r))
+		b := fp.Regions[r]
+		put(b.X, b.Y, b.W, b.H)
+	}
+	for _, p := range fp.Positions {
+		put(p.X, p.Y)
+	}
+	return h.Sum64()
+}
+
+// TestFloorplansPinned pins the placement of the golden, infected and
+// member-0 builds at DefaultConfig as absolute values: the die, the
+// region blocks and every cell position, bit for bit. The die side and
+// the column slices come from per-region gate-equivalent sums, so a
+// change in which cells a region sums, or in the order of the
+// additions, fails here.
+func TestFloorplansPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	golden, err := chip.New(campaignGoldenConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	infected, err := chip.New(cfg.Chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := memberChip(t, cfg, regenerateCampaign(t, cfg).Members[0])
+	for _, pin := range []struct {
+		name    string
+		c       *chip.Chip
+		regions int
+		hash    uint64
+	}{
+		{"golden", golden, 2, 0x31f104e97e9d47d8},
+		{"infected with A2", infected, 6, 0xf437dcb0acb98abe},
+		{"member 0", member, 3, 0x5228e1cdb3c85e93},
+	} {
+		fp := pin.c.Floorplan()
+		if got := floorplanHash(fp); got != pin.hash || len(fp.Regions) != pin.regions {
+			t.Errorf("%s floorplan: hash %016x with %d regions, want %016x with %d", pin.name, got, len(fp.Regions), pin.hash, pin.regions)
 		}
 	}
 }
@@ -194,7 +261,7 @@ func TestCampaignAcceptance(t *testing.T) {
 	// netlist build, so the members' detection is not re-run.
 	cfg := campaignAcceptanceConfig()
 	again := regenerateCampaign(t, cfg)
-	netHash := campaign.NetlistHash(memberNetlist(t, cfg, again.Members[0]))
+	netHash := campaign.NetlistHash(memberChip(t, cfg, again.Members[0]).Netlist())
 	if again.Hash() != res.Hash || netHash != res.SampleNetlistHash {
 		t.Errorf("regenerated campaign differs: %016x/%016x vs %016x/%016x",
 			again.Hash(), netHash, res.Hash, res.SampleNetlistHash)

@@ -8,7 +8,6 @@ package layout
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"emtrust/internal/netlist"
@@ -117,14 +116,14 @@ func Place(n *netlist.Netlist, cfg Config) (*Floorplan, error) {
 		return nil, fmt.Errorf("layout: netlist %s has no cells", n.Name)
 	}
 
-	// Total core area sets the (square) die.
-	totalGE := n.Stats("").GateEquivalent
-	coreArea := totalGE * cfg.CellArea / cfg.Utilization
-	side := math.Sqrt(coreArea)
-	die := Point{X: side, Y: side}
-
-	// Partition cells by top-level region.
+	// Partition cells by top-level region and sum the gate equivalents
+	// of the whole design and of each region in one pass. A region's sum
+	// is Netlist.Stats(region).GateEquivalent to the bit: every cell
+	// whose tag starts with the region's name, added in ascending cell
+	// order.
 	regions := n.Regions()
+	regionGE := make([]float64, len(regions))
+	totalGE := 0.0
 	cellsByRegion := make(map[string][]int)
 	for i, c := range n.Cells {
 		top := c.Region
@@ -132,38 +131,50 @@ func Place(n *netlist.Netlist, cfg Config) (*Floorplan, error) {
 			top = top[:k]
 		}
 		cellsByRegion[top] = append(cellsByRegion[top], i)
+		ge := c.Type.GateEquivalents()
+		totalGE += ge
+		for k, r := range regions {
+			if strings.HasPrefix(c.Region, r) {
+				regionGE[k] += ge
+			}
+		}
 	}
+
+	// Total core area sets the (square) die.
+	coreArea := totalGE * cfg.CellArea / cfg.Utilization
+	side := math.Sqrt(coreArea)
+	die := Point{X: side, Y: side}
+
 	// Main region = largest area.
-	main := regions[0]
+	main := 0
 	mainGE := 0.0
-	for _, r := range regions {
-		ge := n.Stats(r).GateEquivalent
+	for k, ge := range regionGE {
 		if ge > mainGE {
 			mainGE = ge
-			main = r
+			main = k
 		}
 	}
 
 	blocks := make(map[string]Rect, len(regions))
 	if len(regions) == 1 {
-		blocks[main] = Rect{0, 0, die.X, die.Y}
+		blocks[regions[main]] = Rect{0, 0, die.X, die.Y}
 	} else {
 		colW := die.X * cfg.TrojanColumn
-		blocks[main] = Rect{0, 0, die.X - colW, die.Y}
-		// Column slices proportional to region area, in sorted name
-		// order bottom to top.
-		var others []string
+		blocks[regions[main]] = Rect{0, 0, die.X - colW, die.Y}
+		// Column slices proportional to region area, in name order
+		// (Regions is sorted) bottom to top.
 		otherGE := 0.0
-		for _, r := range regions {
-			if r != main {
-				others = append(others, r)
-				otherGE += n.Stats(r).GateEquivalent
+		for k, ge := range regionGE {
+			if k != main {
+				otherGE += ge
 			}
 		}
-		sort.Strings(others)
 		y := 0.0
-		for _, r := range others {
-			h := die.Y * n.Stats(r).GateEquivalent / otherGE
+		for k, r := range regions {
+			if k == main {
+				continue
+			}
+			h := die.Y * regionGE[k] / otherGE
 			blocks[r] = Rect{die.X - colW, y, colW, h}
 			y += h
 		}

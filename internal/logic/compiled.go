@@ -164,20 +164,34 @@ func compile(n *netlist.Netlist, order, seq []int) *program {
 	// Rank-ordered fanout as pre-combined bitset updates: each rank's
 	// segment is its output net's reader list folded into (word, mask)
 	// pairs. The reader ranks are sorted ascending, so readers sharing
-	// a schedule word are adjacent and fold into one entry.
+	// a schedule word are adjacent and fold into one entry. Count each
+	// rank's distinct reader words first, so both arrays are allocated
+	// once at their final size, then fill.
 	p.fanCum = make([]int32, nc+1)
 	for r := range p.ins {
 		o := p.ins[r].outOp & netMask
-		lastW := int32(-1)
+		words, lastW := int32(0), int32(-1)
 		for _, fr := range p.fanRank[p.fanStart[o]:p.fanStart[o+1]] {
 			if w := fr >> 6; w != lastW {
 				lastW = w
-				p.fanW = append(p.fanW, w)
-				p.fanM = append(p.fanM, 0)
+				words++
 			}
-			p.fanM[len(p.fanM)-1] |= 1 << (uint(fr) & 63)
 		}
-		p.fanCum[r+1] = int32(len(p.fanW))
+		p.fanCum[r+1] = p.fanCum[r] + words
+	}
+	p.fanW = make([]int32, p.fanCum[nc])
+	p.fanM = make([]uint64, p.fanCum[nc])
+	for r := range p.ins {
+		o := p.ins[r].outOp & netMask
+		j, lastW := p.fanCum[r]-1, int32(-1)
+		for _, fr := range p.fanRank[p.fanStart[o]:p.fanStart[o+1]] {
+			if w := fr >> 6; w != lastW {
+				lastW = w
+				j++
+				p.fanW[j] = w
+			}
+			p.fanM[j] |= 1 << (uint(fr) & 63)
+		}
 	}
 	p.netRank = make([]int32, n.NumNets())
 	for i := range p.netRank {
@@ -244,9 +258,8 @@ func (s *Simulator) markAll() {
 	s.minW, s.maxW = 0, len(s.dirty)-1
 }
 
-// denseWord is the dirty-bit population at which a word of the
 // denseDivisor sets the adaptive sweep threshold: when the seeded dirty
-// population exceeds len(ins)/denseDivisor, the settle abandons
+// population reaches len(ins)/denseDivisor, the scalar settle abandons
 // event-driven scheduling for one straight linear sweep of the whole
 // instruction stream. AES-style workloads are bursty — during the
 // eleven round cycles most of the cone toggles and selective evaluation
@@ -254,7 +267,13 @@ func (s *Simulator) markAll() {
 // cycles are almost free either way. The sweep needs no fanout marking
 // at all (every downstream rank is visited anyway), so its per-cell
 // cost undercuts even the reference evaluator's; the sparse path keeps
-// quiet cycles proportional to actual activity.
+// quiet cycles proportional to actual activity. A scalar seed count is
+// one lane's activity, so a large one predicts a large cascade. In the
+// wide engine the divisor gates only the fast path of WideState.Settle:
+// there the seeds are the union over the lanes, and lanes that are each
+// quiet (always-on Trojan payloads) pass the threshold together while
+// their cascade stays small, so the wide settle also asks how much the
+// last clock edge changed, and otherwise decides mid-scan.
 const denseDivisor = 32
 
 // settleCompiled propagates pending changes in ascending rank order.

@@ -2,7 +2,9 @@ package logic
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"emtrust/internal/netlist"
@@ -298,5 +300,58 @@ func TestCompiledSkipsQuietCells(t *testing.T) {
 	sim.Settle() // nothing changed since the last settle
 	if got := len(sim.TakeToggles()); got != 0 {
 		t.Fatalf("settle with no input change produced %d toggles", got)
+	}
+}
+
+// appendFanout builds the rank-ordered fanout arrays the way compile
+// did before it counted them: one append per (rank, reader word) pair.
+// It is the reference checkCountedFanout compares compile against.
+func appendFanout(p *program) (fanW []int32, fanM []uint64, fanCum []int32) {
+	fanCum = make([]int32, len(p.ins)+1)
+	for r := range p.ins {
+		o := p.ins[r].outOp & netMask
+		lastW := int32(-1)
+		for _, fr := range p.fanRank[p.fanStart[o]:p.fanStart[o+1]] {
+			if w := fr >> 6; w != lastW {
+				lastW = w
+				fanW = append(fanW, w)
+				fanM = append(fanM, 0)
+			}
+			fanM[len(fanM)-1] |= 1 << (uint(fr) & 63)
+		}
+		fanCum[r+1] = int32(len(fanW))
+	}
+	return fanW, fanM, fanCum
+}
+
+// checkCountedFanout reports where p's rank-ordered fanout arrays
+// differ from appendFanout's, or where compile allocated one of them
+// larger than it filled.
+func checkCountedFanout(p *program) error {
+	fanW, fanM, fanCum := appendFanout(p)
+	if !slices.Equal(p.fanW, fanW) || !slices.Equal(p.fanM, fanM) || !slices.Equal(p.fanCum, fanCum) {
+		return fmt.Errorf("fanout arrays differ from the append-built reference: %d/%d/%d entries, reference %d/%d/%d",
+			len(p.fanW), len(p.fanM), len(p.fanCum), len(fanW), len(fanM), len(fanCum))
+	}
+	if len(p.fanW) != cap(p.fanW) || len(p.fanM) != cap(p.fanM) || len(p.fanCum) != cap(p.fanCum) {
+		return fmt.Errorf("fanout arrays are not sized to fit: len/cap fanW %d/%d, fanM %d/%d, fanCum %d/%d",
+			len(p.fanW), cap(p.fanW), len(p.fanM), cap(p.fanM), len(p.fanCum), cap(p.fanCum))
+	}
+	return nil
+}
+
+// TestCompiledFanoutMatchesAppend pins compile's counted fanout
+// construction on the differential suite's 300 random netlists: the
+// same (word, mask) pairs and segment bounds as one append per pair,
+// in arrays allocated once at their final size.
+func TestCompiledFanoutMatchesAppend(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		s, err := New(randomNetlist(rand.New(rand.NewSource(seed))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkCountedFanout(s.prog); err != nil {
+			t.Fatalf("netlist seed %d: %v", seed, err)
+		}
 	}
 }

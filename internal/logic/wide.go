@@ -87,6 +87,11 @@ type WideState struct {
 	dirty      []uint64
 	minW, maxW int
 
+	// lastEdge is how many ranks changed their output word in the
+	// settle of the last clock edge (LoadStates counts as a large one);
+	// Settle decides from it whether to sweep at once.
+	lastEdge int
+
 	cycle int
 
 	// OnWideToggle receives every cell-output toggle as (cell, diff,
@@ -158,6 +163,7 @@ func (w *WideState) LoadStates(sts []*State) error {
 		w.ov[r] = w.values[p.ins[r].outOp&netMask]
 	}
 	w.markAll()
+	w.lastEdge = len(p.ins)
 	w.cycle = sts[0].cycle
 	return nil
 }
@@ -302,28 +308,53 @@ func (w *WideState) emit(cell int32, diff, nv uint64) {
 	}
 }
 
+// largeDivisor sets when a wide settle counts as large: it changed the
+// output word of at least len(ins)/largeDivisor ranks.
+const largeDivisor = 8
+
+// sweepBudget is how many ranks a sparse wide settle over nc ranks
+// evaluates before it sweeps the rest. Only tests replace it, to force
+// the switch at the first non-empty word or never.
+var sweepBudget = func(nc int) int { return nc / 4 }
+
 // Settle propagates pending changes across all lanes without advancing
 // the clock, visiting ranks in ascending order exactly like the scalar
-// settle. A rank whose inputs changed in no lane is skipped (sparse) or
-// evaluates to its cached word and reports nothing (dense sweep).
-func (w *WideState) Settle() {
+// settle. A rank whose inputs changed in no lane is skipped (sparse
+// scan) or evaluates to its cached word and reports nothing (sweep).
+// The choice follows observed work, not the seeded count alone, which
+// is a union over the lanes (see denseDivisor): the settle sweeps at
+// once only when the seeds reach len(ins)/denseDivisor and the last
+// clock edge's settle changed at least len(ins)/largeDivisor ranks
+// (LoadStates counts as an edge that did). One edge's cascade predicts
+// the next edge's; a settle after port writes between edges predicts
+// neither, so only Tick records what it changed. Otherwise the sparse
+// scan runs, and once it has evaluated its budget it sweeps the rest
+// from the current word on. Every path emits the same toggle words in
+// the same order.
+func (w *WideState) Settle() { w.settle() }
+
+// settle is Settle returning how many ranks changed their output word.
+func (w *WideState) settle() int {
 	if w.maxW < w.minW {
-		return
-	}
-	pend := 0
-	for i := w.minW; i <= w.maxW; i++ {
-		pend += bits.OnesCount64(w.dirty[i])
-	}
-	if pend >= len(w.prog.ins)/denseDivisor {
-		w.settleSweep()
-		return
+		return 0
 	}
 	p := w.prog
 	ins := p.ins
+	if w.lastEdge >= len(ins)/largeDivisor {
+		pend := 0
+		for i := w.minW; i <= w.maxW; i++ {
+			pend += bits.OnesCount64(w.dirty[i])
+		}
+		if pend >= len(ins)/denseDivisor {
+			return w.sweepFrom(w.minW, 0)
+		}
+	}
 	v := w.values
 	ov := w.ov
 	d := w.dirty
 	lmask := w.mask
+	budget := sweepBudget(len(ins))
+	evals, changed := 0, 0
 	for wd := w.minW; wd <= w.maxW; wd++ {
 		// Same register-resident word scan as the scalar settle: snapshot
 		// the schedule word, clear it once, fold same-word fanout marks
@@ -332,11 +363,15 @@ func (w *WideState) Settle() {
 		if cur == 0 {
 			continue
 		}
+		if evals >= budget {
+			return w.sweepFrom(wd, changed)
+		}
 		d[wd] = 0
 		for cur != 0 {
 			t := bits.TrailingZeros64(cur)
 			cur &^= 1 << uint(t)
 			r := wd<<6 | t
+			evals++
 			it := ins[r]
 			op := uint32(it.outOp) >> netBits
 			a := v[it.in0] ^ wideI0[op]
@@ -350,6 +385,7 @@ func (w *WideState) Settle() {
 			if diff == 0 {
 				continue
 			}
+			changed++
 			ov[r] = nv
 			v[it.outOp&netMask] = nv
 			w.emit(p.cellOf[r], diff, nv)
@@ -370,19 +406,24 @@ func (w *WideState) Settle() {
 		}
 	}
 	w.minW, w.maxW = len(d), -1
+	return changed
 }
 
-// settleSweep is the dense wide settle: one linear pass over the whole
-// instruction stream in rank order. No fanout marking is needed (every
-// downstream rank is visited anyway) and the schedule bitset is cleared
-// wholesale.
-func (w *WideState) settleSweep() {
+// sweepFrom is the dense wide settle: one linear pass over the
+// instruction stream in rank order from schedule word wd to the end.
+// The ranks below wd must be settled already; they are when wd is the
+// first pending word, or the word a sparse scan has reached, since
+// fanout only points forward. No fanout marking is needed (every
+// downstream rank is visited anyway) and the schedule is cleared
+// wholesale. It returns changed plus the number of ranks whose output
+// word changed.
+func (w *WideState) sweepFrom(wd, changed int) int {
 	p := w.prog
 	ins := p.ins
 	v := w.values
 	ov := w.ov
 	lmask := w.mask
-	for r := range ins {
+	for r := wd << 6; r < len(ins); r++ {
 		it := ins[r]
 		op := uint32(it.outOp) >> netBits
 		a := v[it.in0] ^ wideI0[op]
@@ -396,20 +437,20 @@ func (w *WideState) settleSweep() {
 		if diff == 0 {
 			continue
 		}
+		changed++
 		ov[r] = nv
 		v[it.outOp&netMask] = nv
 		w.emit(p.cellOf[r], diff, nv)
 	}
-	for i := range w.dirty {
-		w.dirty[i] = 0
-	}
+	clear(w.dirty[wd : w.maxW+1])
 	w.minW, w.maxW = len(w.dirty), -1
+	return changed
 }
 
 // Tick advances one clock cycle on every lane: the same two-phase
 // flip-flop update as the scalar engine (sample all D/enable words,
 // commit in sequential-cell order, report per-lane edges, schedule
-// fanout), then a settle.
+// fanout), then a settle, whose cascade the next settle decides from.
 func (w *WideState) Tick() {
 	w.cycle++
 	p := w.prog
@@ -438,5 +479,5 @@ func (w *WideState) Tick() {
 		}
 		w.markFanout(q)
 	}
-	w.Settle()
+	w.lastEdge = w.settle()
 }
