@@ -41,7 +41,7 @@ step_gofmt() {
 }
 
 step_engine() {
-    echo "== engine differential (wide vs compiled vs reference, the wide settle's sweep switch at forced budgets and its sweep decision, S-box toggle profile) =="
+    echo "== engine differential (wide vs compiled vs reference, the wide settle's sweep switch at forced budgets and its sweep decision, lanes retired mid-run and the register watch, S-box toggle profile) =="
     go test -run 'Differential|CompiledVsReference|Wide|SBoxToggleCharge' -count=1 ./internal/logic/ ./internal/aes/
 }
 
@@ -51,7 +51,7 @@ step_rng() {
 }
 
 step_replay() {
-    echo "== capture replay differential (batch lanes, chain, fixed-point slot, caches, cross-seed capture sets, array emf slot, flux lanes against tile recorders, projected emf against EMF over Tiles) =="
+    echo "== capture replay differential (batch lanes, lane retirement points and retiring lanes against scalar captures, chain, fixed-point slot, caches, cross-seed capture sets, array emf slot, flux lanes against tile recorders and their repeat, projected emf against EMF over Tiles) =="
     go test -run 'Batch|Chain|FixedPoint|Memo|Cache|ScanFrame|FluxLane|Projection' -count=1 ./internal/chip/ ./internal/sensorarray/ ./internal/power/ ./internal/experiments/
 }
 

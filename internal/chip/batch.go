@@ -130,9 +130,10 @@ func (c *Chip) CaptureLanes(from []*Chip, pts [][]byte, key []byte, cycles int) 
 }
 
 // ensureWide lazily builds the chip's wide engine and grows the pooled
-// flux lane recorders and analog-Trojan scratch to the given lane
-// count. The lanes share the chip recorder's per-cell charge, tile and
-// coil tables, so they book exactly the flux a scalar capture does.
+// flux lane recorders, analog-Trojan scratch and lane-retirement state
+// to the given lane count. The lanes share the chip recorder's per-cell
+// charge, tile and coil tables, so they book exactly the flux a scalar
+// capture does.
 func (c *Chip) ensureWide(lanes int) error {
 	if c.wide == nil {
 		w, err := c.sim.Wide()
@@ -147,6 +148,9 @@ func (c *Chip) ensureWide(lanes int) error {
 	if len(c.a2s) < lanes {
 		c.a2s = make([]analog.A2, lanes)
 	}
+	if len(c.watch) < lanes {
+		c.watch = append(c.watch, make([]laneWatch, lanes-len(c.watch))...)
+	}
 	return nil
 }
 
@@ -156,7 +160,9 @@ func (c *Chip) ensureWide(lanes int) error {
 // lead-in tick, per-lane plaintext with broadcast key and start pulse,
 // load edge, then the remaining cycles — with the T2 crowbar hook
 // applied per lane from the lane's net word each cycle, and the A2
-// charge pump stepped on each lane whose start state armed it.
+// charge pump stepped on each lane whose start state armed it. From the
+// load edge on, a lane whose registers repeat retires (retire.go), and
+// the run stops once every lane has.
 func (c *Chip) runWide(batch []batchLane, key [16]byte, cycles int, out []*Capture) error {
 	lanes := len(batch)
 	if err := c.ensureWide(lanes); err != nil {
@@ -172,6 +178,9 @@ func (c *Chip) runWide(batch []batchLane, key [16]byte, cycles int, out []*Captu
 	}
 	recs := c.recs[:lanes]
 	a2s := c.a2s[:lanes]
+	lws := c.watch[:lanes]
+	all := ^uint64(0) >> uint(64-lanes)
+	live := all      // lanes still simulated, booked and flushed
 	var armed uint64 // lanes whose analog Trojan runs
 	for l, b := range batch {
 		recs[l].Begin(cycles)
@@ -179,6 +188,7 @@ func (c *Chip) runWide(batch []batchLane, key [16]byte, cycles int, out []*Captu
 		if c.a2 != nil && b.pre.a2On {
 			armed |= 1 << uint(l)
 		}
+		lws[l] = laneWatch{regs: lws[l].regs}
 	}
 	// Per-lane toggle extraction: diff = old^new marks the lanes that
 	// changed; each set bit books the cell's switching charge on that
@@ -190,14 +200,10 @@ func (c *Chip) runWide(batch []batchLane, key [16]byte, cycles int, out []*Captu
 	tick := func() error {
 		w.Tick()
 		if hasT2 {
-			on := w.NetWord(t2.Active) &^ w.NetWord(t2.LeakWire)
+			on := w.NetWord(t2.Active) &^ w.NetWord(t2.LeakWire) & live
 			amps := c.cfg.Power.CrowbarCurrent * float64(t2.CrowbarPairs)
-			for on != 0 {
-				l := bits.TrailingZeros64(on)
-				on &= on - 1
-				if l < lanes {
-					recs[l].AddStaticCurrent(c.t2Tile, amps)
-				}
+			for ; on != 0; on &= on - 1 {
+				recs[bits.TrailingZeros64(on)].AddStaticCurrent(c.t2Tile, amps)
 			}
 		}
 		if armed != 0 {
@@ -213,8 +219,8 @@ func (c *Chip) runWide(batch []batchLane, key [16]byte, cycles int, out []*Captu
 				}
 			}
 		}
-		for l := range recs {
-			if err := recs[l].EndCycle(); err != nil {
+		for m := live; m != 0; m &= m - 1 {
+			if err := recs[bits.TrailingZeros64(m)].EndCycle(); err != nil {
 				return err
 			}
 		}
@@ -245,13 +251,27 @@ func (c *Chip) runWide(batch []batchLane, key [16]byte, cycles int, out []*Captu
 		return err
 	}
 	w.Settle()
-	for i := 2; i < cycles; i++ {
+	// The ports are fixed from here on: watch the registers. A lane
+	// retires only after its cycle's T2 hook and flush, which read its
+	// net words.
+	w.Watch(flopKey)
+	for i := 2; i < cycles && live != 0; i++ {
 		if err := tick(); err != nil {
 			return err
 		}
+		if gone := repeating(w, lws, live&^armed, i); gone != 0 {
+			w.Retire(gone)
+			live &^= gone
+		}
 	}
 
+	retired := all &^ live
 	for l := range out {
+		if retired>>uint(l)&1 == 1 {
+			if err := recs[l].Repeat(lws[l].period); err != nil {
+				return err
+			}
+		}
 		out[l] = recorded(recs[l])
 	}
 	return nil

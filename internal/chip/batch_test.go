@@ -104,7 +104,8 @@ func TestCaptureBatchMatchesScalar(t *testing.T) {
 // crowbar current included) next to an armed A2 that is firing, its
 // pump charged by a long idle capture, so its fast-toggle pulses carry
 // across cycle boundaries. At 16, 33 and 512 cycles every lane must
-// be bit-identical to a scalar capture from the same state.
+// be bit-identical to a scalar capture from the same state, and no
+// lane, its A2 being armed, may retire.
 func TestCaptureBatchFiringA2MatchesScalar(t *testing.T) {
 	pts := make([][]byte, 5)
 	for i := range pts {
@@ -125,11 +126,15 @@ func TestCaptureBatchFiringA2MatchesScalar(t *testing.T) {
 				t.Fatal("A2 is not firing after the 600-cycle charge-up")
 			}
 			scalar := c.Clone()
+			retired := recordRetirements(t)
 			for _, cycles := range []int{16, 33, 512} {
 				before := c.snapshot()
 				caps, err := c.CaptureBatch(pts, testKey, cycles)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if len(retired) != 0 {
+					t.Fatalf("%d cycles: armed lanes retired: %v", cycles, retired)
 				}
 				for i := range pts {
 					scalar.restore(before)
@@ -380,7 +385,7 @@ func TestCaptureBatchMixedStarts(t *testing.T) {
 // start whose armed A2 is firing (with T2's crowbar on), one armed but
 // still charging, one disarmed right after firing and one never armed
 // (T4 on) share wide runs at 16, 33 and 512 cycles, and each matches a
-// scalar capture from its start chip.
+// scalar capture from its start chip. No lane with an armed A2 retires.
 func TestCaptureBatchMixedA2Starts(t *testing.T) {
 	resetCaptureCache()
 	firing := activeClone(t, trojan.T2LeakageCurrent)
@@ -407,6 +412,7 @@ func TestCaptureBatchMixedA2Starts(t *testing.T) {
 	recv := infected(t).Clone()
 	from, pts := laneSet(starts, 8)
 	unmoved := frozen(append([]*Chip{recv}, starts...)...)
+	retired := recordRetirements(t)
 	for _, cycles := range []int{16, 33, 512} {
 		caps, err := recv.CaptureLanes(from, pts, testKey, cycles)
 		if err != nil {
@@ -415,6 +421,11 @@ func TestCaptureBatchMixedA2Starts(t *testing.T) {
 		label := fmt.Sprintf("%d cycles", cycles)
 		checkLanes(t, label, from, pts, caps, cycles)
 		unmoved(t, label)
+		for l := range retired {
+			if from[l] == firing || from[l] == charging {
+				t.Fatalf("%s: lane %d retired with its A2 armed", label, l)
+			}
+		}
 	}
 }
 

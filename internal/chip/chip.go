@@ -132,12 +132,13 @@ type Chip struct {
 	streams *atomic.Uint64
 
 	// Lazy batch-capture machinery (batch.go): the wide engine, its
-	// pooled flux lane recorders (FluxLanes of rec) and
-	// analog-Trojan scratch. Private to this chip handle — Clone and
-	// WithStuckAt reset them.
-	wide *logic.WideState
-	recs []*power.Recorder
-	a2s  []analog.A2
+	// pooled flux lane recorders (FluxLanes of rec), analog-Trojan
+	// scratch and lane-retirement state (retire.go). Private to this
+	// chip handle — Clone and WithStuckAt reset them.
+	wide  *logic.WideState
+	recs  []*power.Recorder
+	a2s   []analog.A2
+	watch []laneWatch
 
 	// fixed is the fixed-point replay slot: the last simulated scalar
 	// capture that left the chip exactly where it started (a dormant chip
@@ -397,6 +398,7 @@ func (c *Chip) resetPrivate() {
 	c.wide = nil
 	c.recs = nil
 	c.a2s = nil
+	c.watch = nil
 	c.fixed = nil
 }
 
@@ -660,7 +662,8 @@ type Capture struct {
 
 // Channels bundles the two acquisition channels of an experiment. The
 // fields are interfaces so a degradation wrapper (internal/degrade) can
-// stand in for the healthy trace.Acquisition on either side.
+// stand in for the healthy trace.Acquisition on either side. A nil
+// Probe makes a sensor-only pair.
 type Channels struct {
 	Sensor trace.Channel
 	Probe  trace.Channel
@@ -690,11 +693,15 @@ func MeasurementChannels() Channels {
 	return Channels{Sensor: s, Probe: p}
 }
 
-// Acquire converts a clean capture into measured traces on both channels
-// using the given generator (sensor noise first, then probe noise — the
-// draw order is part of the reproducibility contract).
+// Acquire converts a clean capture into measured traces using the
+// given generator: the sensor, then the probe when Probe is set, whose
+// trace is nil otherwise. Sensor noise is drawn first — the draw order
+// is part of the reproducibility contract — so a sensor-only
+// acquisition returns the sensor trace a dual one does, bit for bit.
 func (ch Channels) Acquire(cap *Capture, rng trace.Rand) (sensor, probe *trace.Trace) {
 	sensor = ch.Sensor.Acquire(cap.Sensor, cap.Dt, rng)
-	probe = ch.Probe.Acquire(cap.Probe, cap.Dt, rng)
+	if ch.Probe != nil {
+		probe = ch.Probe.Acquire(cap.Probe, cap.Dt, rng)
+	}
 	return sensor, probe
 }

@@ -534,6 +534,34 @@ func TestChannelsAcquireDeterministic(t *testing.T) {
 	}
 }
 
+// TestChannelsAcquireSensorOnly: a Channels without a probe draws the
+// sensor's noise first, as a dual one does, so for one capture and one
+// generator seed its sensor trace equals the dual acquisition's bit for
+// bit, on the simulation and the measurement channels, and its probe
+// trace is nil.
+func TestChannelsAcquireSensorOnly(t *testing.T) {
+	cap := captureRandom(t, golden(t).Clone(), frand.NewRand(3), 32)
+	for _, tc := range []struct {
+		name string
+		dual Channels
+	}{{"simulation", SimulationChannels()}, {"measurement", MeasurementChannels()}} {
+		name, dual := tc.name, tc.dual
+		want, _ := dual.Acquire(cap, frand.NewRand(17))
+		got, probe := Channels{Sensor: dual.Sensor}.Acquire(cap, frand.NewRand(17))
+		if probe != nil {
+			t.Fatalf("%s: sensor-only acquisition returned a probe trace", name)
+		}
+		if got.Dt != want.Dt || len(got.Samples) != len(want.Samples) {
+			t.Fatalf("%s: sensor-only trace of %d samples at dt %v, dual %d at %v", name, len(got.Samples), got.Dt, len(want.Samples), want.Dt)
+		}
+		for i := range want.Samples {
+			if math.Float64bits(got.Samples[i]) != math.Float64bits(want.Samples[i]) {
+				t.Fatalf("%s: sample %d: sensor-only %v, dual %v", name, i, got.Samples[i], want.Samples[i])
+			}
+		}
+	}
+}
+
 // useReferenceEngine moves c onto logic's reference full-cone evaluator,
 // starting from c's current state, under a fresh design id so c never
 // replays the compiled engine's capture-cache entries.

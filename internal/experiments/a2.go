@@ -89,7 +89,7 @@ func a2IdleSets(cfg Config, nOn int) (golden, on []*trace.Trace, c *chip.Chip, e
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ch := chip.SimulationChannels()
+	ch := sensorOnly(chip.SimulationChannels())
 	cycles := cfg.SpectralCycles
 
 	c.EnableA2(false)

@@ -45,7 +45,7 @@ func Coverage(cfg Config) (*CoverageResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch := chip.SimulationChannels()
+	ch := sensorOnly(chip.SimulationChannels())
 	ronWindow := cfg.SpectralCycles
 	ronTrials := cfg.TestTraces / 6
 	if ronTrials < 4 {
@@ -155,7 +155,7 @@ func coverageA2(cfg Config) (CoverageRow, error) {
 	if err != nil {
 		return CoverageRow{}, err
 	}
-	ch := chip.SimulationChannels()
+	ch := sensorOnly(chip.SimulationChannels())
 	cycles := cfg.SpectralCycles
 	c.EnableA2(false)
 	n := cfg.GoldenTraces/8 + 4

@@ -228,7 +228,7 @@ func campaignMember(cfg Config, c *chip.Chip, m *campaign.Member) (CampaignMembe
 		TriggerProb: m.TriggerProb, Tile: m.VictimTile,
 	}
 	c.EnableA2(false)
-	ch := chip.SimulationChannels()
+	ch := sensorOnly(chip.SimulationChannels())
 
 	// Enrollment (trusted phase, trigger dormant).
 	enroll, err := captureSet(c, cfg, ch, cfg.GoldenTraces, cfg.CaptureCycles)

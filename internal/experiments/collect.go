@@ -35,20 +35,35 @@ import (
 //     so lanes bypass the capture cache.
 //
 // All derive per-trace randomness from (cfg.Seed, stream, index) via
-// chip.SplitRand, with one stream id reserved per set (per randomLanes
+// chip.SubSeed, with one stream id reserved per set (per randomLanes
 // call when a random set mixes start chips), and turn their captures
 // into traces through acquireSet, so results are bit-identical for any
 // worker count and schedule, and the chip is left in the same post-set
-// state regardless of schedule.
+// state regardless of schedule. Fixed-stimulus sets reseed one
+// generator per worker for each trace; a random lane keeps the
+// generator its plaintext came from. A set acquired on sensor-only
+// channels (sensorOnly) draws no probe noise: the sensor's draws come
+// first from each trace's private generator, so its sensor traces are
+// those of a dual set.
 
 // dualSet holds matched sensor/probe trace sets from the same captures.
+// A set acquired on sensor-only channels has no probe traces.
 type dualSet struct {
 	Sensor trace.Set
 	Probe  trace.Set
 }
 
+// sensorOnly returns ch without its probe, for experiments that read
+// only the sensor.
+func sensorOnly(ch chip.Channels) chip.Channels { return chip.Channels{Sensor: ch.Sensor} }
+
+// newWorkerRand makes a worker's generator, which each of its traces
+// seeds before drawing.
+func newWorkerRand(int) (*frand.Rand, error) { return new(frand.Rand), nil }
+
 // replicate runs capture against c and invokes each(i, cap, rng) for
-// every trace index with a per-index generator. The simulator runs twice
+// every trace index with the worker's generator, reseeded for the
+// index; each must not keep rng. The simulator runs twice
 // — a warm-up absorbing whatever transient the chip's current state
 // carries (cold start, a just-toggled Trojan trigger), then the measured
 // capture from the resulting steady state — instead of once per trace;
@@ -70,8 +85,9 @@ func replicate(c *chip.Chip, n int, capture func(*chip.Chip) (*chip.Capture, err
 	if err != nil {
 		return err
 	}
-	return parallel.For(n, func(i int) error {
-		return each(i, cap, c.SplitRand(stream, uint64(i)))
+	return parallel.Run(n, newWorkerRand, func(rng *frand.Rand, i int) error {
+		rng.Seed(c.SubSeed(stream, uint64(i)))
+		return each(i, cap, rng)
 	})
 }
 
@@ -88,7 +104,7 @@ const stateSamples = 16
 // captureSet records n traces of the standard fixed-stimulus encryption
 // workload: a discarded warm-up capture, stateSamples serial captures of
 // the evolving chip state, and n acquisitions round-robined over the
-// captured states with per-trace derived generators.
+// captured states with per-trace derived seeds.
 func captureSet(c *chip.Chip, cfg Config, ch chip.Channels, n, cycles int) (*dualSet, error) {
 	if n <= 0 {
 		return &dualSet{}, nil
@@ -109,8 +125,9 @@ func captureSet(c *chip.Chip, cfg Config, ch chip.Channels, n, cycles int) (*dua
 		return nil, err
 	}
 	caps := chain[1:] // chain[0] is the warm-up, discarded
-	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) {
-		return caps[i%k], c.SplitRand(stream, uint64(i))
+	return acquireSet(ch, n, func(i int, rng *frand.Rand) (*chip.Capture, *frand.Rand) {
+		rng.Seed(c.SubSeed(stream, uint64(i)))
+		return caps[i%k], rng
 	})
 }
 
@@ -181,10 +198,10 @@ func captureRandomSet(c *chip.Chip, key []byte, ch chip.Channels, lanes []random
 	if err != nil {
 		return nil, err
 	}
-	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) { return caps[i], lanes[i].rng })
+	return acquireSet(ch, n, func(i int, _ *frand.Rand) (*chip.Capture, *frand.Rand) { return caps[i], lanes[i].rng })
 }
 
-// idleTraces records n dual-channel traces with no encryption running
+// idleTraces records n traces with no encryption running
 // (only the clock tree and any active Trojans radiate). The warm-up +
 // measure pair runs as a two-step idle chain through the process-wide
 // capture cache: stream allocation, state trajectory, and acquisition
@@ -201,26 +218,36 @@ func idleTraces(c *chip.Chip, ch chip.Channels, n, cycles int) (*dualSet, error)
 		return nil, err
 	}
 	cap := chain[1] // chain[0] is the warm-up, discarded
-	return acquireSet(ch, n, func(i int) (*chip.Capture, *frand.Rand) {
-		return cap, c.SplitRand(stream, uint64(i))
+	return acquireSet(ch, n, func(i int, rng *frand.Rand) (*chip.Capture, *frand.Rand) {
+		rng.Seed(c.SubSeed(stream, uint64(i)))
+		return cap, rng
 	})
 }
 
 // acquireSet turns n clean captures into matched sensor/probe trace
-// sets: at(i) returns trace i's capture and its private generator. The
-// acquisitions fan out over the worker pool and each writes only its
-// own index, so the sets are identical at any worker count.
-func acquireSet(ch chip.Channels, n int, at func(i int) (*chip.Capture, *frand.Rand)) (*dualSet, error) {
-	sensors := make([]*trace.Trace, n)
-	probes := make([]*trace.Trace, n)
-	err := parallel.For(n, func(i int) error {
-		sensors[i], probes[i] = ch.Acquire(at(i))
+// sets, or a sensor set alone on sensor-only channels: at(i, rng)
+// returns trace i's capture and the generator to draw its noise from,
+// either rng, the worker's own generator reseeded for the trace, or the
+// trace's private one. The acquisitions fan out over the worker pool
+// and each writes only its own index, so the sets are identical at any
+// worker count.
+func acquireSet(ch chip.Channels, n int, at func(i int, rng *frand.Rand) (*chip.Capture, *frand.Rand)) (*dualSet, error) {
+	set := &dualSet{Sensor: trace.Set{Traces: make([]*trace.Trace, n)}}
+	if ch.Probe != nil {
+		set.Probe.Traces = make([]*trace.Trace, n)
+	}
+	err := parallel.Run(n, newWorkerRand, func(rng *frand.Rand, i int) error {
+		s, p := ch.Acquire(at(i, rng))
+		set.Sensor.Traces[i] = s
+		if p != nil {
+			set.Probe.Traces[i] = p
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &dualSet{Sensor: trace.Set{Traces: sensors}, Probe: trace.Set{Traces: probes}}, nil
+	return set, nil
 }
 
 // infectedChip builds the chip carrying all Trojans, with everything

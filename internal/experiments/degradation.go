@@ -134,7 +134,7 @@ func Degradation(cfg Config) (*DegradationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch := chip.SimulationChannels()
+	ch := sensorOnly(chip.SimulationChannels())
 
 	golden, err := captureSet(c, cfg, ch, cfg.GoldenTraces, cfg.CaptureCycles)
 	if err != nil {

@@ -51,7 +51,7 @@ func EuclideanSimulation(cfg Config) (*EuclideanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch := chip.SimulationChannels()
+	ch := sensorOnly(chip.SimulationChannels())
 
 	goldenSet, err := captureSet(c, cfg, ch, cfg.GoldenTraces, cfg.CaptureCycles)
 	if err != nil {

@@ -47,7 +47,12 @@ func Fig6Histograms(cfg Config, useSensor bool) (*HistogramsResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The probe's noise follows the sensor's in each trace's stream, so
+	// the probe panels acquire both channels.
 	ch := chip.MeasurementChannels()
+	if useSensor {
+		ch = sensorOnly(ch)
+	}
 	pick := func(d *dualSet) []*trace.Trace {
 		if useSensor {
 			return d.Sensor.Traces
@@ -233,7 +238,7 @@ func fig6SpectraSet(cfg Config) (set *dualSet, nGolden int, err error) {
 		}
 		lanes = append(lanes, randomLanes(on, 1)...)
 	}
-	set, err = captureRandomSet(c, cfg.Key, chip.SimulationChannels(), lanes, cfg.SpectralCycles)
+	set, err = captureRandomSet(c, cfg.Key, sensorOnly(chip.SimulationChannels()), lanes, cfg.SpectralCycles)
 	return set, nGolden, err
 }
 

@@ -38,10 +38,7 @@ func Robustness(cfg Config) (*RobustnessResult, error) {
 	base := chip.SimulationChannels().Sensor.(trace.Acquisition).NoiseRMS
 	res := &RobustnessResult{BaseNoiseRMS: base}
 	for _, scale := range []float64{0.5, 1, 2, 4} {
-		ch := chip.Channels{
-			Sensor: trace.SimulationChannel(base * scale),
-			Probe:  trace.SimulationChannel(base * scale),
-		}
+		ch := chip.Channels{Sensor: trace.SimulationChannel(base * scale)}
 		golden, err := captureSet(c, cfg, ch, cfg.GoldenTraces, cfg.CaptureCycles)
 		if err != nil {
 			return nil, err

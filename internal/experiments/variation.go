@@ -64,7 +64,7 @@ func Variation(cfg Config) (*VariationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch := chip.SimulationChannels()
+	ch := sensorOnly(chip.SimulationChannels())
 
 	collect := func(c *chip.Chip, n int) ([]*trace.Trace, error) {
 		set, err := captureSet(c, cfg, ch, n, cfg.CaptureCycles)

@@ -24,8 +24,9 @@ import (
 // edge, then combinational toggles in ascending rank during settle —
 // so order-sensitive consumers (power.Recorder's float accumulation)
 // see the same sequence per lane as a scalar run. This holds at any
-// lane count, including partial last words; the differential tests in
-// wide_test.go pin it across 300 random netlists.
+// lane count, including partial last words, and for the lanes left
+// after others retire (Retire), which emit nothing more; the
+// differential tests in wide_test.go pin it across 300 random netlists.
 
 // MaxLanes is the number of independent stimulus lanes a WideState
 // packs into each 64-bit net word.
@@ -93,6 +94,12 @@ type WideState struct {
 	lastEdge int
 
 	cycle int
+
+	// Register watch (Watch): while watching, keys[k] is flop k's hash
+	// key and hash[l] is lane l's register hash.
+	watching bool
+	keys     []uint64
+	hash     [MaxLanes]uint64
 
 	// OnWideToggle receives every cell-output toggle as (cell, diff,
 	// nv): diff has a bit set for each lane that changed, nv is the new
@@ -165,7 +172,70 @@ func (w *WideState) LoadStates(sts []*State) error {
 	w.markAll()
 	w.lastEdge = len(p.ins)
 	w.cycle = sts[0].cycle
+	w.watching = false
 	return nil
+}
+
+// Watch starts hashing every lane's registers: until the next
+// LoadStates, lane l's hash (LaneHash) is the XOR of key(k) over the
+// flops k whose value on lane l differs from the one it holds now, so
+// cycles with equal registers have equal hashes. Tick updates the hash
+// of each lane a flop commit toggles; an unwatched Tick pays one branch
+// per toggled flop word.
+func (w *WideState) Watch(key func(flop int) uint64) {
+	if w.keys == nil {
+		w.keys = make([]uint64, len(w.prog.seqCell))
+	}
+	for k := range w.keys {
+		w.keys[k] = key(k)
+	}
+	w.hash = [MaxLanes]uint64{}
+	w.watching = true
+}
+
+// LaneHash returns lane l's register hash (see Watch).
+func (w *WideState) LaneHash(l int) uint64 { return w.hash[l] }
+
+// LaneRegs returns lane l's registers, one bit per flop in
+// sequential-cell order, in dst's storage when it is large enough.
+func (w *WideState) LaneRegs(l int, dst []uint64) []uint64 {
+	seqQ := w.prog.seqQ
+	n := (len(seqQ) + 63) / 64
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	for k, q := range seqQ {
+		dst[k>>6] |= (w.values[q] >> uint(l) & 1) << (uint(k) & 63)
+	}
+	return dst
+}
+
+// SameRegs reports whether lane l's registers equal regs, a LaneRegs
+// result, bit for bit.
+func (w *WideState) SameRegs(l int, regs []uint64) bool {
+	for k, q := range w.prog.seqQ {
+		if w.values[q]>>uint(l)&1 != regs[k>>6]>>(uint(k)&63)&1 {
+			return false
+		}
+	}
+	return true
+}
+
+// Retire drops the lanes set in lanes for the rest of the run: their
+// bits leave every net word and the lane mask, so no later port write,
+// settle or tick changes them and they emit no toggle. The other lanes
+// run on unchanged. LoadStates brings every lane back.
+func (w *WideState) Retire(lanes uint64) {
+	keep := ^lanes
+	w.mask &= keep
+	for i := range w.values {
+		w.values[i] &= keep
+	}
+	for r := range w.ov {
+		w.ov[r] &= keep
+	}
 }
 
 func (w *WideState) markAll() {
@@ -449,8 +519,9 @@ func (w *WideState) sweepFrom(wd, changed int) int {
 
 // Tick advances one clock cycle on every lane: the same two-phase
 // flip-flop update as the scalar engine (sample all D/enable words,
-// commit in sequential-cell order, report per-lane edges, schedule
-// fanout), then a settle, whose cascade the next settle decides from.
+// commit in sequential-cell order, report per-lane edges, update the
+// watched register hashes, schedule fanout), then a settle, whose
+// cascade the next settle decides from.
 func (w *WideState) Tick() {
 	w.cycle++
 	p := w.prog
@@ -474,6 +545,12 @@ func (w *WideState) Tick() {
 		}
 		v[q] = nv
 		w.emit(ci, diff, nv)
+		if w.watching {
+			key := w.keys[k]
+			for m := diff; m != 0; m &= m - 1 {
+				w.hash[bits.TrailingZeros64(m)] ^= key
+			}
+		}
 		if r := p.netRank[q]; r >= 0 {
 			w.ov[r] = nv
 		}

@@ -80,6 +80,15 @@ type wideHarness struct {
 	cmp     []*Simulator
 	wideLog [][]ToggleEvent
 	w       *WideState
+
+	// Register watch and retirement (watch, afterOp): keys are the flop
+	// hash keys, start[l] lane l's registers when the watch began (nil
+	// while unwatched), retired the lanes retired from w so far.
+	keys    []uint64
+	start   [][]uint64
+	retired uint64
+	// afterOp, when set, runs after every stimulus operation of drive.
+	afterOp func()
 }
 
 func newWideHarness(t testing.TB, n *netlist.Netlist, lanes int) *wideHarness {
@@ -124,12 +133,82 @@ func newWideHarness(t testing.TB, n *netlist.Netlist, lanes int) *wideHarness {
 	return h
 }
 
+// scalarRegs packs a scalar simulator's registers like LaneRegs.
+func scalarRegs(s *Simulator) []uint64 {
+	seqQ := s.prog.seqQ
+	regs := make([]uint64, (len(seqQ)+63)/64)
+	for k, q := range seqQ {
+		regs[k>>6] |= uint64(s.Net(netlist.Net(q))) << (uint(k) & 63)
+	}
+	return regs
+}
+
+// watch starts the wide engine's register watch with the given keys
+// and records every lane's registers, which check then holds the
+// lane's hash and LaneRegs to.
+func (h *wideHarness) watch(keys []uint64) {
+	h.keys = keys
+	h.w.Watch(func(k int) uint64 { return keys[k] })
+	h.start = make([][]uint64, h.lanes)
+	for l := range h.start {
+		h.start[l] = scalarRegs(h.cmp[l])
+	}
+}
+
+// checkWatch holds a watched lane's LaneRegs to its scalar registers,
+// its hash to the XOR of the keys of the flops that moved since the
+// watch began, and SameRegs to exact equality.
+func (h *wideHarness) checkWatch(t testing.TB, step string, l int) {
+	t.Helper()
+	want := scalarRegs(h.cmp[l])
+	got := h.w.LaneRegs(l, nil)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: lane %d registers %x, scalar %x", step, l, got, want)
+	}
+	var hash uint64
+	for k, key := range h.keys {
+		if (want[k>>6]^h.start[l][k>>6])>>(uint(k)&63)&1 == 1 {
+			hash ^= key
+		}
+	}
+	if h.w.LaneHash(l) != hash {
+		t.Fatalf("%s: lane %d register hash %#x, want %#x", step, l, h.w.LaneHash(l), hash)
+	}
+	if !h.w.SameRegs(l, want) {
+		t.Fatalf("%s: lane %d registers differ from their own copy", step, l)
+	}
+	for k := range h.keys {
+		want[k>>6] ^= 1 << (uint(k) & 63)
+		if h.w.SameRegs(l, want) {
+			t.Fatalf("%s: lane %d registers equal a copy with flop %d flipped", step, l, k)
+		}
+		want[k>>6] ^= 1 << (uint(k) & 63)
+	}
+}
+
 // check compares, per lane, every net value and the step's toggle
 // stream (cells, directions, order) across all three engines, then
-// clears the accumulated streams.
+// clears the accumulated streams. A retired lane must have emitted
+// nothing and hold 0 on every net; its scalar toggles are dropped.
 func (h *wideHarness) check(t testing.TB, step string) {
 	t.Helper()
 	for l := 0; l < h.lanes; l++ {
+		if h.retired>>uint(l)&1 == 1 {
+			if len(h.wideLog[l]) != 0 {
+				t.Fatalf("%s: retired lane %d emitted %d toggles", step, l, len(h.wideLog[l]))
+			}
+			for net := netlist.Net(1); int(net) < h.n.NumNets(); net++ {
+				if h.w.NetLane(net, l) != 0 {
+					t.Fatalf("%s: retired lane %d holds 1 on net %d", step, l, net)
+				}
+			}
+			h.ref[l].TakeToggles()
+			h.cmp[l].TakeToggles()
+			continue
+		}
+		if h.start != nil {
+			h.checkWatch(t, step, l)
+		}
 		for net := netlist.Net(1); int(net) < h.n.NumNets(); net++ {
 			rv, cv, wv := h.ref[l].Net(net), h.cmp[l].Net(net), h.w.NetLane(net, l)
 			if rv != cv || cv != wv {
@@ -177,15 +256,23 @@ func (h *wideHarness) tickAll() {
 	h.w.Tick()
 }
 
-// driveWideDifferential replays a stimulus byte stream against the
-// harness, comparing after every operation. The low 3 bits of each byte
-// select the operation; the rest parameterize it. Lane stimulus is
-// deliberately divergent (a per-lane offset folded into the value) so
-// lanes exercise different paths through the same word-parallel settle.
+// driveWideDifferential replays a stimulus byte stream against a fresh
+// harness (drive).
 func driveWideDifferential(t testing.TB, n *netlist.Netlist, lanes int, stimulus []byte) {
 	t.Helper()
 	h := newWideHarness(t, n, lanes)
 	h.check(t, "initial load")
+	h.drive(t, stimulus)
+}
+
+// drive replays a stimulus byte stream against the harness, comparing
+// after every operation. The low 3 bits of each byte select the
+// operation; the rest parameterize it. Lane stimulus is deliberately
+// divergent (a per-lane offset folded into the value) so lanes exercise
+// different paths through the same word-parallel settle.
+func (h *wideHarness) drive(t testing.TB, stimulus []byte) {
+	t.Helper()
+	n, lanes := h.n, h.lanes
 	for _, by := range stimulus {
 		switch by & 7 {
 		case 0, 1, 2, 3: // lane-divergent port values, settle, tick
@@ -218,6 +305,9 @@ func driveWideDifferential(t testing.TB, n *netlist.Netlist, lanes int, stimulus
 			h.check(t, "tick broadcast")
 		case 5: // lane extraction round-trip
 			l := int(by>>3) % lanes
+			if h.retired>>uint(l)&1 == 1 {
+				break
+			}
 			st := h.w.LaneState(l)
 			if !st.ValuesEqual(h.cmp[l].State()) {
 				t.Fatalf("LaneState(%d) diverges from the lane's scalar state", l)
@@ -266,6 +356,9 @@ func driveWideDifferential(t testing.TB, n *netlist.Netlist, lanes int, stimulus
 			h.tickAll()
 			h.check(t, "tick broadcast bits")
 		}
+		if h.afterOp != nil {
+			h.afterOp()
+		}
 	}
 }
 
@@ -284,6 +377,41 @@ func TestWideDifferentialRandomNetlists(t *testing.T) {
 			stim := make([]byte, 24)
 			rng.Read(stim)
 			driveWideDifferential(t, n, lanes, stim)
+		}
+	})
+}
+
+// TestWideRetiredLanesDifferential runs the random-netlist
+// differential with the register watch on random keys, retiring random
+// lanes between operations: the remaining lanes must stay identical to
+// their compiled and reference engines, with hashes and registers as
+// checkWatch demands, and a retired lane must emit nothing more.
+func TestWideRetiredLanesDifferential(t *testing.T) {
+	atSweepBudgets(t, func(t *testing.T) {
+		for seed := int64(0); seed < 300; seed++ {
+			rng := rand.New(rand.NewSource(2000 + seed))
+			n := randomNetlist(rng)
+			lanes := 1 + rng.Intn(MaxLanes)
+			stim := make([]byte, 24)
+			rng.Read(stim)
+			h := newWideHarness(t, n, lanes)
+			keys := make([]uint64, len(h.w.prog.seqQ))
+			for k := range keys {
+				keys[k] = rng.Uint64()
+			}
+			h.watch(keys)
+			h.check(t, "watch")
+			h.afterOp = func() {
+				live := h.w.mask
+				gone := live & rng.Uint64() & rng.Uint64()
+				if gone == live { // keep one lane running
+					gone &= gone - 1
+				}
+				h.w.Retire(gone)
+				h.retired |= gone
+				h.check(t, "retire")
+			}
+			h.drive(t, stim)
 		}
 	})
 }

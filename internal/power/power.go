@@ -342,6 +342,36 @@ func (r *Recorder) EndCycle() error {
 	return nil
 }
 
+// Repeat ends the capture early: it fills every cycle from the current
+// one to the last with a copy of the cycle period cycles before it, as
+// EndCycle would if each of those cycles booked what the cycle period
+// before it booked. A cycle's pulse and static current stay within its
+// own samples (NewRecorder rejects a pulse fraction above 1), so the
+// copy is exact whenever no fast-toggle burst spilled into the copied
+// samples; bursts may spill into the next cycle.
+func (r *Recorder) Repeat(period int) error {
+	if period < 1 || period > r.cycle {
+		return fmt.Errorf("power: repeat of period %d after %d cycles", period, r.cycle)
+	}
+	s := r.cfg.SamplesPerCycle
+	for _, w := range r.flux {
+		repeatTail(w, r.cycle*s, period*s)
+	}
+	for _, w := range r.currents {
+		repeatTail(w, r.cycle*s, period*s)
+	}
+	r.cycle = r.numCycles
+	return nil
+}
+
+// repeatTail sets every sample of w from sample from on to the sample
+// lag before it.
+func repeatTail(w []float64, from, lag int) {
+	for i := from; i < len(w); i += lag {
+		copy(w[i:min(i+lag, len(w))], w[i-lag:])
+	}
+}
+
 // deposit adds a pulse carrying charge q to w from sample start on,
 // dropping the samples at or past end.
 func (r *Recorder) deposit(w []float64, start, end int, q float64) {

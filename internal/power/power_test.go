@@ -526,3 +526,103 @@ func TestFluxLaneMatchesTileRecorder(t *testing.T) {
 		}
 	}
 }
+
+// TestFluxLaneRepeatMatchesPeriodicActivity pins Repeat: a recorder
+// driven to the end of its window by activity that turns periodic after
+// a few warm-up cycles must equal, bit for bit in its flux and its tile
+// waveforms, one driven only up to some cycle past the first period and
+// then filled by the repeat; on flux lanes and on tile-keeping
+// recorders, at periods from 1 to 6. A period of 0 or longer than the
+// cycles recorded is an error.
+func TestFluxLaneRepeatMatchesPeriodicActivity(t *testing.T) {
+	fp, n := smallPlan(t)
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(11))
+	tiles := fp.Grid.NumTiles()
+	weights := make([][]float64, 2)
+	for k := range weights {
+		weights[k] = make([]float64, tiles)
+		for tile := range weights[k] {
+			weights[k][tile] = (rng.Float64() - 0.3) * 1e-9
+		}
+	}
+	rec, err := NewRecorder(cfg, fp, weights...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cycle's activity: toggle batches and static currents, no bursts.
+	type cycleActivity struct {
+		toggles []logic.ToggleEvent
+		tile    int
+		amps    float64
+	}
+	randomCycle := func() cycleActivity {
+		a := cycleActivity{tile: rng.Intn(tiles)}
+		for k := rng.Intn(12); k > 0; k-- {
+			a.toggles = append(a.toggles, logic.ToggleEvent(rng.Intn(len(n.Cells)))<<1)
+		}
+		if rng.Intn(2) == 0 {
+			a.amps = rng.Float64() * 1e-6
+		}
+		return a
+	}
+	for trial := 0; trial < 200; trial++ {
+		period, warm := 1+rng.Intn(6), rng.Intn(5)
+		cycles := warm + 2*period + rng.Intn(40)
+		cut := warm + period + rng.Intn(cycles-warm-period+1)
+		schedule := make([]cycleActivity, warm+period)
+		for c := range schedule {
+			schedule[c] = randomCycle()
+		}
+		at := func(c int) cycleActivity {
+			if c >= warm {
+				c = warm + (c-warm)%period
+			}
+			return schedule[c]
+		}
+		for _, fresh := range []func() *Recorder{rec.FluxLane, rec.Fork} {
+			full, repeated := fresh(), fresh()
+			full.Begin(cycles)
+			repeated.Begin(cycles)
+			for c := 0; c < cycles; c++ {
+				a := at(c)
+				for _, r := range []*Recorder{full, repeated} {
+					if r == repeated && c >= cut {
+						continue
+					}
+					r.DrainToggles(a.toggles)
+					r.AddStaticCurrent(a.tile, a.amps)
+					if err := r.EndCycle(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := repeated.Repeat(period); err != nil {
+				t.Fatal(err)
+			}
+			if err := repeated.EndCycle(); err == nil {
+				t.Fatal("EndCycle after a repeat must report the window full")
+			}
+			want := append(full.Flux(), full.Currents()...)
+			got := append(repeated.Flux(), repeated.Currents()...)
+			for k := range want {
+				for i := range want[k] {
+					if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
+						t.Fatalf("trial %d (period %d, %d warm-up, cut at %d of %d cycles) waveform %d sample %d: repeated %v, driven %v",
+							trial, period, warm, cut, cycles, k, i, got[k][i], want[k][i])
+					}
+				}
+			}
+		}
+	}
+	r := rec.FluxLane()
+	r.Begin(8)
+	if err := r.EndCycle(); err != nil {
+		t.Fatal(err)
+	}
+	for _, period := range []int{0, 2} {
+		if err := r.Repeat(period); err == nil {
+			t.Errorf("Repeat(%d) after one cycle succeeded", period)
+		}
+	}
+}
